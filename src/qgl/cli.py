@@ -36,19 +36,29 @@ def _parse_ints(text, what):
 
 def _load_config(path):
     cfg = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ExprSyntaxError("bad config line: %r" % line, 0)
-            key, _, val = line.partition("=")
-            cfg[key.strip()] = val.strip()
-    allowed = {"shape", "truncation_depth", "seed", "max_degree"}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ExprSyntaxError("cannot read config file %r: %s" % (path, e), 0)
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ExprSyntaxError("bad config line: %r" % line, 0)
+        key, _, val = line.partition("=")
+        cfg[key.strip()] = val.strip()
+    allowed = {"shape", "truncation_depth", "seed"}
     bad = set(cfg) - allowed
     if bad:
         raise ExprSyntaxError("unknown config keys: %s" % ", ".join(sorted(bad)), 0)
+    for key in ("truncation_depth", "seed"):
+        if key in cfg:
+            try:
+                cfg[key] = int(cfg[key])
+            except ValueError:
+                raise ExprSyntaxError("config %s must be an integer, got %r" % (key, cfg[key]), 0)
     return cfg
 
 
@@ -361,11 +371,9 @@ def run(argv):
         mn = _parse_ints(shape_text, "--shape")
         if len(mn) != 2:
             raise ExprSyntaxError("--shape needs exactly two integers", 0)
-        args.truncation_depth = (
-            int(cfg["truncation_depth"]) if "truncation_depth" in cfg else None
-        )
+        args.truncation_depth = cfg.get("truncation_depth")
         if "seed" in cfg and getattr(args, "seed", None) in (None, 0):
-            args.seed = int(cfg["seed"])
+            args.seed = cfg["seed"]
         alg = Algebra(Shape(*mn))
         if not hasattr(args, "emit_ast"):
             args.emit_ast = False

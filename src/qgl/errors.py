@@ -67,3 +67,8 @@ class NotHighestWeight(DomainError):
 
 class BadRootOrder(DomainError):
     """Root-of-unity order must be an odd integer >= 3."""
+
+
+class ResourceLimit(DomainError):
+    """A computation ran past a documented budget, such as the rewrite-step
+    ceiling of straightening (pbwcore._MAX_STEPS)."""

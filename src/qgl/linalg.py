@@ -34,10 +34,6 @@ def mat_vec(a, v, zero):
     return out
 
 
-def identity(n, zero, one):
-    return [[one if r == c else zero for c in range(n)] for r in range(n)]
-
-
 def rref(rows, zero):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
     mat = [list(r) for r in rows]
@@ -90,8 +86,3 @@ def in_span(rows, vec, zero):
     base = rref(rows, zero)[0]
     aug = rref(base + [list(vec)], zero)[0]
     return len(aug) == len(base)
-
-
-def span_basis(rows, zero):
-    """A canonical basis (rref rows) of the span of the given vectors."""
-    return rref(rows, zero)[0]

@@ -26,6 +26,7 @@ from .errors import (
     IndexOutOfShape,
     NegativeDividedPower,
     OddPowerTooHigh,
+    ResourceLimit,
 )
 from .rootdata import Shape, bilinear_form
 from .scalars import (
@@ -147,8 +148,13 @@ class Element:
         if n < 0:
             raise DomainError("negative powers only defined for torus monomials")
         out = self.alg.one()
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:  # square and multiply
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -439,7 +445,9 @@ class Algebra:
         while stack:
             steps += 1
             if steps > _MAX_STEPS:
-                raise RuntimeError("straightening step ceiling exceeded")
+                raise ResourceLimit(
+                    "straightening needed more than %d rewrite steps" % _MAX_STEPS
+                )
             coeff, word, hint = stack.pop()
             if coeff.is_zero():
                 continue

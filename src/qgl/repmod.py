@@ -552,9 +552,9 @@ def kac_module(alg, lam, depth=None):
         for kind in ("E", "F"):
             g = alg.gen(kind, i, i + 1)
             m = [[zero] * len(labels) for _ in range(len(labels))]
+            prods = {d: g * alg.monomial(fd=d) for d in dvecs}
             for cidx, (d, w) in enumerate(labels):
-                prod = g * alg.monomial(fd=d)
-                for key, coeff in prod.terms.items():
+                for key, coeff in prods[d].terms.items():
                     if any(key.ed):
                         continue  # odd raising operators kill 1 (x) L0
                     even = alg.monomial(fpsi=key.fpsi, k=key.k, epsi=key.epsi)

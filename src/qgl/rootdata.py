@@ -14,7 +14,8 @@ z_{m+n} = lambda_{m+n}.
 
 from math import comb
 
-from .errors import BadRootOrder, DomainError, IndexOutOfShape
+from .errors import DomainError, IndexOutOfShape
+from .scalars import _check_order
 
 
 class Shape:
@@ -225,17 +226,12 @@ def in_Zplus(shape, z):
 
 def in_Xplus_l(shape, z, l):
     """Restricted range: 0 <= z_i <= l-1 at every constrained index."""
-    _check_l(l)
+    _check_order(l)
     return all(
         0 <= z[i - 1] <= l - 1
         for i in range(1, shape.rank + 1)
         if i not in (shape.m, shape.rank)
     )
-
-
-def _check_l(l):
-    if not isinstance(l, int) or l < 3 or l % 2 == 0:
-        raise BadRootOrder("root order must be an odd integer >= 3, got %r" % (l,))
 
 
 def frobenius_decompose(shape, z, l):
@@ -245,7 +241,7 @@ def frobenius_decompose(shape, z, l):
     stays in z' (the restricted range places no bound there, so this is
     the canonical total extension of the unique constrained split).
     """
-    _check_l(l)
+    _check_order(l)
     if not in_Zplus(shape, z):
         raise DomainError("z must be nonnegative at constrained indices")
     zp, zpp = [], []

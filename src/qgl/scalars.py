@@ -11,24 +11,36 @@ Plus the q-combinatorics used everywhere: symmetric Gaussian integers
 [n], Gaussian factorials and binomials, and the bracket scalar
 (the eigenvalue of the torus bracket element on a weight vector).
 
+RatFunc and CycloNum share one polynomial core over the integers: dense
+tuples of Python ints.  A RatFunc is a coprime pair num/den of integer
+polynomials whose denominator has a positive leading coefficient and whose
+coefficients have no common factor all together; a Laurent value c*q^e has
+the monomial denominator d*q^k, so it needs no gcd.  A CycloNum is an
+integer residue modulo the monic Phi_l over one positive integer
+denominator.  Both forms are canonical, so equality is tuple equality.
+fractions.Fraction appears only at the API boundary (from_fraction,
+eval_fraction, as_laurent_rational and the rendered text).
+
 All values are immutable after construction.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import BadRootOrder, DenominatorVanishes
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Q: tuples of Fractions, ascending degree, no
-# trailing zeros; () is the zero polynomial.
+# dense polynomials over Z: tuples of ints, ascending degree, no trailing
+# zeros; () is the zero polynomial.
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _trim(cs):
+    """Tuple of the list cs without its trailing zeros."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return tuple(cs[:n])
 
 
 def _padd(a, b):
@@ -37,7 +49,7 @@ def _padd(a, b):
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _ptrim(out)
+    return _trim(out)
 
 
 def _pneg(a):
@@ -47,46 +59,66 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _ptrim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, cb in enumerate(b):
+        if cb:
+            for j, ca in enumerate(a, i):
+                out[j] += ca * cb
+    return tuple(out)  # Z is a domain: the leading product is nonzero
 
 
 def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
+    """(m, quo, rem) with m*a == quo*b + rem in Z[q], deg rem < deg b.
+
+    Pseudo-division: m is a nonzero integer, 1 when b is monic or divides a
+    exactly in Z[q].  Each leading term is removed with the smallest
+    multiplier the leading coefficients allow.
+    """
     db = len(b) - 1
+    if len(a) <= db:
+        return 1, (), a
     lead = b[-1]
-    if len(rem) <= db:
-        return (), _ptrim(rem)
-    quo = [Fraction(0)] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    m = 1
+    for i in range(len(a) - 1, db - 1, -1):
         c = rem[i]
         if c:
-            f = c / lead
+            g = gcd(c, lead)
+            f, k = c // g, lead // g
+            if k != 1:
+                rem = [x * k for x in rem[:i]]
+                quo = [x * k for x in quo]
+                m *= k
             quo[i - db] = f
-            for j, cb in enumerate(b):
-                rem[i - db + j] -= f * cb
-    return _ptrim(quo), _ptrim(rem)
+            for j in range(db):
+                rem[i - db + j] -= f * b[j]
+    return m, tuple(quo), _trim(rem[:db])
+
+
+def _primitive(a, b=()):
+    """(a, b) over their joint content, the leading coefficient of a positive."""
+    g = gcd(*a, *b)
+    if a[-1] < 0:
+        g = -g
+    if g == 1:
+        return a, b
+    return tuple(x // g for x in a), tuple(x // g for x in b)
 
 
 def _pgcd(a, b):
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        if lead != 1:
-            a = tuple(c / lead for c in a)
-    return a
-
-
-def _pconst(c):
-    c = Fraction(c)
-    return (c,) if c else ()
+    """Primitive gcd of nonzero a and b in Z[q] (primitive PRS)."""
+    if len(a) < len(b):
+        a, b = b, a
+    b = _primitive(b)[0]
+    while len(b) > 1:
+        r = _pdivmod(a, b)[2]
+        if not r:
+            return b
+        a, b = b, _primitive(r)[0]
+    return _ONE_POLY
 
 
 def _peval(a, x):
@@ -96,11 +128,16 @@ def _peval(a, x):
     return acc
 
 
-_ONE_POLY = (Fraction(1),)
+def _is_monomial(a):
+    """True iff a == c*q^k, c != 0."""
+    return not any(a[:-1])
+
+
+_ONE_POLY = (1,)
 
 
 def _render_poly(coeffs_by_exp):
-    """Render {exponent: Fraction} as canonical text like '3*q^2 - q^-1 + 4'."""
+    """Render {exponent: int or Fraction} as canonical text like '3*q^2 - q^-1 + 4'."""
     items = [(e, c) for e, c in sorted(coeffs_by_exp.items(), reverse=True) if c]
     if not items:
         return "0"
@@ -118,6 +155,13 @@ def _render_poly(coeffs_by_exp):
         else:
             parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
+
+
+def _over(a, d):
+    """{exponent: a[i]/d} for the nonzero coefficients of a (d > 0)."""
+    if d == 1:
+        return {i: c for i, c in enumerate(a) if c}
+    return {i: Fraction(c, d) for i, c in enumerate(a) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +246,7 @@ class LaurentInt:
         return sum(self.coeffs.values())
 
     def render(self):
-        return _render_poly({e: Fraction(c) for e, c in self.coeffs.items()})
+        return _render_poly(self.coeffs)
 
     def __repr__(self):
         return "LaurentInt(%s)" % self.render()
@@ -222,7 +266,11 @@ def _as_laurent(x):
 
 
 class RatFunc:
-    """Rational function in q over Q, stored in lowest terms, monic denominator."""
+    """Rational function in q over Q: num/den, coprime integer polynomials.
+
+    den has a positive leading coefficient and num, den together have
+    content 1, which makes the pair unique for each value.
+    """
 
     __slots__ = ("num", "den")
 
@@ -236,47 +284,54 @@ class RatFunc:
 
     @classmethod
     def _make(cls, num, den):
+        """The canonical RatFunc equal to num/den (integer tuples)."""
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return _RF_ZERO
-        g = _pgcd(num, den)
-        if len(g) > 1 or (g and g[0] != 1):
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
+        if not num[0] and not den[0]:
+            s = 1
+            while not num[s] and not den[s]:
+                s += 1
+            num, den = num[s:], den[s:]
+        # once the shared power of q is gone, a monomial side leaves no
+        # common factor: this skips the gcd for every Laurent value
+        if not (_is_monomial(den) or _is_monomial(num)):
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num = _pdivmod(num, g)[1]
+                den = _pdivmod(den, g)[1]
+        den, num = _primitive(den, num)
         return cls(num, den)
 
     @classmethod
     def from_int(cls, n):
-        return cls(_pconst(n))
+        return cls((n,) if n else ())
 
     @classmethod
     def from_fraction(cls, f):
-        return cls(_pconst(f))
+        f = Fraction(f)
+        if not f:
+            return _RF_ZERO
+        return cls((f.numerator,), (f.denominator,))
 
     @classmethod
     def q_power(cls, k):
         if k >= 0:
-            return cls(_ptrim([Fraction(0)] * k + [Fraction(1)]))
-        return cls(_ONE_POLY, _ptrim([Fraction(0)] * (-k) + [Fraction(1)]))
+            return cls((0,) * k + _ONE_POLY)
+        return cls(_ONE_POLY, (0,) * (-k) + _ONE_POLY)
 
     @classmethod
     def from_laurent(cls, lp):
         lp = _as_laurent(lp)
         if not lp.coeffs:
             return _RF_ZERO
-        shift = min(lp.coeffs)
-        shift = min(shift, 0)
-        deg = max(lp.coeffs) - shift
-        num = [Fraction(0)] * (deg + 1)
+        shift = min(min(lp.coeffs), 0)
+        num = [0] * (max(lp.coeffs) - shift + 1)
         for e, c in lp.coeffs.items():
-            num[e - shift] = Fraction(c)
-        den = _ptrim([Fraction(0)] * (-shift) + [Fraction(1)])
-        return cls._make(_ptrim(num), den)
+            num[e - shift] = c
+        # the lowest coefficient is nonzero when shift < 0: already coprime
+        return cls(tuple(num), (0,) * (-shift) + _ONE_POLY)
 
     def is_zero(self):
         return not self.num
@@ -299,8 +354,18 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFunc._make(num, _pmul(self.den, other.den))
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        den = self.den
+        if den == other.den:
+            num = _padd(self.num, other.num)
+            if den == _ONE_POLY:
+                return RatFunc(num) if num else _RF_ZERO
+            return RatFunc._make(num, den)
+        num = _padd(_pmul(self.num, other.den), _pmul(other.num, den))
+        return RatFunc._make(num, _pmul(den, other.den))
 
     __radd__ = __add__
 
@@ -322,6 +387,8 @@ class RatFunc:
             return NotImplemented
         if not self.num or not other.num:
             return _RF_ZERO
+        if self.den == other.den == _ONE_POLY:
+            return RatFunc(_pmul(self.num, other.num))
         return RatFunc._make(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -366,53 +433,47 @@ class RatFunc:
 
     def bar(self):
         """Substitute q -> q^-1 (an involutive field automorphism)."""
+        if not self.num:
+            return self
+        # p(1/q) = rev(p) / q^deg p; shift the lower-degree side to clear q
         dn, dd = len(self.num) - 1, len(self.den) - 1
-        num = list(reversed(self.num))
-        den = list(reversed(self.den))
-        # p(1/q) = rev(p) / q^deg p; shift both sides to clear the powers of q
+        num = _trim(self.num[::-1])
+        den = _trim(self.den[::-1])
         if dn >= dd:
-            den = [0] * (dn - dd) + den
+            den = (0,) * (dn - dd) + den
         else:
-            num = [0] * (dd - dn) + num
-        num, den = _ptrim(num), _ptrim(den)
+            num = (0,) * (dd - dn) + num
         return RatFunc._make(num, den)
 
-    def _den_q_power(self):
-        """If den == q^k exactly, return k; else None."""
+    def _den_monomial(self):
+        """(d, k) if den == d*q^k, else None."""
         d = self.den
-        if all(c == 0 for c in d[:-1]) and d[-1] == 1:
-            return len(d) - 1
+        if _is_monomial(d):
+            return d[-1], len(d) - 1
         return None
 
     def as_laurent_int(self):
         """Return the LaurentInt equal to self, or None if not in Z[q,q^-1]."""
-        k = self._den_q_power()
-        if k is None:
-            return None
-        out = {}
-        for i, c in enumerate(self.num):
-            if c:
-                if c.denominator != 1:
-                    return None
-                out[i - k] = c.numerator
-        return LaurentInt(out)
+        dk = self._den_monomial()
+        if dk is None or dk[0] != 1:
+            return None  # content 1 makes num/(d*q^k) with d > 1 non-integral
+        k = dk[1]
+        return LaurentInt({i - k: c for i, c in enumerate(self.num) if c})
 
     def as_laurent_rational(self):
-        """Return {exp: Fraction} if den is a power of q, else None."""
-        k = self._den_q_power()
-        if k is None:
+        """Return {exp: Fraction} if den is a monomial, else None."""
+        dk = self._den_monomial()
+        if dk is None:
             return None
-        return {i - k: c for i, c in enumerate(self.num) if c}
+        d, k = dk
+        return {i - k: Fraction(c, d) for i, c in enumerate(self.num) if c}
 
     def as_int(self):
         """Return the integer equal to self, or None."""
-        li = self.as_laurent_int()
-        if li is None:
-            return None
-        if not li.coeffs:
+        if not self.num:
             return 0
-        if set(li.coeffs) == {0}:
-            return li.coeffs[0]
+        if len(self.num) == 1 and self.den == _ONE_POLY:
+            return self.num[0]
         return None
 
     def eval_fraction(self, x):
@@ -426,9 +487,9 @@ class RatFunc:
         lau = self.as_laurent_rational()
         if lau is not None:
             return _render_poly(lau)
-        num = _render_poly({i: c for i, c in enumerate(self.num) if c})
-        den = _render_poly({i: c for i, c in enumerate(self.den) if c})
-        return "(%s)/(%s)" % (num, den)
+        lead = self.den[-1]
+        return "(%s)/(%s)" % (_render_poly(_over(self.num, lead)),
+                              _render_poly(_over(self.den, lead)))
 
     def __repr__(self):
         return "RatFunc(%s)" % self.render()
@@ -517,21 +578,50 @@ def kbracket_scalar(zval, c, t, sign=1):
 _CYCLO_CACHE = {}
 
 
+def _prime_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def cyclotomic_poly(n):
-    """The n-th cyclotomic polynomial as a Q-polynomial tuple (integer coeffs)."""
+    """The n-th cyclotomic polynomial as an integer tuple, ascending degree.
+
+    Phi_n = prod over d | n of (q^d - 1)^mu(n/d): only squarefree n/d
+    contribute, and multiplying or exactly dividing by the sparse binomial
+    q^d - 1 takes one pass over the coefficients.
+    """
     if n in _CYCLO_CACHE:
         return _CYCLO_CACHE[n]
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    xn1 = _ptrim([-1] + [0] * (n - 1) + [1])
-    acc = _ONE_POLY
-    for d in range(1, n):
-        if n % d == 0:
-            acc = _pmul(acc, cyclotomic_poly(d))
-    quo, rem = _pdivmod(xn1, acc)
-    if rem:
-        raise ArithmeticError("cyclotomic division failed")
-    _CYCLO_CACHE[n] = quo
-    return quo
+    ups, downs = [], []
+    primes = _prime_factors(n)
+    for mask in range(1 << len(primes)):
+        sq, odd = 1, False
+        for bit, p in enumerate(primes):
+            if mask >> bit & 1:
+                sq *= p
+                odd = not odd
+        (downs if odd else ups).append(n // sq)
+    acc = [1]
+    for d in ups:  # acc * (q^d - 1)
+        acc = [0] * d + acc
+        for i in range(len(acc) - d):
+            acc[i] -= acc[i + d]
+    for d in downs:  # acc / (q^d - 1): from the top, s[i] = acc[i+d] + s[i+d]
+        quo = [0] * (len(acc) - d)
+        for i in range(len(quo) - 1, -1, -1):
+            quo[i] = acc[i + d] + (quo[i + d] if i + d < len(quo) else 0)
+        acc = quo
+    phi = tuple(acc)
+    _CYCLO_CACHE[n] = phi
+    return phi
 
 
 def _check_order(l):
@@ -540,29 +630,55 @@ def _check_order(l):
 
 
 class CycloNum:
-    """Element of Q(eta) = Q[q]/Phi_l, eta a primitive l-th root of unity."""
+    """Element res/den of Q(eta) = Q[q]/Phi_l, eta a primitive l-th root of unity.
 
-    __slots__ = ("res", "order")
+    res is an integer residue mod Phi_l (degree < phi(l)) and den a positive
+    integer sharing no factor with all of res; zero is res == (), den == 1.
+    """
+
+    __slots__ = ("res", "den", "order")
 
     def __init__(self, res, order):
+        """res: coefficients (ints or Fractions) of a polynomial in eta, ascending."""
         _check_order(order)
-        phi = cyclotomic_poly(order)
-        res = _pdivmod(_ptrim(Fraction(c) for c in res), phi)[1]
+        res = [Fraction(c) for c in res]
+        den = lcm(*(c.denominator for c in res))
+        self._set(_trim([int(c * den) for c in res]), den, order)
+
+    def _set(self, res, den, order):
+        """Store res/den (res in Z[q], den > 0) reduced mod Phi_l, content removed."""
+        res = _pdivmod(res, cyclotomic_poly(order))[2]
+        if res:
+            c = gcd(den, *res)
+            if c != 1:
+                res = tuple(x // c for x in res)
+                den //= c
+        else:
+            den = 1
         object.__setattr__(self, "res", res)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "order", order)
+
+    @classmethod
+    def _make(cls, res, den, order):
+        """CycloNum of res/den, res an integer polynomial, den a positive int."""
+        out = object.__new__(cls)
+        out._set(res, den, order)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("CycloNum is immutable")
 
     @classmethod
     def from_int(cls, n, order):
-        return cls(_pconst(n), order)
+        _check_order(order)
+        return cls._make((n,) if n else (), 1, order)
 
     @classmethod
     def eta_power(cls, k, order):
         _check_order(order)
         k %= order
-        return cls(_ptrim([0] * k + [1]), order)
+        return cls._make((0,) * k + _ONE_POLY, 1, order)
 
     def is_zero(self):
         return not self.res
@@ -576,19 +692,25 @@ class CycloNum:
                 raise ValueError("mixed root orders")
             return other
         if isinstance(other, (int, Fraction)):
-            return CycloNum(_pconst(other), self.order)
+            return CycloNum((other,), self.order)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(_padd(self.res, other.res), self.order)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return CycloNum._make(_padd(self.res, other.res), d1, self.order)
+        g = gcd(d1, d2)
+        res = _padd(tuple(c * (d2 // g) for c in self.res),
+                    tuple(c * (d1 // g) for c in other.res))
+        return CycloNum._make(res, d1 // g * d2, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(_pneg(self.res), self.order)
+        return CycloNum._make(_pneg(self.res), self.den, self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -603,24 +725,16 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(_pmul(self.res, other.res), self.order)
+        return CycloNum._make(_pmul(self.res, other.res), self.den * other.den, self.order)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.res:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended Euclid: a*res + b*Phi = gcd = const (Phi_l irreducible over Q)
-        phi = cyclotomic_poly(self.order)
-        r0, r1 = phi, self.res
-        s0, s1 = (), _ONE_POLY
-        while r1:
-            quo, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _padd(s0, _pneg(_pmul(quo, s1)))
-        # r0 is a nonzero constant
-        inv_const = 1 / r0[0]
-        return CycloNum(tuple(c * inv_const for c in s0), self.order)
+        # (res/den)^-1 = den * s / c where s * res == c mod Phi_l
+        s, c = _inverse_mod(self.res, self.order)
+        return CycloNum._make(tuple(x * self.den for x in s), c, self.order)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -638,17 +752,37 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.res == other.res
+        return self.res == other.res and self.den == other.den
 
     def __hash__(self):
-        return hash((self.res, self.order))
+        return hash((self.res, self.den, self.order))
 
     def render(self):
-        body = _render_poly({i: c for i, c in enumerate(self.res) if c})
+        body = _render_poly(_over(self.res, self.den))
         return body.replace("q", "eta")
 
     def __repr__(self):
         return "CycloNum(%s; l=%d)" % (self.render(), self.order)
+
+
+def _inverse_mod(a, l):
+    """(s, c) with s*a == c mod Phi_l, c a positive integer (a != 0 mod Phi_l).
+
+    Fraction-free extended Euclid: every remainder r keeps a cofactor s with
+    r == s*a mod Phi_l, and each pair is divided by its joint content.
+    """
+    phi = cyclotomic_poly(l)
+    r0, s0 = phi, ()
+    r1, s1 = a, _ONE_POLY
+    while len(r1) > 1:
+        m, quo, rem = _pdivmod(r0, r1)
+        s = _pdivmod(_padd(tuple(m * x for x in s0), _pneg(_pmul(quo, s1))), phi)[2]
+        r0, s0 = r1, s1
+        r1, s1 = _primitive(rem, s)
+    c = r1[0]
+    if c < 0:
+        return _pneg(s1), -c
+    return s1, c
 
 
 def evaluate_at_root(x, l):
@@ -663,11 +797,17 @@ def evaluate_at_root(x, l):
         x = RatFunc.from_int(x)
     if not isinstance(x, RatFunc):
         raise TypeError("cannot specialize %r" % (x,))
-    den = CycloNum(x.den, l)
-    if den.is_zero():
+    if _is_monomial(x.den):
+        # a Laurent value num/(d*q^k): eta^-k == eta^(l - k mod l), no inverse
+        shift = -(len(x.den) - 1) % l
+        return CycloNum._make((0,) * shift + x.num if x.num else (), x.den[-1], l)
+    phi = cyclotomic_poly(l)
+    den = _pdivmod(x.den, phi)[2]
+    if not den:
         # stored in lowest terms, so a vanishing denominator is a genuine pole
         raise DenominatorVanishes("pole at primitive %d-th root of unity" % l)
-    return CycloNum(x.num, l) / den
+    s, c = _inverse_mod(den, l)
+    return CycloNum._make(_pmul(_pdivmod(x.num, phi)[2], s), c, l)
 
 
 class FieldOps:

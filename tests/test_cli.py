@@ -87,6 +87,26 @@ def test_config_file(tmp_path):
     assert code == 2
 
 
+def test_config_errors_are_usage_errors(tmp_path):
+    code, out, err = capture(
+        ["typical", "--config", str(tmp_path / "missing"), "--lambda", "1,0"]
+    )
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    cfg = tmp_path / "cfg"
+    for line in ("truncation_depth = two", "seed = 1.5", "max_degree = 3"):
+        cfg.write_text("shape = 1,1\n%s\n" % line)
+        code, out, err = capture(["typical", "--config", str(cfg), "--lambda", "1,0"])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, line
+
+
+def test_straightening_budget_is_a_domain_error(monkeypatch):
+    from qgl import pbwcore
+
+    monkeypatch.setattr(pbwcore, "_MAX_STEPS", 3)
+    code, out, err = capture(["nf", "--shape", "2,1", "E[1,3]*F[1,3]*E[1,2]*F[1,2]"])
+    assert code == 3 and out == "" and "domain error" in err
+
+
 def test_braid_and_omega_roundtrip():
     code, out, _ = capture(
         ["braid", "--shape", "2,1", "-i", "1", "--emit", "text", "E[2,3]"]

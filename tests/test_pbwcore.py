@@ -155,6 +155,18 @@ def test_power_is_factorial_times_divided():
     assert cube == alg.divided_power("E", 1, 2, 3).scale(fact)
 
 
+def test_power_matches_repeated_product():
+    rng = random.Random(11)
+    alg = Algebra((2, 1))
+    gens = random_gens(alg)
+    for _ in range(4):
+        x = rng.choice(gens) + rng.choice(gens).scale(RatFunc.q_power(rng.randint(-2, 2)))
+        prod = alg.one()
+        for n in range(6):
+            assert x**n == prod, n
+            prod = prod * x
+
+
 def test_kac_ef_commutation_with_powers():
     # E^(N) F^(M) at a simple even node: the closed commutation formula
     alg = Algebra((2, 1))

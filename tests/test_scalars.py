@@ -1,7 +1,10 @@
 """Exact scalar arithmetic: Laurent polynomials, rational functions in q,
 q-combinatorics, and cyclotomic specialization."""
 
+import operator
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -148,6 +151,153 @@ def test_ratfunc_q_power_negative():
     assert RatFunc.q_power(-3) * RatFunc.q_power(3) == RF_ONE
 
 
+# -- RatFunc against a Fraction-based reference ------------------------------
+#
+# The reference keeps a value as (num, den) over Q in lowest terms with a
+# monic denominator, by Euclid over Fraction coefficients: an oracle that
+# shares no code with the integer core.
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for p in (a, b):
+        for i, c in enumerate(p):
+            out[i] += c
+    return _ref_trim(out)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, db = list(a), len(b) - 1
+    quo = [Fraction(0)] * max(len(a) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        f = rem[i] / b[-1]
+        quo[i - db] = f
+        for j, c in enumerate(b):
+            rem[i - db + j] -= f * c
+    return _ref_trim(quo), _ref_trim(rem)
+
+
+def _ref_make(num, den):
+    num, den = tuple(map(Fraction, num)), tuple(map(Fraction, den))
+    a, b = num, den
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    num, den = _ref_divmod(num, a)[0], _ref_divmod(den, a)[0]
+    lead = den[-1]
+    return tuple(c / lead for c in num), tuple(c / lead for c in den)
+
+
+def _ref_from_laurent(lp):
+    shift = min(list(lp.coeffs) + [0])
+    num = [Fraction(0)] * (max(list(lp.coeffs) + [0]) - shift + 1)
+    for e, c in lp.coeffs.items():
+        num[e - shift] = Fraction(c)
+    return _ref_make(_ref_trim(num), (Fraction(0),) * -shift + (Fraction(1),))
+
+
+def _ref_render_poly(coeffs):
+    parts = []
+    for e, c in sorted(coeffs.items(), reverse=True):
+        body = str(abs(c)) if e == 0 else ("q" if e == 1 else "q^%d" % e)
+        if e != 0 and abs(c) != 1:
+            body = "%s*%s" % (abs(c), body)
+        if not parts:
+            parts.append("-" + body if c < 0 else body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts) or "0"
+
+
+def _ref_render(num, den):
+    if den[-1] == 1 and not any(den[:-1]):
+        k = len(den) - 1
+        return _ref_render_poly({i - k: c for i, c in enumerate(num) if c})
+    return "(%s)/(%s)" % (
+        _ref_render_poly({i: c for i, c in enumerate(num) if c}),
+        _ref_render_poly({i: c for i, c in enumerate(den) if c}),
+    )
+
+
+def _ref_op(op, x, y):
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return _ref_make(_ref_add(_ref_mul(a, d), _ref_mul(c, b)), _ref_mul(b, d))
+    if op == "-":
+        return _ref_op("+", x, (tuple(-v for v in c), d))
+    if op == "*":
+        return _ref_make(_ref_mul(a, c), _ref_mul(b, d))
+    return _ref_make(_ref_mul(a, d), _ref_mul(b, c))
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@st.composite
+def ratfuncs_with_ref(draw):
+    """A RatFunc built from Laurent polynomials and a rational scalar, with its reference."""
+    num, den = draw(laurents()), draw(laurents())
+    while den.is_zero():
+        den = draw(laurents())
+    scale = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+    value = RatFunc.from_laurent(num) / RatFunc.from_laurent(den) * scale
+    ref = _ref_op("/", _ref_from_laurent(num), _ref_from_laurent(den))
+    ref = _ref_op("*", ref, ((scale,) if scale else (), (Fraction(1),)))
+    return value, ref
+
+
+def assert_canonical(x):
+    num, den = x.num, x.den
+    assert all(type(c) is int for c in num + den)
+    assert den and den[-1] > 0
+    assert not num or num[-1] != 0
+    assert gcd(*num, *den) == 1
+    if not num:
+        assert den == (1,)
+    else:
+        assert len(_ref_make(num, den)[1]) == len(den)  # no common factor to cancel
+
+
+@RATFUNC_SETTINGS
+@given(ratfuncs_with_ref(), ratfuncs_with_ref(), st.sampled_from("+-*/"))
+def test_ratfunc_matches_fraction_reference(x, y, op):
+    (a, ref_a), (b, ref_b) = x, y
+    for value, ref in ((a, ref_a), (b, ref_b)):
+        assert_canonical(value)
+        assert _ref_make(value.num, value.den) == ref
+        assert value.render() == _ref_render(*ref)
+    if op == "/" and b.is_zero():
+        return
+    c = _OPS[op](a, b)
+    ref_c = _ref_op(op, ref_a, ref_b)
+    assert_canonical(c)
+    assert _ref_make(c.num, c.den) == ref_c
+    assert c.render() == _ref_render(*ref_c)
+    assert_canonical(c.bar())
+
+
+def test_ratfunc_integer_laurent_has_unit_monomial_den():
+    x = RatFunc.from_laurent(LaurentInt({-2: 3, 1: -1}))
+    assert (x.num, x.den) == ((3, 0, 0, -1), (0, 0, 1))
+    y = x * Fraction(1, 2)
+    assert (y.num, y.den) == ((3, 0, 0, -1), (0, 0, 2))
+    assert y.as_laurent_int() is None and y.render() == "-1/2*q + 3/2*q^-2"
+
+
 # -- Gaussian combinatorics -------------------------------------------------
 
 
@@ -242,20 +392,50 @@ def test_eta_is_primitive_root():
         assert p == CycloNum.from_int(1, l)
 
 
+def _reference_cyclotomic(n):
+    """Phi_n as (q^n - 1) / prod of Phi_d over proper divisors d, by long division."""
+    acc = (Fraction(1),)
+    for d in range(1, n):
+        if n % d == 0:
+            acc = _ref_mul(acc, _reference_cyclotomic(d))
+    quo, rem = _ref_divmod((Fraction(-1),) + (Fraction(0),) * (n - 1) + (Fraction(1),), acc)
+    assert not rem
+    return quo
+
+
+def test_cyclotomic_poly_matches_long_division():
+    for l in range(1, 100, 2):
+        assert cyclotomic_poly(l) == _reference_cyclotomic(l), l
+
+
+def test_cyclotomic_poly_of_large_order_is_fast():
+    start = time.perf_counter()
+    phi = cyclotomic_poly(100001)  # 11 * 9091
+    assert time.perf_counter() - start < 10
+    assert len(phi) == 10 * 9090 + 1
+    assert phi[0] == phi[-1] == 1 and sum(phi) == 1  # Phi_n(1) = 1 for n not a prime power
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=6),
-    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=6),
-    st.sampled_from([3, 5, 7]),
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=9),
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=9),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([3, 5, 7, 9, 15]),
 )
-def test_cyclo_field_axioms(ar, br, l):
-    a = CycloNum(tuple(Fraction(x) for x in ar), l)
+def test_cyclo_field_axioms(ar, br, d, l):
+    a = CycloNum(tuple(Fraction(x, d) for x in ar), l)
     b = CycloNum(tuple(Fraction(x) for x in br), l)
+    for x in (a, b):
+        assert len(x.res) < len(cyclotomic_poly(l)) and x.den > 0
+        assert gcd(x.den, *x.res) == 1 and (x.res or x.den == 1)
     assert a + b == b + a
     assert a * b == b * a
     assert a - a == CycloNum.from_int(0, l)
+    assert (a + b) * b == a * b + b * b
     if not a.is_zero():
         assert a * a.inverse() == CycloNum.from_int(1, l)
+        assert (b / a) * a == b
 
 
 def test_evaluate_at_root_basic():
@@ -279,6 +459,10 @@ def test_evaluate_preserves_arithmetic():
     l = 5
     a = RatFunc.from_laurent(LaurentInt({2: 3, -1: 1}))
     b = RatFunc.from_laurent(LaurentInt({1: -2, 0: 7}))
-    ea, eb = evaluate_at_root(a, l), evaluate_at_root(b, l)
+    c = RF_ONE / (RatFunc.q_power(2) * 3 + 2)  # a denominator that is no monomial
+    ea, eb, ec = (evaluate_at_root(x, l) for x in (a, b, c))
     assert evaluate_at_root(a * b, l) == ea * eb
     assert evaluate_at_root(a + b, l) == ea + eb
+    assert evaluate_at_root(a * c, l) == ea * ec
+    assert evaluate_at_root(a / 2 + c, l) == ea / 2 + ec
+    assert evaluate_at_root(RatFunc.q_power(-7), l) == CycloNum.eta_power(-7, l)
