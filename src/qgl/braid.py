@@ -15,8 +15,7 @@ avoid the odd node.
 """
 
 from .errors import BraidAtOddNode
-from .pbwcore import Element
-from .scalars import RF_ONE
+from .relations import MappedView
 
 
 def _check_even_node(shape, i):
@@ -32,58 +31,47 @@ def _swap_mu(mu, i):
     return tuple(out)
 
 
+def _braid_image(alg, i, atom, inverse):
+    """T_i (or T_i^{-1}) of one generator atom.
+
+    T_i^{-1} sends each generator to T_i's image with the order of every
+    product reversed and the exponent of K_{alpha_i} negated.
+    """
+    sh = alg.shape
+    if atom[0] == "K":
+        return alg.k_mono(_swap_mu(atom[1], i))
+    sign = -1 if inverse else 1
+
+    def prod(x, y):
+        return y * x if inverse else x * y
+
+    kind, j = atom[0], atom[1]  # simple generator: (j, j+1)
+    if sh.cartan_entry(i, j) == 0:
+        return alg.gen(kind, j, j + 1)
+    if kind == "E":
+        if j == i:
+            return -prod(alg.gen("F", i, i + 1), alg.k_alpha(i, sign))
+        ei, ej = alg.gen("E", i, i + 1), alg.gen("E", j, j + 1)
+        return -prod(ei, ej) + prod(ej, ei).scale(alg.qi(i, -1))
+    if j == i:
+        return -prod(alg.k_alpha(i, -sign), alg.gen("E", i, i + 1))
+    fi, fj = alg.gen("F", i, i + 1), alg.gen("F", j, j + 1)
+    return -prod(fj, fi) + prod(fi, fj).scale(alg.qi(i, 1))
+
+
+def _apply_braid(alg, i, elt, inverse):
+    _check_even_node(alg.shape, i)
+    return alg.apply_hom(elt, lambda atom: _braid_image(alg, i, atom, inverse))
+
+
 def braid_t(alg, i, elt):
     """Apply T_i to an element."""
-    sh = alg.shape
-    _check_even_node(sh, i)
-
-    def image(atom):
-        if atom[0] == "K":
-            return alg.k_mono(_swap_mu(atom[1], i))
-        kind, a, b, _ = atom
-        j = a  # simple generator: (j, j+1)
-        if kind == "E":
-            if j == i:
-                return -(alg.gen("F", i, i + 1) * alg.k_alpha(i))
-            if sh.cartan_entry(i, j) == 0:
-                return alg.gen("E", j, j + 1)
-            ei, ej = alg.gen("E", i, i + 1), alg.gen("E", j, j + 1)
-            return -(ei * ej) + (ej * ei).scale(alg.qi(i, -1))
-        if j == i:
-            return -(alg.k_alpha(i, -1) * alg.gen("E", i, i + 1))
-        if sh.cartan_entry(i, j) == 0:
-            return alg.gen("F", j, j + 1)
-        fi, fj = alg.gen("F", i, i + 1), alg.gen("F", j, j + 1)
-        return -(fj * fi) + (fi * fj).scale(alg.qi(i, 1))
-
-    return alg.apply_hom(elt, image)
+    return _apply_braid(alg, i, elt, False)
 
 
 def braid_t_inv(alg, i, elt):
     """Apply T_i^{-1} to an element."""
-    sh = alg.shape
-    _check_even_node(sh, i)
-
-    def image(atom):
-        if atom[0] == "K":
-            return alg.k_mono(_swap_mu(atom[1], i))
-        kind, a, b, _ = atom
-        j = a
-        if kind == "E":
-            if j == i:
-                return -(alg.k_alpha(i, -1) * alg.gen("F", i, i + 1))
-            if sh.cartan_entry(i, j) == 0:
-                return alg.gen("E", j, j + 1)
-            ei, ej = alg.gen("E", i, i + 1), alg.gen("E", j, j + 1)
-            return -(ej * ei) + (ei * ej).scale(alg.qi(i, -1))
-        if j == i:
-            return -(alg.gen("E", i, i + 1) * alg.k_alpha(i))
-        if sh.cartan_entry(i, j) == 0:
-            return alg.gen("F", j, j + 1)
-        fi, fj = alg.gen("F", i, i + 1), alg.gen("F", j, j + 1)
-        return -(fi * fj) + (fj * fi).scale(alg.qi(i, 1))
-
-    return alg.apply_hom(elt, image)
+    return _apply_braid(alg, i, elt, True)
 
 
 def root_vector_via_braid(alg, kind, i, j):
@@ -106,34 +94,8 @@ def root_vector_via_braid(alg, kind, i, j):
     return out
 
 
-class BraidView:
-    """Algebra adapter with generators replaced by their braid images;
-    running the relation catalog against it checks T_i is a homomorphism."""
-
-    def __init__(self, alg, i, inverse=False):
-        _check_even_node(alg.shape, i)
-        self._alg = alg
-        self._i = i
-        self._apply = braid_t_inv if inverse else braid_t
-        self.shape = alg.shape
-
-    def _t(self, elt):
-        return self._apply(self._alg, self._i, elt)
-
-    def qi(self, i, power=1):
-        return self._alg.qi(i, power)
-
-    def gen(self, kind, i, j):
-        return self._t(self._alg.gen(kind, i, j))
-
-    def k_mono(self, mu):
-        return self._t(self._alg.k_mono(mu))
-
-    def k_alpha(self, i, exp=1):
-        return self._t(self._alg.k_alpha(i, exp))
-
-    def one(self):
-        return self._alg.one()
-
-    def zero(self):
-        return self._alg.zero()
+def BraidView(alg, i, inverse=False):
+    """The algebra seen through T_i or T_i^{-1} (see ``relations.MappedView``)."""
+    _check_even_node(alg.shape, i)
+    op = braid_t_inv if inverse else braid_t
+    return MappedView(alg, lambda elt: op(alg, i, elt))

@@ -375,8 +375,6 @@ def run(argv):
         if "seed" in cfg and getattr(args, "seed", None) in (None, 0):
             args.seed = cfg["seed"]
         alg = Algebra(Shape(*mn))
-        if not hasattr(args, "emit_ast"):
-            args.emit_ast = False
         return args.handler(args, alg)
     except ExprSyntaxError as e:
         sys.stderr.write("syntax error at offset %d: %s\n" % (e.offset, e.args[0]))

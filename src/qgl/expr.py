@@ -19,12 +19,12 @@ divisor.
 from .errors import (
     DomainError,
     ExprSyntaxError,
-    IndexOutOfShape,
     NegativeDividedPower,
 )
-from .scalars import RF_ONE, RatFunc
+from .scalars import RatFunc
 
 _NAMES = ("Kinv", "Kb", "Ka", "K", "E", "F", "q")
+_MAX_NESTING = 100  # parenthesis depth; keeps the recursive descent off the stack limit
 _SYMBOLS = "[](),;*/^+-"
 
 
@@ -70,6 +70,7 @@ class _Parser:
         self.toks = tokenize(src)
         self.pos = 0
         self.shape = shape
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -144,8 +145,14 @@ class _Parser:
         if t[0] == "int":
             return ("int", t[1])
         if t[0] == "(":
+            if self.nesting == _MAX_NESTING:
+                raise ExprSyntaxError(
+                    "parentheses nested deeper than %d" % _MAX_NESTING, t[2]
+                )
+            self.nesting += 1
             node = self.expr()
             self.expect(")")
+            self.nesting -= 1
             return node
         if t[0] != "name":
             raise ExprSyntaxError("expected a generator, scalar or '('", t[2])

@@ -15,6 +15,7 @@ S(xy) = (-1)^{par x * par y} S(y) S(x).
 """
 
 from .pbwcore import Element
+from .relations import MappedView
 from .scalars import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -233,30 +234,6 @@ class Hopf:
         return out
 
 
-class TensorSquareView:
-    """Adapter exposing the algebra interface with generators replaced by
-    their coproducts; running a relation catalog against it checks that the
-    coproduct respects the presentation."""
-
-    def __init__(self, hopf):
-        self._hopf = hopf
-        self._alg = hopf.alg
-        self.shape = hopf.alg.shape
-
-    def qi(self, i, power=1):
-        return self._alg.qi(i, power)
-
-    def gen(self, kind, i, j):
-        return self._hopf.delta(self._alg.gen(kind, i, j))
-
-    def k_mono(self, mu):
-        return self._hopf.delta(self._alg.k_mono(mu))
-
-    def k_alpha(self, i, exp=1):
-        return self._hopf.delta(self._alg.k_alpha(i, exp))
-
-    def one(self):
-        return TensorElement.one(self._alg)
-
-    def zero(self):
-        return TensorElement.zero(self._alg)
+def TensorSquareView(hopf):
+    """The algebra seen through the coproduct (see ``relations.MappedView``)."""
+    return MappedView(hopf.alg, hopf.delta)

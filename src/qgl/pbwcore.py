@@ -23,11 +23,11 @@ Omega (E <-> F, K -> K^-1, q -> q^-1).
 
 from .errors import (
     DomainError,
-    IndexOutOfShape,
     NegativeDividedPower,
     OddPowerTooHigh,
     ResourceLimit,
 )
+from .linalg import rref
 from .rootdata import Shape, bilinear_form
 from .scalars import (
     RF_ONE,
@@ -675,10 +675,6 @@ class Algebra:
                         out[k] = s
         return Element(self, out)
 
-    def from_terms(self, pairs):
-        """Element from (coeff, word) pairs of atoms."""
-        return Element(self, self.straighten([(c, tuple(w)) for c, w in pairs]))
-
     # -- involutions --------------------------------------------------------
 
     def omega(self, elt):
@@ -858,11 +854,15 @@ class Algebra:
             if delta:
                 poly = {e + 1: c for e, c in poly.items()}
             cols.append(poly)
-        exps = list(range(-D, D + 1))
-        mat = [[cols[c].get(e, RF_ZERO) for c in range(len(basis))] for e in exps]
-        rhs = [RF_ONE if e == nu else RF_ZERO for e in exps]
-        sol = _solve_square(mat, rhs)
-        hit = {basis[c]: sol[c] for c in range(len(basis)) if not sol[c].is_zero()}
+        aug = [
+            [col.get(e, RF_ZERO) for col in cols] + [RF_ONE if e == nu else RF_ZERO]
+            for e in range(-D, D + 1)
+        ]
+        red, pivots = rref(aug, RF_ZERO)
+        n = len(basis)
+        if pivots != list(range(n)):
+            raise ArithmeticError("singular system")
+        hit = {basis[c]: red[c][n] for c in range(n) if not red[c][n].is_zero()}
         self._kconv_cache[key] = hit
         return hit
 
@@ -912,20 +912,3 @@ class Algebra:
             result[akey] = li
         return result
 
-
-def _solve_square(mat, rhs):
-    """Solve a square linear system over any exact field by elimination."""
-    n = len(mat)
-    aug = [list(mat[r]) + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ArithmeticError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]

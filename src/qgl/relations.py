@@ -1,9 +1,17 @@
 """Catalog of the defining relations as elements that must straighten to zero.
 
-Each function returns a list of (name, element) pairs.  The catalog is
-used three ways: directly (the relation suite), mapped through the
-coproduct or a braid operator (homomorphism witnesses), and as matrix
-identities on weight modules (the module axiom check).
+Each function returns a list of (name, element) pairs.  The catalog only
+asks its algebra argument for shape, qi, gen, k_mono, k_alpha, one and
+zero, and only does ring arithmetic on the values.  ``MappedView(alg, f)``
+answers those questions with f applied to the algebra's own values, so
+running the catalog on it checks that f respects the presentation.  The
+catalog is used four ways:
+
+* directly on an ``Algebra`` (the relation suite and ``selftest``);
+* through the coproduct (``hopf.TensorSquareView``);
+* through a braid operator T_i or T_i^-1 (``braid.BraidView``);
+* through a module's action map, as matrix identities
+  (``repmod.WeightModule.verify``).
 
 Sign conventions: the super bracket is [x, y] = xy - (-1)^{par x par y} yx,
 and the mixed E/F bracket relation uses this reading (the only case where
@@ -11,7 +19,34 @@ it differs from a literal (-1)^{delta_im} is i = m != j, where both
 readings assert plain commutation).
 """
 
-from .scalars import RF_ONE, RatFunc
+from .scalars import RF_ONE
+
+
+class MappedView:
+    """The algebra interface of alg with every value sent through f."""
+
+    def __init__(self, alg, f):
+        self._alg = alg
+        self._f = f
+        self.shape = alg.shape
+
+    def qi(self, i, power=1):
+        return self._alg.qi(i, power)
+
+    def gen(self, kind, i, j):
+        return self._f(self._alg.gen(kind, i, j))
+
+    def k_mono(self, mu):
+        return self._f(self._alg.k_mono(mu))
+
+    def k_alpha(self, i, exp=1):
+        return self._f(self._alg.k_alpha(i, exp))
+
+    def one(self):
+        return self._f(self._alg.one())
+
+    def zero(self):
+        return self._f(self._alg.zero())
 
 
 def _qq(alg, i):

@@ -12,13 +12,12 @@ import itertools
 
 from .errors import DomainError, NonDominant, NotHighestWeight
 from .linalg import in_span, mat_mul, mat_vec, nullspace, rref
-from .pbwcore import Element, PBWMonomial
+from .relations import MappedView, all_relations
 from .rootdata import (
     bilinear_form,
     in_Xplus,
     weight_to_z,
     weyl_dim_even,
-    z_to_weight,
 )
 from .scalars import (
     RF_ONE,
@@ -60,7 +59,7 @@ class WeightModule:
         return self.scal(RatFunc.q_power(bilinear_form(self.alg.shape, mu, wt)))
 
     def matrix_of_atom(self, atom):
-        zero, one = self.field.zero, self.field.one
+        zero = self.field.zero
         if atom[0] == "K":
             mu = atom[1]
             return [
@@ -76,28 +75,15 @@ class WeightModule:
         if n == 1 and j == i + 1:
             raise DomainError("missing action matrix for simple generator %r" % (key,))
         # expand into simple-generator words and multiply matrices
-        u = self.alg.unit_monomial()
-        if kind == "E":
-            if self.alg.shape.parity(i, j):
-                idx = self.alg.e1_list.index((i, j))
-                mono = PBWMonomial(u.fd, u.fpsi, u.k, u.epsi,
-                                   tuple(n if t == idx else 0 for t in range(len(u.ed))))
-            else:
-                idx = self.alg.e0_list.index((i, j))
-                mono = PBWMonomial(u.fd, u.fpsi, u.k,
-                                   tuple(n if t == idx else 0 for t in range(len(u.epsi))), u.ed)
-        else:
-            if self.alg.shape.parity(i, j):
-                idx = self.alg.f1_list.index((i, j))
-                mono = PBWMonomial(tuple(n if t == idx else 0 for t in range(len(u.fd))),
-                                   u.fpsi, u.k, u.epsi, u.ed)
-            else:
-                idx = self.alg.f0_list.index((i, j))
-                mono = PBWMonomial(u.fd,
-                                   tuple(n if t == idx else 0 for t in range(len(u.fpsi))),
-                                   u.k, u.epsi, u.ed)
+        acc = self._word_sum(self.alg.expand_monomial(self.alg.word_to_monomial((key,))))
+        self.mats[key] = acc
+        return acc
+
+    def _word_sum(self, pairs):
+        """The matrix of sum(coeff * word) over (coeff, atom word) pairs."""
+        zero, one = self.field.zero, self.field.one
         acc = None
-        for coeff, word in self.alg.expand_monomial(mono):
+        for coeff, word in pairs:
             m = None
             for a in word:
                 ma = self.matrix_of_atom(a)
@@ -105,14 +91,13 @@ class WeightModule:
             if m is None:
                 m = [[one if r == c else zero for c in range(self.dim)] for r in range(self.dim)]
             cval = self.scal(coeff)
-            m = [[x * cval for x in row] for row in m]
+            m = [[x if x.is_zero() else x * cval for x in row] for row in m]
             if acc is None:
                 acc = m
             else:
                 acc = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc, m)]
         if acc is None:
             acc = [[zero for _ in range(self.dim)] for _ in range(self.dim)]
-        self.mats[key] = acc
         return acc
 
     def ensure_divided(self, kind, i, j, n):
@@ -162,11 +147,6 @@ class WeightModule:
             out.setdefault(wt, []).append(idx)
         return out
 
-    def top_weight(self):
-        if self.top is None:
-            raise NotHighestWeight("module carries no distinguished top vector")
-        return self.eps_weights[self.top]
-
     def action_keys(self):
         """The stored simple/divided action keys, deterministic order."""
         return sorted(self.mats.keys())
@@ -177,31 +157,33 @@ class WeightModule:
             {k[1] for k in self.mats if k[0] == "E" and k[2] == k[1] + 1 and k[3] == 1}
         )
 
+    def _action(self, elt):
+        """The action matrix of an element as a ring value, or _ABSENT when
+        it needs a simple generator the module stores no matrix for."""
+        nodes = set(self.nodes())
+        pairs = [(coeff, self.alg.mono_word(mono)) for mono, coeff in elt.terms.items()]
+        for _, word in pairs:
+            if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2])) for a in word):
+                return _ABSENT
+        return _Matrix(self, self._word_sum(pairs))
+
     def verify(self):
-        """Check the defining relations as matrix identities; returns defects."""
-        alg, sh = self.alg, self.alg.shape
-        zero = self.field.zero
-        nodes = self.nodes()
+        """Check the module against the relation catalog; returns defects.
+
+        Every relation of ``relations.all_relations`` must act as the zero
+        matrix; those that use a generator the module stores no matrix for
+        (the odd node of an even module) are skipped.  Weight and parity
+        compatibility of the stored simple generators are checked directly:
+        K eigenvalues cannot separate weights at q = eta, and parity is not
+        a relation.
+        """
+        sh = self.alg.shape
         defects = []
-
-        def mat(kind, i):
-            return self.matrix_of_atom((kind, i, i + 1, 1))
-
-        def is_zero_mat(m):
-            return all(x.is_zero() for row in m for x in row)
-
-        def sub(a, b):
-            return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-        def scale_mat(a, c):
-            return [[x * c for x in row] for row in a]
-
-        # weight and parity compatibility
-        for i in nodes:
+        for i in self.nodes():
             al = sh.alpha(i)
             pi = 1 if i == sh.m else 0
             for kind, s in (("E", 1), ("F", -1)):
-                m = mat(kind, i)
+                m = self.matrix_of_atom((kind, i, i + 1, 1))
                 for r in range(self.dim):
                     for c in range(self.dim):
                         if m[r][c].is_zero():
@@ -213,83 +195,64 @@ class WeightModule:
                             defects.append("weight:%s%d" % (kind, i))
                         if (self.parities[r] - self.parities[c] - pi) % 2:
                             defects.append("parity:%s%d" % (kind, i))
-        # mixed relation
-        for i in nodes:
-            for j in nodes:
-                sgn = -1 if (i == sh.m and j == sh.m) else 1
-                lhs = sub(
-                    mat_mul(mat("E", i), mat("F", j), zero),
-                    scale_mat(mat_mul(mat("F", j), mat("E", i), zero), self.field.one * sgn)
-                    if sgn == -1
-                    else mat_mul(mat("F", j), mat("E", i), zero),
-                )
-                if i == j:
-                    den = (alg.qi(i, 1) - alg.qi(i, -1)).inverse()
-                    diag = [
-                        self.scal(
-                            (RatFunc.q_power(bilinear_form(sh, sh.alpha(i), wt))
-                             - RatFunc.q_power(-bilinear_form(sh, sh.alpha(i), wt)))
-                            * den
-                        )
-                        for wt in self.eps_weights
-                    ]
-                    lhs = [
-                        [lhs[r][c] - (diag[r] if r == c else zero) for c in range(self.dim)]
-                        for r in range(self.dim)
-                    ]
-                if not is_zero_mat(lhs):
-                    defects.append("mixed:E%d-F%d" % (i, j))
-        # odd squares
-        if sh.m in nodes:
-            em = mat("E", sh.m)
-            fm = mat("F", sh.m)
-            if not is_zero_mat(mat_mul(em, em, zero)):
-                defects.append("square:E%d" % sh.m)
-            if not is_zero_mat(mat_mul(fm, fm, zero)):
-                defects.append("square:F%d" % sh.m)
-        # Serre / commuting
-        for i in nodes:
-            for j in nodes:
-                if i == j:
-                    continue
-                for kind in ("E", "F"):
-                    a, b = mat(kind, i), mat(kind, j)
-                    if abs(i - j) > 1:
-                        if not is_zero_mat(sub(mat_mul(a, b, zero), mat_mul(b, a, zero))):
-                            defects.append("comm:%s%d-%s%d" % (kind, i, kind, j))
-                    elif i != sh.m:
-                        qq = self.scal(alg.qi(i, 1) + alg.qi(i, -1))
-                        lhs = sub(
-                            [
-                                [x + y for x, y in zip(r1, r2)]
-                                for r1, r2 in zip(
-                                    mat_mul(mat_mul(a, a, zero), b, zero),
-                                    mat_mul(b, mat_mul(a, a, zero), zero),
-                                )
-                            ],
-                            scale_mat(mat_mul(a, mat_mul(b, a, zero), zero), qq),
-                        )
-                        if not is_zero_mat(lhs):
-                            defects.append("serre:%s%d-%s%d" % (kind, i, kind, j))
-        # higher five-term relation
-        if sh.m >= 2 and sh.n >= 2 and all(t in nodes for t in (sh.m - 1, sh.m, sh.m + 1)):
-            for kind in ("E", "F"):
-                a, b, c = mat(kind, sh.m - 1), mat(kind, sh.m), mat(kind, sh.m + 1)
-
-                def mm(*ms):
-                    out = ms[0]
-                    for x in ms[1:]:
-                        out = mat_mul(out, x, zero)
-                    return out
-
-                qq = self.scal(alg.qi(sh.m, 1) + alg.qi(sh.m, -1))
-                tot = mm(a, b, c, b)
-                for extra in (mm(b, a, b, c), mm(c, b, a, b), mm(b, c, b, a)):
-                    tot = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(tot, extra)]
-                tot = sub(tot, scale_mat(mm(b, a, c, b), qq))
-                if not is_zero_mat(tot):
-                    defects.append("fiveterm:%s" % kind)
+        for name, rel in all_relations(MappedView(self.alg, self._action)):
+            if rel is not _ABSENT and not rel.is_zero():
+                defects.append(name)
         return defects
+
+
+class _Matrix:
+    """A module's action matrix with the ring operations of the relation
+    catalog; scale maps a RatFunc through the module's field."""
+
+    __slots__ = ("mod", "rows")
+
+    def __init__(self, mod, rows):
+        self.mod = mod
+        self.rows = rows
+
+    def __add__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return _Matrix(
+            self.mod, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        )
+
+    def __neg__(self):
+        return _Matrix(self.mod, [[-x for x in row] for row in self.rows])
+
+    def __sub__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return _Matrix(
+            self.mod, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        )
+
+    def __mul__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return _Matrix(self.mod, mat_mul(self.rows, other.rows, self.mod.field.zero))
+
+    def scale(self, c):
+        cval = self.mod.scal(c)
+        return _Matrix(self.mod, [[x if x.is_zero() else x * cval for x in row] for row in self.rows])
+
+    def is_zero(self):
+        return all(x.is_zero() for row in self.rows for x in row)
+
+
+class _Absent:
+    """Absorbs every ring operation: a relation that touches a missing
+    generator evaluates to _ABSENT and is skipped."""
+
+    def _absorb(self, *args):
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _absorb
+    scale = _absorb
+
+
+_ABSENT = _Absent()
 
 
 # -- submodules and quotients -----------------------------------------------
@@ -363,7 +326,7 @@ def singular_vectors(mod, include_divided=False, skip_top=True):
     required to vanish as well (the root-of-unity maximal condition).
     """
     zero, one = mod.field.zero, mod.field.one
-    keys = [("E", i, i + 1, 1) for i in range(1, mod.alg.shape.rank)]
+    keys = [("E", i, i + 1, 1) for i in mod.nodes()]
     if include_divided:
         keys += [k for k in mod.action_keys() if k[0] == "DE"]
     mats = [mod.matrix_of_atom(k) if k[0] in ("E", "F") else mod.mats[k] for k in keys]
@@ -423,7 +386,7 @@ def simple_even_module(alg, lam, field=None, depth=None):
     D = depth if depth is not None else _even_depth_bound(sh, lam) + 1
     for _ in range(6):
         mod = _truncated_even_verma(alg, lam, D)
-        mod = _remove_even_singulars(mod)
+        mod = simple_head(mod)
         if mod.dim == want:
             return mod
         D = 2 * D + 2
@@ -480,40 +443,6 @@ def _truncated_even_verma(alg, lam, D):
                         top=index[tuple([0] * n0)])
 
 
-def _even_singular_vectors(mod):
-    zero, one = mod.field.zero, mod.field.one
-    sh = mod.alg.shape
-    keys = [("E", i, i + 1, 1) for i in range(1, sh.rank) if i != sh.m]
-    mats = [mod.mats[k] for k in keys]
-    out = []
-    top_wt = mod.eps_weights[mod.top]
-    for wt, idxs in sorted(mod.weight_spaces().items()):
-        if wt == top_wt:
-            continue
-        rows = []
-        for m in mats:
-            for r in range(mod.dim):
-                rows.append([m[r][c] for c in idxs])
-        for v in nullspace(rows, zero, one):
-            full = [zero] * mod.dim
-            for pos, c in enumerate(idxs):
-                full[c] = v[pos]
-            out.append(full)
-    return out
-
-
-def _remove_even_singulars(mod):
-    sh = mod.alg.shape
-    keys = [(k, i, i + 1, 1) for k in ("E", "F") for i in range(1, sh.rank) if i != sh.m]
-    for _ in range(60):
-        sing = _even_singular_vectors(mod)
-        if not sing:
-            return mod
-        span = submodule_closure(mod, sing, keys=keys)
-        mod = quotient_module(mod, span)
-    raise DomainError("even singular removal did not stabilize")
-
-
 # -- Kac modules ------------------------------------------------------------
 
 
@@ -525,16 +454,7 @@ def kac_module(alg, lam, depth=None):
     lam = tuple(lam)
     l0 = simple_even_module(alg, lam, depth=depth)
     n1 = len(alg.f1_list)
-    dvecs = []
-
-    def gen_d(prefix):
-        if len(prefix) == n1:
-            dvecs.append(tuple(prefix))
-            return
-        for v in (0, 1):
-            gen_d(prefix + [v])
-
-    gen_d([])
+    dvecs = list(itertools.product((0, 1), repeat=n1))
     labels = [(d, w) for d in dvecs for w in range(l0.dim)]
     index = {lab: t for t, lab in enumerate(labels)}
     weights, parities = [], []

@@ -8,18 +8,14 @@ factorization through the Frobenius-type splitting of weights, and the
 classical-limit check of the Serre presentation.
 """
 
-import itertools
-
 from . import repmod
 from .errors import DomainError, OutOfRestrictedRange
 from .rootdata import (
     frobenius_decompose,
     in_Xplus,
-    weight_to_z,
     z_to_weight,
 )
 from .scalars import (
-    CycloNum,
     cyclo_field,
     evaluate_at_root,
     _check_order,
@@ -51,7 +47,7 @@ def specialize_element(alg, elt, l):
 def small_group_counts(shape, l):
     """Dimensions of the small quantum (super)group and its pieces.
 
-    Counted by literal enumeration of exponent tuples:
+    Closed-form counts of the exponent tuples:
       upper     e-part: even exponents in [0, l), odd in {0, 1}
       torus     K-exponents in [0, 2l) per index
       reduced_torus  bracket-basis torus exponents in [0, l) per index
@@ -59,23 +55,16 @@ def small_group_counts(shape, l):
       reduced   lower x reduced_torus x upper
     """
     _check_order(l)
-    n0, n1 = len(shape.I0), len(shape.I1)
-    upper = sum(
-        1
-        for _ in itertools.product(
-            *([range(l)] * n0 + [range(2)] * n1)
-        )
-    )
-    lower = upper
-    torus = sum(1 for _ in itertools.product(*([range(2 * l)] * shape.rank)))
-    reduced_torus = sum(1 for _ in itertools.product(*([range(l)] * shape.rank)))
+    upper = l ** len(shape.I0) * 2 ** len(shape.I1)
+    torus = (2 * l) ** shape.rank
+    reduced_torus = l ** shape.rank
     return {
         "upper": upper,
-        "lower": lower,
+        "lower": upper,
         "torus": torus,
         "reduced_torus": reduced_torus,
-        "full": lower * torus * upper,
-        "reduced": lower * reduced_torus * upper,
+        "full": upper * torus * upper,
+        "reduced": upper * reduced_torus * upper,
     }
 
 

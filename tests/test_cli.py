@@ -4,6 +4,8 @@ and byte-exact agreement with the golden corpus."""
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -105,6 +107,30 @@ def test_straightening_budget_is_a_domain_error(monkeypatch):
     monkeypatch.setattr(pbwcore, "_MAX_STEPS", 3)
     code, out, err = capture(["nf", "--shape", "2,1", "E[1,3]*F[1,3]*E[1,2]*F[1,2]"])
     assert code == 3 and out == "" and "domain error" in err
+
+
+def test_deep_nesting_is_a_syntax_error():
+    code, out, err = capture(["nf", "--shape", "1,1", "(" * 400 + "E[1,2]" + ")" * 400])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "syntax error" in err
+    code, _, _ = capture(["nf", "--shape", "1,1", "(" * 100 + "E[1,2]" + ")" * 100])
+    assert code == 0
+
+
+def test_defaults_do_not_leak_between_runs():
+    code, out, _ = capture(["selftest", "--shape", "1,1", "--seed", "5", "--trials", "1"])
+    assert code == 0 and json.loads(out)["seed"] == 5
+    code, out, _ = capture(["selftest", "--shape", "1,1", "--trials", "1"])
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+def test_smallgroup_of_large_order_is_fast():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "smallgroup", "--shape", "3,3", "-l", "99"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["counts"]["upper"] == 99 ** 6 * 2 ** 9
 
 
 def test_braid_and_omega_roundtrip():

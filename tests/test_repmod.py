@@ -7,11 +7,12 @@ import random
 import pytest
 
 from qgl import repmod
+from qgl import rootofunity as ru
 from qgl.errors import NonDominant
 from qgl.linalg import rank
 from qgl.pbwcore import Algebra
 from qgl.rootdata import in_Xplus, is_typical, weyl_dim_even
-from qgl.scalars import RF_ZERO
+from qgl.scalars import RF_ZERO, RatFunc
 
 
 # -- simple modules of the even subalgebra -----------------------------------
@@ -87,6 +88,42 @@ def test_kac_highest_vector():
         assert all(x.is_zero() for x in img)
     assert mod.eps_weights[mod.top] == lam
     assert mod.parities[mod.top] == 0
+
+
+# -- verify catches broken modules ------------------------------------------
+
+
+def _verified_modules():
+    alg = Algebra((2, 1))
+    return [repmod.kac_module(alg, (2, 0, 0)), ru.restricted_simple(alg, (2, 1, 0), 3)]
+
+
+def _copy(mod, mats=None, parities=None):
+    return repmod.WeightModule(
+        mod.alg, mod.field, mod.eps_weights, parities or mod.parities, mats or mod.mats,
+        top=mod.top, l=mod.l,
+    )
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("node", [1, 2])
+def test_verify_flags_a_scaled_generator(which, node):
+    mod = _verified_modules()[which]
+    assert mod.verify() == []
+    key = ("E", node, node + 1, 1)
+    two = mod.scal(RatFunc.from_int(2))
+    mats = dict(mod.mats)
+    mats[key] = [[x * two for x in row] for row in mats[key]]
+    assert "d1:E%d-F%d" % (node, node) in _copy(mod, mats=mats).verify()
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_verify_flags_a_flipped_parity(which):
+    mod = _verified_modules()[which]
+    parities = list(mod.parities)
+    parities[mod.top] ^= 1
+    defects = _copy(mod, parities=parities).verify()
+    assert defects and all(d.startswith("parity:") for d in defects)
 
 
 # -- typicality and simplicity -----------------------------------------------
