@@ -24,11 +24,13 @@ def mat_mul(a, b, zero):
 
 
 def mat_vec(a, v, zero):
+    nonzero = [(k, y) for k, y in enumerate(v) if not y.is_zero()]
     out = []
     for row in a:
         acc = zero
-        for x, y in zip(row, v):
-            if not (x.is_zero() or y.is_zero()):
+        for k, y in nonzero:
+            x = row[k]
+            if not x.is_zero():
                 acc = acc + x * y
         out.append(acc)
     return out

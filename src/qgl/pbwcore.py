@@ -19,6 +19,14 @@ identity for interleaved intervals, the triangular composite-root
 recursion, torus commutation, and the E-F crossing rules.  Lowering-side
 rules are obtained from raising-side rules through the anti-automorphism
 Omega (E <-> F, K -> K^-1, q -> q^-1).
+
+Each algebra caches the replacement of every reducible pair of atoms it
+meets.  A crossing pair (an E atom followed by an F atom) is cached as its
+full normal form, not as one rewrite step: crossing a composite F expands
+it into simple F's that the lowering-side rules then fold back, and that
+tree of mostly cancelling rewrites runs once per pair and algebra.
+One step budget (_MAX_STEPS) bounds a top-level straightening together
+with the pair resolutions it opens.
 """
 
 from .errors import (
@@ -37,6 +45,20 @@ from .scalars import (
 )
 
 _MAX_STEPS = 5_000_000
+# crossing pairs whose normal forms may be under construction at once; a
+# deeper pair keeps its one-step rewrite, which bounds the recursion
+_MAX_NESTING = 100
+
+
+class _Budget:
+    """Rewrite steps spent by one top-level straighten call, nested
+    crossing-pair resolutions included, and their current nesting depth."""
+
+    __slots__ = ("steps", "depth")
+
+    def __init__(self):
+        self.steps = 0
+        self.depth = 0
 
 
 def _e_key(shape, i, j):
@@ -439,12 +461,16 @@ class Algebra:
 
     def straighten(self, terms):
         """Reduce (coeff, word) pairs to a canonical monomial->coeff map."""
+        return self._straighten(terms, _Budget())
+
+    def _straighten(self, terms, budget):
+        """straighten, charging every rewrite step, nested ones included, to
+        the budget of the top-level call."""
         out = {}
         stack = [(c, tuple(w), 0) for c, w in terms]
-        steps = 0
         while stack:
-            steps += 1
-            if steps > _MAX_STEPS:
+            budget.steps += 1
+            if budget.steps > _MAX_STEPS:
                 raise ResourceLimit(
                     "straightening needed more than %d rewrite steps" % _MAX_STEPS
                 )
@@ -464,12 +490,16 @@ class Algebra:
                 else:
                     out[key] = s
                 continue
-            for c2, repl in self._resolve(word[idx], word[idx + 1]):
+            for c2, repl in self._resolve(word[idx], word[idx + 1], budget):
                 nw = word[:idx] + repl + word[idx + 2 :]
                 stack.append((coeff * c2, nw, max(idx - 1, 0)))
         return out
 
-    def _resolve(self, left, right):
+    def _resolve(self, left, right, budget):
+        """The replacement (coeff, word) pairs for a reducible pair; a
+        crossing pair maps to its normal form.  While that normal form is
+        being computed the pair maps to its one-step rewrite, which a nested
+        occurrence of the same pair then uses."""
         key = (left, right)
         hit = self._pair_cache.get(key)
         if hit is None:
@@ -488,6 +518,14 @@ class Algebra:
                 cleaned.append((c, w2))
             hit = cleaned
             self._pair_cache[key] = hit
+            if left[0] == "E" and right[0] == "F" and budget.depth < _MAX_NESTING:
+                budget.depth += 1
+                try:
+                    nf = self._straighten(hit, budget)
+                finally:
+                    budget.depth -= 1
+                hit = [(c, self.mono_word(k)) for k, c in nf.items()]
+                self._pair_cache[key] = hit
         return hit
 
     def _resolve_uncached(self, left, right):

@@ -31,8 +31,11 @@ from .scalars import (
 class WeightModule:
     """Finite-dimensional weight module with explicit action matrices.
 
-    mats keys: ("E", i, j, n) / ("F", i, j, n) for ordinary powers and
-    ("DE", i, j, n) / ("DF", i, j, n) for divided powers.
+    mats holds the stored action: ("E", i, i+1, 1) / ("F", i, i+1, 1) for
+    the simple generators and ("DE", i, j, n) / ("DF", i, j, n) for divided
+    powers.  Matrices of composite root vectors and of ordinary powers are
+    derived from the simple ones on demand and cached apart from mats, so
+    that rebasing, quotients and specialization touch only what is stored.
     """
 
     def __init__(self, alg, field, eps_weights, parities, mats, top=None, l=None):
@@ -41,6 +44,7 @@ class WeightModule:
         self.eps_weights = [tuple(w) for w in eps_weights]
         self.parities = list(parities)
         self.mats = dict(mats)
+        self._derived = {}
         self.top = top
         self.l = l
 
@@ -70,13 +74,15 @@ class WeightModule:
         kind, i, j, n = atom
         key = (kind, i, j, n)
         hit = self.mats.get(key)
+        if hit is None:
+            hit = self._derived.get(key)
         if hit is not None:
             return hit
         if n == 1 and j == i + 1:
             raise DomainError("missing action matrix for simple generator %r" % (key,))
         # expand into simple-generator words and multiply matrices
         acc = self._word_sum(self.alg.expand_monomial(self.alg.word_to_monomial((key,))))
-        self.mats[key] = acc
+        self._derived[key] = acc
         return acc
 
     def _word_sum(self, pairs):
@@ -262,8 +268,8 @@ def submodule_closure(mod, vectors, keys=None):
     """rref basis of the submodule generated by the vectors."""
     zero = mod.field.zero
     if keys is None:
-        keys = [k for k in mod.action_keys() if len(k) == 4]
-    mats = [mod.matrix_of_atom(k) if len(k[0]) == 1 else mod.mats[k] for k in keys]
+        keys = mod.action_keys()
+    mats = [mod.mats[k] for k in keys]
     basis = rref([list(v) for v in vectors], zero)[0]
     changed = True
     while changed:
@@ -329,7 +335,7 @@ def singular_vectors(mod, include_divided=False, skip_top=True):
     keys = [("E", i, i + 1, 1) for i in mod.nodes()]
     if include_divided:
         keys += [k for k in mod.action_keys() if k[0] == "DE"]
-    mats = [mod.matrix_of_atom(k) if k[0] in ("E", "F") else mod.mats[k] for k in keys]
+    mats = [mod.mats[k] for k in keys]
     out = []
     top_wt = mod.eps_weights[mod.top] if (skip_top and mod.top is not None) else None
     for wt, idxs in sorted(mod.weight_spaces().items()):

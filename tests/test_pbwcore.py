@@ -1,12 +1,13 @@
 """Straightening engine: normal forms, defining relations, divided powers,
 the bar-type twists, and the divided-power integral form."""
 
+import itertools
 import random
 
 import pytest
 
-from qgl import relations
-from qgl.errors import NotIntegral, OddPowerTooHigh
+from qgl import pbwcore, relations
+from qgl.errors import NotIntegral, OddPowerTooHigh, ResourceLimit
 from qgl.pbwcore import Algebra, PBWMonomial
 from qgl.scalars import (
     RF_ONE,
@@ -199,6 +200,98 @@ def test_kbracket_element_eigenvalue():
                     nu = sum(key.k[:i])
                     total = total + coeff * alg.qi(i, nu * z)
                 assert total == kbracket_scalar(z, c, t, alg.q_sign(i)), (i, c, t, z)
+
+
+# -- crossing-pair normal forms ----------------------------------------------
+
+PAIR_SHAPES = [(2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]
+
+
+def _fold(x, factors):
+    for f in factors:
+        x = x * f
+    return x
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES)
+def test_generator_times_odd_monomial_matches_left_fold(shape, monkeypatch):
+    # g * F^d is one straightening of the word g F_{o1} F_{o2} ...; the fold
+    # crosses one odd F at a time on another algebra, and the reference
+    # runs with every crossing pair on its one-step rewrite
+    alg, fresh = Algebra(shape), Algebra(shape)
+    cases = [
+        (kind, i, d)
+        for i in range(1, alg.shape.rank)
+        for kind in ("E", "F")
+        for d in itertools.product((0, 1), repeat=len(alg.f1_list))
+    ]
+    got = {c: alg.gen(c[0], c[1], c[1] + 1) * alg.monomial(fd=c[2]) for c in cases}
+    for kind, i, d in cases:
+        odd = [fresh.gen("F", s, t) for (s, t), x in zip(fresh.f1_list, d) if x]
+        fold = _fold(fresh.gen(kind, i, i + 1), odd)
+        assert got[(kind, i, d)].terms == fold.terms, (kind, i, d)
+    monkeypatch.setattr(pbwcore, "_MAX_NESTING", 0)
+    ref = Algebra(shape)
+    for kind, i, d in cases:
+        want = ref.gen(kind, i, i + 1) * ref.monomial(fd=d)
+        assert got[(kind, i, d)].terms == want.terms, (kind, i, d)
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES)
+def test_crossing_pairs_satisfy_the_defining_identities(shape):
+    # E_i^a F_{s,t}^b, a, b <= 2, is one crossing pair.  Simple F: the
+    # commutation (d1) and, at an even node, its divided-power form, whose
+    # right side needs no crossing.  Composite F: the recursion (b5)
+    # F_{s,t} = -q_c F_{s,c} F_{c,t} + F_{c,t} F_{s,c}, multiplied into E
+    # one factor at a time, so that only shorter crossing pairs occur.
+    alg = Algebra(shape)
+    sh = alg.shape
+    pairs = sorted(list(sh.I0) + list(sh.I1), key=lambda p: p[1] - p[0])
+    for i, (s, t), a, b in itertools.product(
+        range(1, sh.rank), pairs, (1, 2), (1, 2)
+    ):
+        if (i == sh.m and a > 1) or (sh.parity(s, t) and b > 1):
+            continue  # odd squares vanish
+        ea = alg._atom_element(("E", i, i + 1, a))
+        lhs = ea * alg._atom_element(("F", s, t, b))
+        if t > s + 1:
+            c = s + 1
+            f_sc, f_ct = alg.gen("F", s, c), alg.gen("F", c, t)
+            one = [(-alg.qi(c, 1), (f_sc, f_ct)), (RF_ONE, (f_ct, f_sc))]
+            rhs = alg.zero()
+            for terms in itertools.product(one, repeat=b):
+                coeff, factors = RF_ONE, ()
+                for cf, fs in terms:
+                    coeff, factors = coeff * cf, factors + fs
+                rhs = rhs + _fold(ea, factors).scale(coeff)
+        elif s != i:
+            rhs = alg._atom_element(("F", s, t, b)) * ea
+        elif i == sh.m:
+            rhs = -(alg.gen("F", i, i + 1) * ea) + alg.kbracket_element(i, 0, 1)
+        else:
+            rhs = alg.zero()
+            for u in range(min(a, b) + 1):
+                rhs = rhs + (
+                    alg.divided_power("F", i, i + 1, b - u)
+                    * alg.kbracket_element(i, 2 * u - a - b, u)
+                    * alg.divided_power("E", i, i + 1, a - u)
+                )
+            rhs = rhs.scale(
+                RatFunc.from_laurent(gauss_factorial(a))
+                * RatFunc.from_laurent(gauss_factorial(b))
+            )
+        assert lhs == rhs, (i, (s, t), a, b)
+
+
+def test_nested_pair_resolutions_share_the_step_budget(monkeypatch):
+    # E_1 F[2,4]F[2,3]F[1,4]F[1,3] on gl(2|2) takes 9 rewrite steps at the
+    # top level and 41 inside the crossing-pair resolutions it opens, no
+    # more than 17 in any one of them
+    monkeypatch.setattr(pbwcore, "_MAX_STEPS", 20)
+    alg = Algebra((2, 2))
+    assert alg.f1_list == [(2, 4), (2, 3), (1, 4), (1, 3)]
+    with pytest.raises(ResourceLimit):
+        alg.gen("E", 1, 2) * alg.monomial(fd=(1, 1, 1, 1))
 
 
 # -- twists -----------------------------------------------------------------

@@ -8,7 +8,7 @@ from qgl import repmod, rootofunity as ru
 from qgl.errors import BadRootOrder, DenominatorVanishes, OutOfRestrictedRange
 from qgl.pbwcore import Algebra
 from qgl.rootdata import Shape
-from qgl.scalars import CycloNum, RatFunc, gauss_int
+from qgl.scalars import CycloNum, RatFunc, evaluate_at_root, gauss_int
 
 
 # -- element specialization --------------------------------------------------
@@ -84,6 +84,23 @@ def test_specialized_module_satisfies_relations():
     mod = ru.restricted_simple(alg, (2, 1, 0), 3)
     assert mod.l == 3
     assert mod.verify() == []
+
+
+def test_specialized_kac_stores_only_simple_and_divided_matrices():
+    # derived matrices (composite roots, powers) stay out of mats, so that
+    # rebasing and specialization neither conjugate nor evaluate them
+    alg, lam, l = Algebra((2, 1)), (2, 0, 0), 3
+    simple = {(kind, i, i + 1, 1) for i in (1, 2) for kind in ("E", "F")}
+    kac = repmod.kac_module(alg, lam)
+    generic = repmod.rebase_to_divided_monomials(kac)
+    assert set(kac.mats) == set(generic.mats) == simple
+    spec = ru.specialize_kac(alg, lam, l)
+    assert set(spec.mats) == simple | {("DE", 1, 2, l), ("DF", 1, 2, l)}
+    assert spec.dim == kac.dim and spec.character() == kac.character()
+    for atom in (("F", 1, 3, 1), ("E", 1, 3, 1), ("F", 1, 2, 2), ("E", 1, 2, l)):
+        want = [[evaluate_at_root(x, l) for x in row] for row in generic.matrix_of_atom(atom)]
+        assert spec.matrix_of_atom(atom) == want, atom
+    assert set(spec.mats) == simple | {("DE", 1, 2, l), ("DF", 1, 2, l)}
 
 
 @pytest.mark.parametrize("z", [(1, 1, 1), (2, 1, 0), (1, 2, 2)])
