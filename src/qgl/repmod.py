@@ -6,6 +6,11 @@ eps-coordinates; the torus acts diagonally by q^{(mu, weight)}.  Action
 matrices are stored for the simple generators (and, when needed, divided
 powers); every other root vector acts through its expansion into simple
 generators.
+
+The simple head of a highest-weight module is its quotient by the radical
+of the contravariant form: the vectors that no raising word takes to the
+top.  ``simple_head`` finds it in one pass, one rref per weight space, for
+generic q and (raising with the divided powers E^(l) too) at q = eta.
 """
 
 import itertools
@@ -265,27 +270,38 @@ _ABSENT = _Absent()
 
 
 def submodule_closure(mod, vectors, keys=None):
-    """rref basis of the submodule generated by the vectors."""
+    """rref basis of the submodule generated by the vectors.
+
+    A worklist: every generator is applied once to each vector that joined
+    the span, and each image is reduced against the current rref rows.
+    """
     zero = mod.field.zero
     if keys is None:
         keys = mod.action_keys()
     mats = [mod.mats[k] for k in keys]
-    basis = rref([list(v) for v in vectors], zero)[0]
-    changed = True
-    while changed:
-        changed = False
-        new = list(basis)
+    basis, pivots = rref([list(v) for v in vectors], zero)
+    todo = list(basis)
+    while todo:
+        v = todo.pop()
         for m in mats:
-            for v in basis:
-                img = mat_vec(m, v, zero)
-                if any(not x.is_zero() for x in img):
-                    new.append(img)
-        red = rref(new, zero)[0]
-        if len(red) > len(basis):
-            basis = red
-            changed = True
-        else:
-            basis = red
+            img = mat_vec(m, v, zero)
+            for row, pc in zip(basis, pivots):
+                f = img[pc]
+                if not f.is_zero():
+                    img = [a if b.is_zero() else a - f * b for a, b in zip(img, row)]
+            pc = next((c for c, x in enumerate(img) if not x.is_zero()), None)
+            if pc is None:
+                continue
+            inv = img[pc].inverse()
+            img = [x * inv for x in img]
+            for r, row in enumerate(basis):
+                f = row[pc]
+                if not f.is_zero():
+                    basis[r] = [a if b.is_zero() else a - f * b for a, b in zip(row, img)]
+            at = sum(1 for p in pivots if p < pc)
+            basis.insert(at, img)
+            pivots.insert(at, pc)
+            todo.append(img)
     return basis
 
 
@@ -354,20 +370,106 @@ def singular_vectors(mod, include_divided=False, skip_top=True):
     return out
 
 
-def simple_head(mod, include_divided=False, max_rounds=60):
-    """The simple quotient of a highest-weight module, by iterated removal
-    of proper singular vectors."""
+def _key_shift(key, rank):
+    """The eps-weight by which the stored action key moves a vector."""
+    kind, i, j, n = key
+    s = n if kind[-1] == "E" else -n
+    out = [0] * rank
+    out[i - 1] += s
+    out[j - 1] -= s
+    return tuple(out)
+
+
+def _form_times(f, m, rows, cols, zero):
+    """The row vector f * m[rows, cols], for f indexed like rows."""
+    out = [zero] * len(cols)
+    for x, r in zip(f, rows):
+        if x.is_zero():
+            continue
+        mr = m[r]
+        for t, c in enumerate(cols):
+            y = mr[c]
+            if not y.is_zero():
+                out[t] = out[t] + x * y
+    return out
+
+
+def simple_head(mod, include_divided=False):
+    """The simple quotient of a highest-weight module: the quotient by the
+    radical of its contravariant form, in one pass over the weight spaces.
+
+    A vector v of weight mu lies in the maximal submodule iff no raising
+    word takes it to the top.  The functionals v -> (w v)_top of the
+    raising words w of weight top - mu are spanned by phi * X, for the
+    stored raising matrices X: mu -> nu and the functionals phi of nu.
+    Visiting the weights top down (the height sum_k (rank - k) mu_k rises
+    by 1 along every simple root), their rref Phi_mu has the maximal
+    submodule as kernel; its pivot columns are the head's basis, and the
+    head acts on them by Phi_nu * X[rows of nu, pivot columns of mu].
+    With include_divided the stored divided powers E^(n) raise as well,
+    which makes the same argument hold at a root of unity (Lusztig's
+    triangular decomposition of the integral form).
+    """
     if mod.top is None:
         raise NotHighestWeight("simple head needs a distinguished top vector")
-    for _ in range(max_rounds):
-        sing = singular_vectors(mod, include_divided=include_divided)
-        if not sing:
-            return mod
-        span = submodule_closure(mod, [v for _, v in sing])
-        mod = quotient_module(mod, span)
-        if mod.top is None:
-            raise NotHighestWeight("top vector died in a quotient")
-    raise DomainError("simple head failed to stabilize")
+    zero = mod.field.zero
+    rank = mod.alg.shape.rank
+    spaces = mod.weight_spaces()
+    top_wt = mod.eps_weights[mod.top]
+    if len(spaces[top_wt]) != 1:
+        raise NotHighestWeight(
+            "the top weight space has dimension %d, not 1" % len(spaces[top_wt])
+        )
+    keys = [("E", i, i + 1, 1) for i in mod.nodes()]
+    if include_divided:
+        keys += [k for k in mod.action_keys() if k[0] == "DE"]
+    raising = [(_key_shift(k, rank), mod.mats[k]) for k in keys]
+
+    def height(wt):
+        return sum((rank - k) * x for k, x in enumerate(wt, 1))
+
+    forms = {top_wt: ([[mod.field.one]], [0])}  # weight -> rref (rows, pivots)
+    for wt in sorted(spaces, key=lambda w: (-height(w), w)):
+        if wt == top_wt:
+            continue
+        rows = []
+        for shift, m in raising:
+            nu = tuple(a + b for a, b in zip(wt, shift))
+            if nu not in forms:
+                continue
+            for f in forms[nu][0]:
+                row = _form_times(f, m, spaces[nu], spaces[wt], zero)
+                if any(not y.is_zero() for y in row):
+                    rows.append(row)
+        forms[wt] = rref(rows, zero)
+    keep = sorted(spaces[wt][p] for wt, (_, piv) in forms.items() for p in piv)
+    if len(keep) == mod.dim:
+        return mod
+    pos = {c: t for t, c in enumerate(keep)}
+    new_mats = {}
+    for key, m in mod.mats.items():
+        shift = _key_shift(key, rank)
+        out = [[zero] * len(keep) for _ in keep]
+        for wt, (_, piv) in forms.items():
+            nu = tuple(a + b for a, b in zip(wt, shift))
+            if not piv or nu not in forms:
+                continue
+            cols = [spaces[wt][p] for p in piv]
+            tgt = spaces[nu]
+            for f, p in zip(*forms[nu]):
+                row = out[pos[tgt[p]]]
+                for c, val in zip(cols, _form_times(f, m, tgt, cols, zero)):
+                    row[pos[c]] = val
+        new_mats[key] = out
+    return WeightModule(
+        mod.alg,
+        mod.field,
+        [mod.eps_weights[c] for c in keep],
+        [mod.parities[c] for c in keep],
+        new_mats,
+        top=pos[mod.top],
+        l=mod.l,
+    )
 
 
 # -- the simple module of the even subalgebra --------------------------------
@@ -378,9 +480,10 @@ def _even_depth_bound(shape, lam):
 
 
 def simple_even_module(alg, lam, field=None, depth=None):
-    """L0(lam): the simple gl(m) x gl(n) module, built from a truncated
-    even Verma module by removing singular vectors; the dimension is
-    cross-checked against the Weyl-formula oracle."""
+    """L0(lam): the simple gl(m) x gl(n) module, the simple head of a
+    truncated even Verma module; the dimension is cross-checked against
+    the Weyl-formula oracle, and a too shallow truncation is retried
+    deeper."""
     from .scalars import GENERIC_FIELD
 
     sh = alg.shape
@@ -400,18 +503,26 @@ def simple_even_module(alg, lam, field=None, depth=None):
 
 
 def _truncated_even_verma(alg, lam, D):
+    """The even Verma module on the PBW monomials of height at most D.
+
+    The height sum_k lab_k (j_k - i_k) of a label is the height of
+    lam minus its weight, so the weight spaces kept are complete and
+    closed under E; only F is cut off past height D.
+    """
     from .scalars import GENERIC_FIELD
 
     sh = alg.shape
     n0 = len(alg.f0_list)
+    heights = [j - i for i, j in alg.f0_list]
     labels = []
 
     def gen_psis(prefix, left):
         if len(prefix) == n0:
             labels.append(tuple(prefix))
             return
-        for v in range(left + 1):
-            gen_psis(prefix + [v], left - v)
+        h = heights[len(prefix)]
+        for v in range(left // h + 1):
+            gen_psis(prefix + [v], left - v * h)
 
     gen_psis([], D)
     index = {lab: t for t, lab in enumerate(labels)}
@@ -474,6 +585,7 @@ def kac_module(alg, lam, depth=None):
         parities.append(sum(d) % 2)
     zero = GENERIC_FIELD.zero
     mats = {}
+    images = {}  # (fpsi, k, epsi, w) -> that even monomial applied to basis vector w
     for i in range(1, sh.rank):
         for kind in ("E", "F"):
             g = alg.gen(kind, i, i + 1)
@@ -483,8 +595,11 @@ def kac_module(alg, lam, depth=None):
                 for key, coeff in prods[d].terms.items():
                     if any(key.ed):
                         continue  # odd raising operators kill 1 (x) L0
-                    even = alg.monomial(fpsi=key.fpsi, k=key.k, epsi=key.epsi)
-                    img = l0.act_element(even, l0.unit_vector(w))
+                    even_key = (key.fpsi, key.k, key.epsi, w)
+                    img = images.get(even_key)
+                    if img is None:
+                        even = alg.monomial(fpsi=key.fpsi, k=key.k, epsi=key.epsi)
+                        img = images[even_key] = l0.act_element(even, l0.unit_vector(w))
                     for wp, val in enumerate(img):
                         if val.is_zero():
                             continue
@@ -590,8 +705,9 @@ def rebase_to_divided_monomials(mod, max_degree=None):
     top_v = mod.unit_vector(mod.top)
     if max_degree is None:
         max_degree = mod.dim + 1
+    spaces = mod.weight_spaces()
     cols = []
-    basis_rows = []
+    space_rows = {}  # weight -> rref rows of the chosen vectors, on that weight space
     deg = 0
     while len(cols) < mod.dim and deg <= max_degree:
         for d in itertools.product((0, 1), repeat=n1):
@@ -603,11 +719,14 @@ def rebase_to_divided_monomials(mod, max_degree=None):
                 for x in psi:
                     inv = inv * RatFunc.from_laurent(gauss_factorial(x)).inverse()
                 vec = mod.act_element(el.scale(inv), top_v)
-                if all(x.is_zero() for x in vec):
+                lead = next((r for r, x in enumerate(vec) if not x.is_zero()), None)
+                if lead is None:
                     continue
-                trial = rref(basis_rows + [vec], zero)[0]
-                if len(trial) > len(basis_rows):
-                    basis_rows = trial
+                wt = mod.eps_weights[lead]
+                rows = space_rows.get(wt, [])
+                trial = rref(rows + [[vec[r] for r in spaces[wt]]], zero)[0]
+                if len(trial) > len(rows):
+                    space_rows[wt] = trial
                     cols.append(vec)
                     if len(cols) == mod.dim:
                         break

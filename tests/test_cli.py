@@ -89,6 +89,16 @@ def test_config_file(tmp_path):
     assert code == 2
 
 
+def test_shallow_truncation_depth_prints_the_default_answer(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("truncation_depth = 1\n")
+    for cmd in ("kac", "simple"):
+        argv = [cmd, "--shape", "3,1", "--lambda=2,1,0,0"]
+        code, out, _ = capture(argv)
+        assert code == 0
+        assert capture(argv + ["--config", str(cfg)]) == (0, out, "")
+
+
 def test_config_errors_are_usage_errors(tmp_path):
     code, out, err = capture(
         ["typical", "--config", str(tmp_path / "missing"), "--lambda", "1,0"]

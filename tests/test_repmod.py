@@ -8,11 +8,11 @@ import pytest
 
 from qgl import repmod
 from qgl import rootofunity as ru
-from qgl.errors import NonDominant
-from qgl.linalg import rank
+from qgl.errors import NonDominant, NotHighestWeight
+from qgl.linalg import mat_vec, rank, rref
 from qgl.pbwcore import Algebra
-from qgl.rootdata import in_Xplus, is_typical, weyl_dim_even
-from qgl.scalars import RF_ZERO, RatFunc
+from qgl.rootdata import in_Xplus, is_typical, weight_to_z, weyl_dim_even
+from qgl.scalars import GENERIC_FIELD, RF_ZERO, RatFunc
 
 
 # -- simple modules of the even subalgebra -----------------------------------
@@ -143,6 +143,149 @@ def test_typicality_matches_simplicity(shape):
         lams = rng.sample(lams, 20)
     for lam in lams:
         assert is_typical(alg.shape, lam) == repmod.kac_is_simple(alg, lam), lam
+
+
+# -- simple heads against the singular-vector peeling they replaced -----------
+
+
+def _peeling_head(mod, include_divided=False):
+    """Reference head: quotient by the closure of the proper singular
+    vectors until none is left."""
+    while True:
+        sing = repmod.singular_vectors(mod, include_divided=include_divided)
+        if not sing:
+            return mod
+        mod = repmod.quotient_module(mod, repmod.submodule_closure(mod, [v for _, v in sing]))
+        assert mod.top is not None
+
+
+HEAD_CASES = [
+    # (shape, typical weight, atypical weight)
+    ((1, 1), (1, 0), (0, 0)),
+    ((2, 1), (2, 1, 0), (2, 0, 0)),
+    ((1, 2), (2, 1, 0), (1, 1, 0)),
+    ((2, 2), (2, 2, 0, 0), (0, 0, 0, 0)),
+    ((3, 1), (1, 1, 1, 0), (0, 0, 0, 0)),
+    ((1, 3), (1, 1, 1, 0), (2, 0, 0, 0)),
+]
+
+
+def _check_head(head, ref, include_divided):
+    assert head.dim == ref.dim
+    assert head.character() == ref.character()
+    assert head.eps_weights[head.top] == ref.eps_weights[ref.top]
+    assert head.verify() == []
+    assert repmod.singular_vectors(head, include_divided=include_divided) == []
+
+
+@pytest.mark.parametrize("shape,typical,atypical", HEAD_CASES)
+def test_simple_head_matches_peeling(shape, typical, atypical):
+    alg = Algebra(shape)
+    assert is_typical(alg.shape, typical) and not is_typical(alg.shape, atypical)
+    for lam in (typical, atypical):
+        mod = repmod.kac_module(alg, lam)
+        head = repmod.simple_head(mod)
+        _check_head(head, _peeling_head(mod), False)
+        assert (head is mod) == is_typical(alg.shape, lam)
+
+
+def _check_head_at_root(alg, lam, l):
+    head = ru.simple_at_root(alg, weight_to_z(alg.shape, lam), l)
+    ref = _peeling_head(ru.specialize_kac(alg, lam, l), include_divided=True)
+    _check_head(head, ref, True)
+
+
+@pytest.mark.parametrize("l", [3, 5])
+@pytest.mark.parametrize("shape,typical,atypical", HEAD_CASES)
+def test_simple_head_at_root_matches_peeling(shape, typical, atypical, l):
+    alg = Algebra(shape)
+    for lam in (typical, atypical):
+        _check_head_at_root(alg, lam, l)
+
+
+@pytest.mark.parametrize(
+    "shape,lam,l",
+    [
+        ((2, 1), (3, 0, 0), 3),
+        ((2, 1), (5, 0, 0), 5),
+        ((1, 2), (0, 3, 0), 3),
+        ((1, 2), (1, 5, 0), 5),
+        ((2, 2), (3, 0, 1, 0), 3),
+        ((2, 2), (5, 0, 0, 0), 5),
+        ((3, 1), (3, 0, 0, 0), 3),
+        ((1, 3), (0, 3, 0, 0), 3),
+    ],
+)
+def test_simple_head_at_root_with_an_even_gap_of_l(shape, lam, l):
+    # an even root pairs with lam to l, so only E^(l) reaches the top from
+    # the weight below: the head without the divided powers is too small
+    _check_head_at_root(Algebra(shape), lam, l)
+
+
+def test_simple_head_needs_a_one_dimensional_top():
+    alg = Algebra((2, 1))
+    zero = GENERIC_FIELD.zero
+    mats = {(kind, i, i + 1, 1): [[zero, zero], [zero, zero]]
+            for kind in ("E", "F") for i in (1, 2)}
+    mod = repmod.WeightModule(alg, GENERIC_FIELD, [(1, 0, 0)] * 2, [0, 0], mats, top=0)
+    with pytest.raises(NotHighestWeight):
+        repmod.simple_head(mod)
+    mod.top = None
+    with pytest.raises(NotHighestWeight):
+        repmod.simple_head(mod)
+
+
+def test_even_module_is_built_once_at_the_default_depth(monkeypatch):
+    calls = []
+    build = repmod._truncated_even_verma
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(repmod, "_truncated_even_verma", counted)
+    for shape, lam in [((2, 1), (3, 1, -2)), ((3, 1), (2, 1, 0, 0)), ((2, 2), (2, 0, 1, 0))]:
+        calls.clear()
+        mod = repmod.simple_even_module(Algebra(shape), lam)
+        assert mod.dim == weyl_dim_even(mod.alg.shape, lam)
+        assert len(calls) == 1, (shape, lam)
+
+
+# -- submodule closure against the fixed point it replaced --------------------
+
+
+def _fixed_point_closure(mod, vectors, keys=None):
+    """Reference closure: apply every generator to the whole basis until
+    the rank stops growing."""
+    zero = mod.field.zero
+    mats = [mod.mats[k] for k in (keys if keys is not None else mod.action_keys())]
+    basis = rref([list(v) for v in vectors], zero)[0]
+    while True:
+        new = list(basis)
+        for m in mats:
+            new += [mat_vec(m, v, zero) for v in basis]
+        red = rref(new, zero)[0]
+        if len(red) == len(basis):
+            return red
+        basis = red
+
+
+@pytest.mark.parametrize("l", [None, 5])
+def test_submodule_closure_matches_fixed_point(l):
+    alg = Algebra((2, 1))
+    mod = repmod.kac_module(alg, (2, 0, 0)) if l is None else ru.specialize_kac(alg, (2, 0, 0), l)
+    rng = random.Random(11)
+    simple_keys = [k for k in mod.action_keys() if k[0] in ("E", "F") and k[3] == 1]
+    for trial in range(12):
+        vecs = []
+        for _ in range(rng.choice([1, 1, 2])):
+            vec = [mod.field.zero] * mod.dim
+            for idx in rng.sample(range(mod.dim), rng.choice([1, 2, 3])):
+                vec[idx] = mod.scal(RatFunc.from_int(rng.randint(-3, 3)))
+            vecs.append(vec)
+        keys = simple_keys if trial % 2 else None
+        got = repmod.submodule_closure(mod, vecs, keys=keys)
+        assert got == _fixed_point_closure(mod, vecs, keys=keys)
 
 
 def test_simple_head_of_atypical_kac_is_proper():
