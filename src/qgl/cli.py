@@ -59,6 +59,8 @@ def _load_config(path):
                 cfg[key] = int(cfg[key])
             except ValueError:
                 raise ExprSyntaxError("config %s must be an integer, got %r" % (key, cfg[key]), 0)
+    if cfg.get("truncation_depth", 0) < 0:
+        raise ExprSyntaxError("config truncation_depth must be nonnegative", 0)
     return cfg
 
 

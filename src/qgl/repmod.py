@@ -25,6 +25,7 @@ from .rootdata import (
     weyl_dim_even,
 )
 from .scalars import (
+    GENERIC_FIELD,
     RF_ONE,
     RF_ZERO,
     RatFunc,
@@ -38,9 +39,10 @@ class WeightModule:
 
     mats holds the stored action: ("E", i, i+1, 1) / ("F", i, i+1, 1) for
     the simple generators and ("DE", i, j, n) / ("DF", i, j, n) for divided
-    powers.  Matrices of composite root vectors and of ordinary powers are
-    derived from the simple ones on demand and cached apart from mats, so
-    that rebasing, quotients and specialization touch only what is stored.
+    powers.  Every other atom acts on vectors: K diagonally, a composite
+    root vector through its expansion into simple generators, and a power
+    one factor at a time.  Such derived actions are never stored, so
+    rebasing, quotients and specialization touch only what is stored.
     """
 
     def __init__(self, alg, field, eps_weights, parities, mats, top=None, l=None):
@@ -49,7 +51,6 @@ class WeightModule:
         self.eps_weights = [tuple(w) for w in eps_weights]
         self.parities = list(parities)
         self.mats = dict(mats)
-        self._derived = {}
         self.top = top
         self.l = l
 
@@ -67,49 +68,47 @@ class WeightModule:
         """The eigenvalue q^{(mu, wt)} of K_mu on a vector of weight wt."""
         return self.scal(RatFunc.q_power(bilinear_form(self.alg.shape, mu, wt)))
 
-    def matrix_of_atom(self, atom):
-        zero = self.field.zero
+    def _act_atom(self, atom, vec):
+        """Apply one atom of a monomial word to a coordinate vector."""
         if atom[0] == "K":
             mu = atom[1]
-            return [
-                [self.q_weight(mu, self.eps_weights[r]) if r == c else zero
-                 for c in range(self.dim)]
-                for r in range(self.dim)
-            ]
+            return [x if x.is_zero() else x * self.q_weight(mu, wt)
+                    for x, wt in zip(vec, self.eps_weights)]
+        m = self.mats.get(atom)
+        if m is not None:
+            return mat_vec(m, vec, self.field.zero)
         kind, i, j, n = atom
-        key = (kind, i, j, n)
-        hit = self.mats.get(key)
-        if hit is None:
-            hit = self._derived.get(key)
+        if n == 1 and j == i + 1:
+            raise DomainError("missing action matrix for simple generator %r" % (atom,))
+        if n == 1:
+            return self._act_sum(self.alg.expand_composite(kind, i, j), vec)
+        for _ in range(n):
+            vec = self._act_atom((kind, i, j, 1), vec)
+        return vec
+
+    def _act_sum(self, pairs, vec):
+        """Apply sum(coeff * word) over (coeff, atom word) pairs to a vector."""
+        out = [self.field.zero] * self.dim
+        for coeff, word in pairs:
+            cur = vec
+            for atom in reversed(word):
+                cur = self._act_atom(atom, cur)
+            cval = self.scal(coeff)
+            out = [o if c.is_zero() else o + c * cval for o, c in zip(out, cur)]
+        return out
+
+    def _matrix(self, act):
+        """The matrix whose columns are act applied to the unit vectors."""
+        cols = [act(self.unit_vector(c)) for c in range(self.dim)]
+        return [list(row) for row in zip(*cols)]
+
+    def matrix_of_atom(self, atom):
+        """The stored matrix of an atom, or else one built from its action
+        on the unit vectors; built matrices are not kept."""
+        hit = self.mats.get(atom)
         if hit is not None:
             return hit
-        if n == 1 and j == i + 1:
-            raise DomainError("missing action matrix for simple generator %r" % (key,))
-        # expand into simple-generator words and multiply matrices
-        acc = self._word_sum(self.alg.expand_monomial(self.alg.word_to_monomial((key,))))
-        self._derived[key] = acc
-        return acc
-
-    def _word_sum(self, pairs):
-        """The matrix of sum(coeff * word) over (coeff, atom word) pairs."""
-        zero, one = self.field.zero, self.field.one
-        acc = None
-        for coeff, word in pairs:
-            m = None
-            for a in word:
-                ma = self.matrix_of_atom(a)
-                m = ma if m is None else mat_mul(m, ma, zero)
-            if m is None:
-                m = [[one if r == c else zero for c in range(self.dim)] for r in range(self.dim)]
-            cval = self.scal(coeff)
-            m = [[x if x.is_zero() else x * cval for x in row] for row in m]
-            if acc is None:
-                acc = m
-            else:
-                acc = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc, m)]
-        if acc is None:
-            acc = [[zero for _ in range(self.dim)] for _ in range(self.dim)]
-        return acc
+        return self._matrix(lambda v: self._act_atom(atom, v))
 
     def ensure_divided(self, kind, i, j, n):
         """Store the divided-power matrix X_{ij}^{(n)} (generic field only)."""
@@ -128,15 +127,8 @@ class WeightModule:
 
     def act_element(self, elt, vec):
         """Apply an algebra element to a coordinate vector."""
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for mono, coeff in elt.terms.items():
-            cur = list(vec)
-            for atom in reversed(self.alg.mono_word(mono)):
-                cur = mat_vec(self.matrix_of_atom(atom), cur, zero)
-            cval = self.scal(coeff)
-            out = [o + c * cval for o, c in zip(out, cur)]
-        return out
+        pairs = [(coeff, self.alg.mono_word(mono)) for mono, coeff in elt.terms.items()]
+        return self._act_sum(pairs, vec)
 
     # -- structure ----------------------------------------------------------
 
@@ -176,7 +168,7 @@ class WeightModule:
         for _, word in pairs:
             if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2])) for a in word):
                 return _ABSENT
-        return _Matrix(self, self._word_sum(pairs))
+        return _Matrix(self, self._matrix(lambda v: self._act_sum(pairs, v)))
 
     def verify(self):
         """Check the module against the relation catalog; returns defects.
@@ -484,8 +476,6 @@ def simple_even_module(alg, lam, field=None, depth=None):
     truncated even Verma module; the dimension is cross-checked against
     the Weyl-formula oracle, and a too shallow truncation is retried
     deeper."""
-    from .scalars import GENERIC_FIELD
-
     sh = alg.shape
     lam = tuple(lam)
     if not in_Xplus(sh, lam):
@@ -509,8 +499,6 @@ def _truncated_even_verma(alg, lam, D):
     lam minus its weight, so the weight spaces kept are complete and
     closed under E; only F is cut off past height D.
     """
-    from .scalars import GENERIC_FIELD
-
     sh = alg.shape
     n0 = len(alg.f0_list)
     heights = [j - i for i, j in alg.f0_list]
@@ -565,8 +553,6 @@ def _truncated_even_verma(alg, lam, D):
 
 def kac_module(alg, lam, depth=None):
     """K(lam): induced from L0(lam) with the odd raising part acting by 0."""
-    from .scalars import GENERIC_FIELD
-
     sh = alg.shape
     lam = tuple(lam)
     l0 = simple_even_module(alg, lam, depth=depth)
@@ -676,8 +662,6 @@ def tensor_module(m1, m2):
 
 
 def trivial_module(alg, field=None):
-    from .scalars import GENERIC_FIELD
-
     field = field or GENERIC_FIELD
     zero = field.zero
     mats = {}
@@ -695,8 +679,6 @@ def rebase_to_divided_monomials(mod, max_degree=None):
     that vanish at a root of unity; the divided-monomial basis spans the
     integral lattice, so the conjugated matrices specialize cleanly.
     """
-    from .scalars import GENERIC_FIELD
-
     if mod.top is None:
         raise NotHighestWeight("rebasing needs a distinguished top vector")
     alg = mod.alg

@@ -74,16 +74,18 @@ def small_group_counts(shape, l):
 def specialize_module(mod, l):
     """The weight module over Q(eta) on the same basis.
 
-    Every stored action-matrix entry is evaluated at eta; a pole means the
-    chosen lattice basis was not integral and is reported as an error.
+    Every nonzero stored action-matrix entry is evaluated at eta; a pole
+    means the chosen lattice basis was not integral and is reported as an
+    error.
     """
     _check_order(l)
     if mod.l is not None:
         raise DomainError("module is already specialized")
     field = cyclo_field(l)
+    zero = field.zero
     mats = {}
     for key, m in mod.mats.items():
-        mats[key] = [[evaluate_at_root(x, l) for x in row] for row in m]
+        mats[key] = [[zero if x.is_zero() else evaluate_at_root(x, l) for x in row] for row in m]
     return repmod.WeightModule(
         mod.alg, field, mod.eps_weights, mod.parities, mats, top=mod.top, l=l
     )

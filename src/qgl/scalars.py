@@ -19,7 +19,7 @@ the monomial denominator d*q^k, so it needs no gcd.  A CycloNum is an
 integer residue modulo the monic Phi_l over one positive integer
 denominator.  Both forms are canonical, so equality is tuple equality.
 fractions.Fraction appears only at the API boundary (from_fraction,
-eval_fraction, as_laurent_rational and the rendered text).
+as_laurent_rational and the rendered text).
 
 All values are immutable after construction.
 """
@@ -119,13 +119,6 @@ def _pgcd(a, b):
             return b
         a, b = b, _primitive(r)[0]
     return _ONE_POLY
-
-
-def _peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _is_monomial(a):
@@ -475,13 +468,6 @@ class RatFunc:
         if len(self.num) == 1 and self.den == _ONE_POLY:
             return self.num[0]
         return None
-
-    def eval_fraction(self, x):
-        x = Fraction(x)
-        d = _peval(self.den, x)
-        if d == 0:
-            raise ZeroDivisionError("pole at q=%s" % x)
-        return _peval(self.num, x) / d
 
     def render(self):
         lau = self.as_laurent_rational()

@@ -105,10 +105,14 @@ def test_config_errors_are_usage_errors(tmp_path):
     )
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     cfg = tmp_path / "cfg"
-    for line in ("truncation_depth = two", "seed = 1.5", "max_degree = 3"):
+    for line in ("truncation_depth = two", "seed = 1.5", "max_degree = 3",
+                 "truncation_depth = -3"):
         cfg.write_text("shape = 1,1\n%s\n" % line)
         code, out, err = capture(["typical", "--config", str(cfg), "--lambda", "1,0"])
         assert code == 2 and out == "" and len(err.splitlines()) == 1, line
+    cfg.write_text("truncation_depth = -3\n")
+    code, out, err = capture(["kac", "--shape", "2,1", "--lambda=1,0,0", "--config", str(cfg)])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 
 def test_straightening_budget_is_a_domain_error(monkeypatch):

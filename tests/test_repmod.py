@@ -2,14 +2,17 @@
 products, and the independent free-word Verma action oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from qgl import repmod
 from qgl import rootofunity as ru
 from qgl.errors import NonDominant, NotHighestWeight
-from qgl.linalg import mat_vec, rank, rref
+from qgl.linalg import mat_mul, mat_vec, rank, rref
 from qgl.pbwcore import Algebra
 from qgl.rootdata import in_Xplus, is_typical, weight_to_z, weyl_dim_even
 from qgl.scalars import GENERIC_FIELD, RF_ZERO, RatFunc
@@ -286,6 +289,65 @@ def test_submodule_closure_matches_fixed_point(l):
         keys = simple_keys if trial % 2 else None
         got = repmod.submodule_closure(mod, vecs, keys=keys)
         assert got == _fixed_point_closure(mod, vecs, keys=keys)
+
+
+# -- derived atoms against the matrix products they replaced ------------------
+
+
+def _product_matrix(mod, atom):
+    """Reference matrix of a derived atom: the sum over its expansion into
+    simple-generator words of the products of the stored matrices."""
+    alg = mod.alg
+    zero, one = mod.field.zero, mod.field.one
+    acc = [[zero] * mod.dim for _ in range(mod.dim)]
+    for coeff, word in alg.expand_monomial(alg.word_to_monomial((atom,))):
+        m = [[one if r == c else zero for c in range(mod.dim)] for r in range(mod.dim)]
+        for a in word:
+            m = mat_mul(m, mod.mats[a], zero)
+        cval = mod.scal(coeff)
+        acc = [[x + y * cval for x, y in zip(r1, r2)] for r1, r2 in zip(acc, m)]
+    return acc
+
+
+DERIVED_ATOMS = [
+    ((2, 1), (1, 0, 0), [("E", 1, 3, 1), ("F", 1, 3, 1)]),
+    ((3, 1), (1, 0, 0, 0), [("F", 1, 4, 1), ("E", 1, 4, 1), ("F", 1, 3, 2)]),
+    ((2, 2), (1, 0, 0, 0), [("F", 2, 4, 1)]),
+]
+
+
+@pytest.mark.parametrize("l", [None, 5])
+@pytest.mark.parametrize("shape,lam,atoms", DERIVED_ATOMS)
+def test_derived_atoms_act_like_matrix_products(shape, lam, atoms, l):
+    alg = Algebra(shape)
+    mod = repmod.kac_module(alg, lam) if l is None else ru.specialize_kac(alg, lam, l)
+    keys = set(mod.mats)
+    for atom in atoms:
+        kind, i, j, n = atom
+        want = _product_matrix(mod, atom)
+        assert any(not x.is_zero() for row in want for x in row), atom
+        assert mod.matrix_of_atom(atom) == want, atom
+        elt = alg.gen(kind, i, j) ** n
+        cols = [mod.act_element(elt, mod.unit_vector(c)) for c in range(mod.dim)]
+        assert [list(row) for row in zip(*cols)] == want, atom
+    assert set(mod.mats) == keys
+
+
+def test_large_root_of_unity_head_is_fast():
+    # gl(3|1), lambda = (5,0,0,0), l = 5: a Kac module of dimension 168
+    # whose rebase applies many composite root vectors
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "simple", "--shape", "3,1",
+         "--lambda=5,0,0,0", "--at-root", "5"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        '{"character": [{"mult": 1, "z": [-5, 5, 0, 0]}, {"mult": 1, "z": [0, -5, 5, 0]}, '
+        '{"mult": 1, "z": [5, 0, 0, 0]}], "dim": 3, "schema": 1}\n'
+    )
 
 
 def test_simple_head_of_atypical_kac_is_proper():
