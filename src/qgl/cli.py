@@ -151,7 +151,7 @@ def _cmd_typical(args, alg):
 
 def _cmd_kac(args, alg):
     lam = _parse_ints(args.lam, "--lambda")
-    mod = repmod.kac_module(alg, lam, depth=args.truncation_depth)
+    mod = repmod.kac_module(alg, lam)
     return _emit(
         args,
         {
@@ -165,7 +165,7 @@ def _cmd_kac(args, alg):
 def _cmd_simple(args, alg):
     lam = _parse_ints(args.lam, "--lambda")
     if args.at_root is None:
-        mod = repmod.simple_head(repmod.kac_module(alg, lam, depth=args.truncation_depth))
+        mod = repmod.simple_head(repmod.kac_module(alg, lam))
     else:
         z = weight_to_z(alg.shape, lam)
         mod = rootofunity.simple_at_root(alg, z, args.at_root)
@@ -178,20 +178,18 @@ def _cmd_simple(args, alg):
 def _cmd_char(args, alg):
     lam = _parse_ints(args.lam, "--lambda")
     if args.module == "kac":
-        mod = repmod.kac_module(alg, lam, depth=args.truncation_depth)
+        mod = repmod.kac_module(alg, lam)
     elif args.at_root is not None:
         mod = rootofunity.simple_at_root(alg, weight_to_z(alg.shape, lam), args.at_root)
     else:
-        mod = repmod.simple_head(repmod.kac_module(alg, lam, depth=args.truncation_depth))
+        mod = repmod.simple_head(repmod.kac_module(alg, lam))
     return _emit(args, {"character": _character_json(mod.character())})
 
 
 def _cmd_tensor(args, alg):
     builders = {
-        "kac": lambda lam: repmod.kac_module(alg, lam, depth=args.truncation_depth),
-        "simple": lambda lam: repmod.simple_head(
-            repmod.kac_module(alg, lam, depth=args.truncation_depth)
-        ),
+        "kac": lambda lam: repmod.kac_module(alg, lam),
+        "simple": lambda lam: repmod.simple_head(repmod.kac_module(alg, lam)),
     }
     build = builders[args.module]
     m1 = build(_parse_ints(args.lam1, "--lambda1"))
@@ -373,7 +371,6 @@ def run(argv):
         mn = _parse_ints(shape_text, "--shape")
         if len(mn) != 2:
             raise ExprSyntaxError("--shape needs exactly two integers", 0)
-        args.truncation_depth = cfg.get("truncation_depth")
         if "seed" in cfg and getattr(args, "seed", None) in (None, 0):
             args.seed = cfg["seed"]
         alg = Algebra(Shape(*mn))

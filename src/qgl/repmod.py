@@ -1,11 +1,17 @@
-"""Weight modules: truncated Verma oracle, simple even-part modules, Kac
-modules, singular vectors, simple heads, tensor products, and characters.
+"""Weight modules: simple even-part modules, Kac modules, singular vectors,
+simple heads, tensor products, characters, and the free-word Verma oracle.
 
 All modules are finite dimensional with an integral weight grading kept in
 eps-coordinates; the torus acts diagonally by q^{(mu, weight)}.  Action
 matrices are stored for the simple generators (and, when needed, divided
 powers); every other root vector acts through its expansion into simple
 generators.
+
+L0(lam), the simple module of the even part gl(m) + gl(n), is built in
+closed form on pairs of Gelfand-Tsetlin patterns, one per block: the
+non-normalized GT formulas (Molev, arXiv math/0211289, section 2) with
+every linear factor a symmetric q-integer (Jimbo 1986), so no product is
+straightened.  The Kac module K(lam) is induced from it.
 
 The simple head of a highest-weight module is its quotient by the radical
 of the contravariant form: the vectors that no raising word takes to the
@@ -31,6 +37,7 @@ from .scalars import (
     RatFunc,
     evaluate_at_root,
     gauss_factorial,
+    gauss_int,
 )
 
 
@@ -467,95 +474,120 @@ def simple_head(mod, include_divided=False):
 # -- the simple module of the even subalgebra --------------------------------
 
 
-def _even_depth_bound(shape, lam):
-    return sum(lam[i - 1] - lam[j - 1] for (i, j) in shape.I0)
+def _gt_patterns(top):
+    """The Gelfand-Tsetlin patterns with top row ``top``: tuples of rows
+    (row 1, ..., row N), row k of length k interlacing row k + 1."""
+    if len(top) == 1:
+        return [(tuple(top),)]
+    out = []
+    ranges = [range(top[i + 1], top[i] + 1) for i in range(len(top) - 1)]
+    for row in itertools.product(*ranges):
+        out += [sub + (tuple(top),) for sub in _gt_patterns(row)]
+    return out
 
 
-def simple_even_module(alg, lam, field=None, depth=None):
-    """L0(lam): the simple gl(m) x gl(n) module, the simple head of a
-    truncated even Verma module; the dimension is cross-checked against
-    the Weyl-formula oracle, and a too shallow truncation is retried
-    deeper."""
-    sh = alg.shape
-    lam = tuple(lam)
-    if not in_Xplus(sh, lam):
-        raise NonDominant("weight %r is not dominant for the even part" % (lam,))
-    field = field or GENERIC_FIELD
-    want = weyl_dim_even(sh, lam)
-    D = depth if depth is not None else _even_depth_bound(sh, lam) + 1
-    for _ in range(6):
-        mod = _truncated_even_verma(alg, lam, D)
-        mod = simple_head(mod)
-        if mod.dim == want:
-            return mod
-        D = 2 * D + 2
-    raise DomainError("even simple module construction did not converge")
+def _gt_weight(pattern):
+    """eps_k = |row k| - |row k-1|."""
+    sums = [0] + [sum(row) for row in pattern]
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
-def _truncated_even_verma(alg, lam, D):
-    """The even Verma module on the PBW monomials of height at most D.
+def _gt_action(patterns, k, kind, ratio):
+    """The (target, source, coeff) entries of E_k or F_k of U_q(gl(N)) on
+    GT patterns: the non-normalized Gelfand-Tsetlin formulas with every
+    linear factor a symmetric q-integer [a].  In l_ki = lam_ki - i + 1,
 
-    The height sum_k lab_k (j_k - i_k) of a label is the height of
-    lam minus its weight, so the weight spaces kept are complete and
-    closed under E; only F is cut off past height D.
+        E_k xi = -sum_i prod_{j<=k+1} [l_ki - l_k+1,j]
+                        / prod_{j!=i} [l_ki - l_kj] xi(+delta_ki),
+        F_k xi =  sum_i prod_{j<=k-1} [l_ki - l_k-1,j]
+                        / prod_{j!=i} [l_ki - l_kj] xi(-delta_ki),
+
+    where a target that is not a pattern is zero.  ratio(num, den) is the
+    value of prod [num] / prod [den] over tuples of integers.
+    """
+    index = {p: t for t, p in enumerate(patterns)}
+    step, other = (1, k + 1) if kind == "E" else (-1, k - 1)
+    out = []
+    for src, p in enumerate(patterns):
+        ls = [[x - i for i, x in enumerate(row)] for row in p]
+        row = ls[k - 1]
+        near = ls[other - 1] if other else []
+        for i, li in enumerate(row):
+            moved = list(p[k - 1])
+            moved[i] += step
+            tgt = index.get(p[:k - 1] + (tuple(moved),) + p[k:])
+            if tgt is None:
+                continue
+            num = tuple(li - x for x in near)
+            den = tuple(li - x for j, x in enumerate(row) if j != i)
+            c = ratio(num, den)
+            out.append((tgt, src, -c if kind == "E" else c))
+    return out
+
+
+def simple_even_module(alg, lam):
+    """L0(lam) = L(lam_1..m) (x) L(lam_m+1..m+n), the simple gl(m) x gl(n)
+    module, built on pairs of q-Gelfand-Tsetlin patterns (Molev,
+    math/0211289, section 2, with q-integers as in Jimbo 1986).
+
+    [a] is bar-invariant, so the second block, where q_i = q^-1, has the
+    same matrices; the torus sees the sign through q_weight.  The odd node
+    acts as zero on L0 and gets no matrix.  The dimension is checked
+    against the Weyl formula.
     """
     sh = alg.shape
-    n0 = len(alg.f0_list)
-    heights = [j - i for i, j in alg.f0_list]
-    labels = []
+    lam = tuple(lam)
+    if len(lam) != sh.rank:
+        raise DomainError("weight length does not match shape")
+    if not in_Xplus(sh, lam):
+        raise NonDominant("weight %r is not dominant for the even part" % (lam,))
+    blocks = [_gt_patterns(lam[:sh.m]), _gt_patterns(lam[sh.m:])]
+    dim = len(blocks[0]) * len(blocks[1])
+    if dim != weyl_dim_even(sh, lam):
+        raise DomainError("Gelfand-Tsetlin basis disagrees with the Weyl formula")
+    ratios = {}  # this call's prod [num] / prod [den], by sorted factors
 
-    def gen_psis(prefix, left):
-        if len(prefix) == n0:
-            labels.append(tuple(prefix))
-            return
-        h = heights[len(prefix)]
-        for v in range(left // h + 1):
-            gen_psis(prefix + [v], left - v * h)
+    def ratio(num, den):
+        key = (tuple(sorted(num)), tuple(sorted(den)))
+        hit = ratios.get(key)
+        if hit is None:
+            a, b = RF_ONE, RF_ONE
+            for x in key[0]:
+                a = a * RatFunc.from_laurent(gauss_int(x))
+            for x in key[1]:
+                b = b * RatFunc.from_laurent(gauss_int(x))
+            hit = ratios[key] = a / b
+        return hit
 
-    gen_psis([], D)
-    index = {lab: t for t, lab in enumerate(labels)}
-    weights = []
-    for lab in labels:
-        wt = list(lam)
-        for idx, (i, j) in enumerate(alg.f0_list):
-            wt[i - 1] -= lab[idx]
-            wt[j - 1] += lab[idx]
-        weights.append(tuple(wt))
     zero = GENERIC_FIELD.zero
+    n2 = len(blocks[1])  # basis vector (a, b) of the two blocks is a * n2 + b
     mats = {}
-    for i in range(1, sh.rank):
-        if i == sh.m:
-            continue
-        for kind in ("E", "F"):
-            g = alg.gen(kind, i, i + 1)
-            m = [[zero] * len(labels) for _ in range(len(labels))]
-            for cidx, lab in enumerate(labels):
-                prod = g * alg.monomial(fpsi=lab)
-                for key, coeff in prod.terms.items():
-                    if any(key.epsi) or any(key.ed) or any(key.fd):
-                        # E0 or odd parts annihilate the even highest vector
-                        continue
-                    val = coeff * RatFunc.q_power(
-                        bilinear_form(sh, key.k, lam)
-                    )
-                    tgt = index.get(key.fpsi)
-                    if tgt is None:
-                        continue  # truncated away
-                    m[tgt][cidx] = m[tgt][cidx] + val
-            mats[(kind, i, i + 1, 1)] = m
-    # the odd node acts as zero on the even module but tests never use it here
-    return WeightModule(alg, GENERIC_FIELD, weights, [0] * len(labels), mats,
-                        top=index[tuple([0] * n0)])
+    for blk, offset in ((0, 0), (1, sh.m)):
+        pats = blocks[blk]
+        others = range(len(blocks[1 - blk]))
+        cell = (lambda a, o: a * n2 + o) if blk == 0 else (lambda a, o: o * n2 + a)
+        for k in range(1, len(pats[0])):
+            for kind in ("E", "F"):
+                m = [[zero] * dim for _ in range(dim)]
+                for tgt, src, c in _gt_action(pats, k, kind, ratio):
+                    for o in others:
+                        m[cell(tgt, o)][cell(src, o)] = c
+                mats[(kind, offset + k, offset + k + 1, 1)] = m
+    weights = [_gt_weight(a) + _gt_weight(b) for a in blocks[0] for b in blocks[1]]
+    tops = [tuple(part[:k] for k in range(1, len(part) + 1))
+            for part in (lam[:sh.m], lam[sh.m:])]
+    top = blocks[0].index(tops[0]) * n2 + blocks[1].index(tops[1])
+    return WeightModule(alg, GENERIC_FIELD, weights, [0] * dim, mats, top=top)
 
 
 # -- Kac modules ------------------------------------------------------------
 
 
-def kac_module(alg, lam, depth=None):
+def kac_module(alg, lam):
     """K(lam): induced from L0(lam) with the odd raising part acting by 0."""
     sh = alg.shape
     lam = tuple(lam)
-    l0 = simple_even_module(alg, lam, depth=depth)
+    l0 = simple_even_module(alg, lam)
     n1 = len(alg.f1_list)
     dvecs = list(itertools.product((0, 1), repeat=n1))
     labels = [(d, w) for d in dvecs for w in range(l0.dim)]
@@ -739,9 +771,9 @@ def rebase_to_divided_monomials(mod, max_degree=None):
 # -- typicality through module structure ------------------------------------
 
 
-def kac_is_simple(alg, lam, depth=None):
+def kac_is_simple(alg, lam):
     """True iff the Kac module has no proper singular vector (generic q)."""
-    mod = kac_module(alg, lam, depth=depth)
+    mod = kac_module(alg, lam)
     head = simple_head(mod)
     return head.dim == mod.dim
 

@@ -25,7 +25,9 @@ All values are immutable after construction.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import sub
 
 from .errors import BadRootOrder, DenominatorVanishes
 
@@ -512,13 +514,25 @@ def gauss_int(n, sign=1):
 
 
 def gauss_factorial(n, sign=1):
-    """[n]! = [n][n-1]...[1]; [0]! = 1."""
+    """[n]! = [n][n-1]...[1]; [0]! = 1.
+
+    [k] = q^(1-k) (1 + x + ... + x^(k-1)) in x = q^2, so each factor is a
+    length-k window sum over the dense integer coefficients in x; the
+    result becomes a LaurentInt once, shifted by q^-(n(n-1)/2).
+    """
     if n < 0:
         raise ValueError("factorial of negative integer")
-    out = LaurentInt.from_int(1)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    cs = [1]
     for k in range(2, n + 1):
-        out = out * gauss_int(k, sign)
-    return out
+        # prefix sums padded with k zeros in front and k - 1 totals behind:
+        # the window sum ending at i is prefix[i + k] - prefix[i]
+        prefix = [0] * k + list(accumulate(cs))
+        prefix += [prefix[-1]] * (k - 1)
+        cs = list(map(sub, prefix[k:], prefix))
+    shift = n * (n - 1) // 2
+    return LaurentInt({2 * i - shift: c for i, c in enumerate(cs)})
 
 
 def gauss_binomial(m, n, sign=1):

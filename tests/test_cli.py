@@ -147,6 +147,17 @@ def test_smallgroup_of_large_order_is_fast():
     assert json.loads(proc.stdout)["counts"]["upper"] == 99 ** 6 * 2 ** 9
 
 
+def test_high_divided_power_is_fast():
+    # E^(100) divides by [100]!, a Laurent polynomial of 4951 coefficients
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "nf", "--shape", "2,1", "E[1,2]^(100)"],
+        capture_output=True, text=True, timeout=3, env=env,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["element"]["terms"]
+
+
 def test_braid_and_omega_roundtrip():
     code, out, _ = capture(
         ["braid", "--shape", "2,1", "-i", "1", "--emit", "text", "E[2,3]"]
@@ -174,6 +185,11 @@ GOLDEN = {
     "corpus/characters/simple_gl21_000.json": ["simple", "--shape", "2,1", "--lambda", "0,0,0"],
     "corpus/characters/simple_root3_gl21_200.json": [
         "simple", "--shape", "2,1", "--lambda", "2,0,0", "--at-root", "3",
+    ],
+    "corpus/characters/kac_gl22_102m1.json": ["kac", "--shape", "2,2", "--lambda=1,0,2,-1"],
+    "corpus/characters/simple_gl13_021m1.json": ["simple", "--shape", "1,3", "--lambda=0,2,1,-1"],
+    "corpus/characters/simple_root3_gl31_210m1.json": [
+        "simple", "--shape", "3,1", "--lambda=2,1,0,-1", "--at-root", "3",
     ],
     "corpus/characters/tensor_gl11.json": [
         "tensor", "--shape", "1,1", "--lambda1", "1,0", "--lambda2", "0,0",

@@ -11,10 +11,10 @@ import pytest
 
 from qgl import repmod
 from qgl import rootofunity as ru
-from qgl.errors import NonDominant, NotHighestWeight
+from qgl.errors import DomainError, NonDominant, NotHighestWeight
 from qgl.linalg import mat_mul, mat_vec, rank, rref
 from qgl.pbwcore import Algebra
-from qgl.rootdata import in_Xplus, is_typical, weight_to_z, weyl_dim_even
+from qgl.rootdata import bilinear_form, in_Xplus, is_typical, weight_to_z, weyl_dim_even
 from qgl.scalars import GENERIC_FIELD, RF_ZERO, RatFunc
 
 
@@ -44,6 +44,69 @@ def test_non_dominant_rejected():
     alg = Algebra((2, 1))
     with pytest.raises(NonDominant):
         repmod.simple_even_module(alg, (0, 1, 0))
+
+
+@pytest.mark.parametrize("lam", [(1, 0), (1, 0, 0, 0)])
+def test_weight_of_the_wrong_length_rejected(lam):
+    with pytest.raises(DomainError):
+        repmod.simple_even_module(Algebra((2, 1)), lam)
+
+
+def _verma_head_l0(alg, lam):
+    """Reference L0(lam): the simple head of the even Verma module on the
+    PBW monomials F^psi of height at most the height of the lowest weight
+    plus 1, which keeps every weight space of L0 and the next layer down
+    complete and closed under E."""
+    sh = alg.shape
+    heights = [j - i for i, j in alg.f0_list]
+    depth = sum(lam[i - 1] - lam[j - 1] for i, j in sh.I0) + 1
+    labels = [
+        lab for lab in itertools.product(*[range(depth // h + 1) for h in heights])
+        if sum(v * h for v, h in zip(lab, heights)) <= depth
+    ]
+    index = {lab: t for t, lab in enumerate(labels)}
+    weights = []
+    for lab in labels:
+        wt = list(lam)
+        for v, (i, j) in zip(lab, alg.f0_list):
+            wt[i - 1] -= v
+            wt[j - 1] += v
+        weights.append(tuple(wt))
+    mats = {}
+    for i in range(1, sh.rank):
+        if i == sh.m:
+            continue
+        for kind in ("E", "F"):
+            g = alg.gen(kind, i, i + 1)
+            m = [[RF_ZERO] * len(labels) for _ in labels]
+            for c, lab in enumerate(labels):
+                for key, coeff in (g * alg.monomial(fpsi=lab)).terms.items():
+                    if any(key.epsi) or any(key.ed) or any(key.fd):
+                        continue  # E0 and the odd parts kill the highest vector
+                    r = index.get(key.fpsi)
+                    if r is not None:
+                        val = coeff * RatFunc.q_power(bilinear_form(sh, key.k, lam))
+                        m[r][c] = m[r][c] + val
+            mats[(kind, i, i + 1, 1)] = m
+    verma = repmod.WeightModule(alg, GENERIC_FIELD, weights, [0] * len(labels), mats,
+                                top=index[(0,) * len(heights)])
+    return repmod.simple_head(verma)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2), (3, 1), (1, 3), (2, 2), (3, 2), (2, 3)])
+def test_even_module_matches_the_verma_head(shape):
+    alg = Algebra(shape)
+    lams = [
+        lam for lam in itertools.product(range(3, -3, -1), repeat=alg.shape.rank)
+        if in_Xplus(alg.shape, lam) and weyl_dim_even(alg.shape, lam) <= 24
+    ]
+    for lam in random.Random(5).sample(lams, 6):
+        mod = repmod.simple_even_module(alg, lam)
+        ref = _verma_head_l0(alg, lam)
+        assert mod.dim == ref.dim == weyl_dim_even(alg.shape, lam), lam
+        assert mod.character() == ref.character(), lam
+        assert mod.eps_weights[mod.top] == lam
+        assert mod.verify() == [], lam
 
 
 # -- Kac modules -------------------------------------------------------------
@@ -238,20 +301,21 @@ def test_simple_head_needs_a_one_dimensional_top():
         repmod.simple_head(mod)
 
 
-def test_even_module_is_built_once_at_the_default_depth(monkeypatch):
+def test_even_module_needs_no_straightening(monkeypatch):
     calls = []
-    build = repmod._truncated_even_verma
+    straighten = Algebra.straighten
 
-    def counted(*args):
+    def counted(self, *args, **kwargs):
         calls.append(args)
-        return build(*args)
+        return straighten(self, *args, **kwargs)
 
-    monkeypatch.setattr(repmod, "_truncated_even_verma", counted)
+    monkeypatch.setattr(Algebra, "straighten", counted)
     for shape, lam in [((2, 1), (3, 1, -2)), ((3, 1), (2, 1, 0, 0)), ((2, 2), (2, 0, 1, 0))]:
+        alg = Algebra(shape)
         calls.clear()
-        mod = repmod.simple_even_module(Algebra(shape), lam)
-        assert mod.dim == weyl_dim_even(mod.alg.shape, lam)
-        assert len(calls) == 1, (shape, lam)
+        mod = repmod.simple_even_module(alg, lam)
+        assert mod.dim == weyl_dim_even(alg.shape, lam)
+        assert calls == [], (shape, lam)
 
 
 # -- submodule closure against the fixed point it replaced --------------------

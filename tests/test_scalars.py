@@ -316,6 +316,15 @@ def test_gauss_factorial_values():
     assert gauss_factorial(4).at_one() == 24
 
 
+def test_gauss_factorial_matches_the_product_loop():
+    want = LaurentInt.from_int(1)
+    for n in range(41):
+        if n >= 2:
+            want = want * gauss_int(n)
+        assert gauss_factorial(n) == want, n
+        assert gauss_factorial(n, sign=-1) == want, n
+
+
 def test_gauss_binomial_spec_value():
     # [4 choose 2] = q^4 + q^2 + 2 + q^-2 + q^-4
     assert gauss_binomial(4, 2) == LaurentInt({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
