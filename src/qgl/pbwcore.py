@@ -32,6 +32,7 @@ with the pair resolutions it opens.
 from .errors import (
     DomainError,
     NegativeDividedPower,
+    NotIntegral,
     OddPowerTooHigh,
     ResourceLimit,
 )
@@ -347,7 +348,7 @@ class Algebra:
                     "odd root vector (%d,%d) admits no divided power %d" % (i, j, n)
                 )
             return self._atom_element((kind, i, j, n))
-        fact = RatFunc.from_laurent(gauss_factorial(n))
+        fact = gauss_factorial(n)
         return self._atom_element((kind, i, j, n)).scale(fact.inverse())
 
     def kbracket_element(self, i, c, t):
@@ -911,16 +912,14 @@ class Algebra:
         the basis prod_i K_{alpha_i}^{delta_i} [K_{alpha_i}; 0; t_i].
         Raises NotIntegral when a coefficient leaves Z[q, q^-1].
         """
-        from .errors import NotIntegral
-
         r = self.shape.rank
         out = {}
         for key, coeff in elt.terms.items():
             c = coeff
             for idx, (i, j) in enumerate(self.f0_list):
-                c = c * RatFunc.from_laurent(gauss_factorial(key.fpsi[idx]))
+                c = c * gauss_factorial(key.fpsi[idx])
             for idx, (i, j) in enumerate(self.e0_list):
-                c = c * RatFunc.from_laurent(gauss_factorial(key.epsi[idx]))
+                c = c * gauss_factorial(key.epsi[idx])
             # K_mu = prod_i K_{alpha_i}^{nu_i}, nu = prefix sums of mu
             nu = []
             acc = 0

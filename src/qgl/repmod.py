@@ -127,7 +127,7 @@ class WeightModule:
                 "divided-power matrices must be built generically before specialization"
             )
         base = self.matrix_of_atom((kind, i, j, n))
-        inv = RatFunc.from_laurent(gauss_factorial(n)).inverse()
+        inv = gauss_factorial(n).inverse()
         m = [[x * inv for x in row] for row in base]
         self.mats[key] = m
         return m
@@ -553,9 +553,9 @@ def simple_even_module(alg, lam):
         if hit is None:
             a, b = RF_ONE, RF_ONE
             for x in key[0]:
-                a = a * RatFunc.from_laurent(gauss_int(x))
+                a = a * gauss_int(x)
             for x in key[1]:
-                b = b * RatFunc.from_laurent(gauss_int(x))
+                b = b * gauss_int(x)
             hit = ratios[key] = a / b
         return hit
 
@@ -731,7 +731,7 @@ def rebase_to_divided_monomials(mod, max_degree=None):
                 el = alg.monomial(fd=d, fpsi=psi)
                 inv = RF_ONE
                 for x in psi:
-                    inv = inv * RatFunc.from_laurent(gauss_factorial(x)).inverse()
+                    inv = inv * gauss_factorial(x).inverse()
                 vec = mod.act_element(el.scale(inv), top_v)
                 lead = next((r for r, x in enumerate(vec) if not x.is_zero()), None)
                 if lead is None:
@@ -805,9 +805,6 @@ class VermaOracle:
         self._rel_spans = {}
 
     # vectors are dicts word -> RatFunc
-    def zero_vec(self):
-        return {}
-
     def _add(self, vec, word, coeff):
         if coeff.is_zero():
             return
@@ -879,7 +876,7 @@ class VermaOracle:
         sh = self.sh
         m = sh.m
         rels = []
-        qq = RatFunc.from_laurent(gauss_factorial(2))  # [2]! = q + q^-1
+        qq = gauss_factorial(2)  # [2]! = q + q^-1
         for i in range(1, sh.rank):
             for j in range(1, sh.rank):
                 if abs(i - j) == 1 and i != m:

@@ -11,15 +11,18 @@ Plus the q-combinatorics used everywhere: symmetric Gaussian integers
 [n], Gaussian factorials and binomials, and the bracket scalar
 (the eigenvalue of the torus bracket element on a weight vector).
 
-RatFunc and CycloNum share one polynomial core over the integers: dense
-tuples of Python ints.  A RatFunc is a coprime pair num/den of integer
-polynomials whose denominator has a positive leading coefficient and whose
+All three share one polynomial core over the integers: dense tuples of
+Python ints.  A RatFunc is a coprime pair num/den of integer polynomials
+whose denominator has a positive leading coefficient and whose
 coefficients have no common factor all together; a Laurent value c*q^e has
-the monomial denominator d*q^k, so it needs no gcd.  A CycloNum is an
-integer residue modulo the monic Phi_l over one positive integer
-denominator.  Both forms are canonical, so equality is tuple equality.
-fractions.Fraction appears only at the API boundary (from_fraction,
-as_laurent_rational and the rendered text).
+the monomial denominator d*q^k, so it needs no gcd.  A LaurentInt is the
+RatFunc with denominator q^k on those same tuples: it adds only its
+{exponent: int} constructor, so its arithmetic, equality and hash are
+RatFunc's.  A CycloNum is an integer residue modulo the monic Phi_l over one
+positive integer denominator.  All forms are canonical, so equality is
+tuple equality.  fractions.Fraction appears only at the API boundary
+(from_fraction, the coefficients of a Laurent value with d > 1 and the
+rendered text).
 
 All values are immutable after construction.
 """
@@ -160,102 +163,6 @@ def _over(a, d):
 
 
 # ---------------------------------------------------------------------------
-# LaurentInt
-# ---------------------------------------------------------------------------
-
-
-class LaurentInt:
-    """Laurent polynomial over Z: map exponent -> nonzero integer coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        cleaned = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    cleaned[int(e)] = int(c)
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentInt is immutable")
-
-    @classmethod
-    def from_int(cls, n):
-        return cls({0: n})
-
-    @classmethod
-    def q_power(cls, k):
-        return cls({k: 1})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        other = _as_laurent(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentInt(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentInt({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_as_laurent(other))
-
-    def __rsub__(self, other):
-        return _as_laurent(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_laurent(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentInt(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentInt.from_int(other)
-        if not isinstance(other, LaurentInt):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def bar(self):
-        """Substitute q -> q^-1."""
-        return LaurentInt({-e: c for e, c in self.coeffs.items()})
-
-    def at_one(self):
-        return sum(self.coeffs.values())
-
-    def render(self):
-        return _render_poly(self.coeffs)
-
-    def __repr__(self):
-        return "LaurentInt(%s)" % self.render()
-
-
-def _as_laurent(x):
-    if isinstance(x, LaurentInt):
-        return x
-    if isinstance(x, int):
-        return LaurentInt.from_int(x)
-    raise TypeError("cannot coerce %r to LaurentInt" % (x,))
-
-
-# ---------------------------------------------------------------------------
 # RatFunc
 # ---------------------------------------------------------------------------
 
@@ -297,7 +204,7 @@ class RatFunc:
                 num = _pdivmod(num, g)[1]
                 den = _pdivmod(den, g)[1]
         den, num = _primitive(den, num)
-        return cls(num, den)
+        return RatFunc(num, den)
 
     @classmethod
     def from_int(cls, n):
@@ -308,7 +215,7 @@ class RatFunc:
         f = Fraction(f)
         if not f:
             return _RF_ZERO
-        return cls((f.numerator,), (f.denominator,))
+        return RatFunc((f.numerator,), (f.denominator,))
 
     @classmethod
     def q_power(cls, k):
@@ -318,15 +225,8 @@ class RatFunc:
 
     @classmethod
     def from_laurent(cls, lp):
-        lp = _as_laurent(lp)
-        if not lp.coeffs:
-            return _RF_ZERO
-        shift = min(min(lp.coeffs), 0)
-        num = [0] * (max(lp.coeffs) - shift + 1)
-        for e, c in lp.coeffs.items():
-            num[e - shift] = c
-        # the lowest coefficient is nonzero when shift < 0: already coprime
-        return cls(tuple(num), (0,) * (-shift) + _ONE_POLY)
+        """The plain RatFunc on the tuples of the LaurentInt lp."""
+        return RatFunc(lp.num, lp.den)
 
     def is_zero(self):
         return not self.num
@@ -341,8 +241,6 @@ class RatFunc:
             return RatFunc.from_int(other)
         if isinstance(other, Fraction):
             return RatFunc.from_fraction(other)
-        if isinstance(other, LaurentInt):
-            return RatFunc.from_laurent(other)
         return None
 
     def __add__(self, other):
@@ -440,28 +338,33 @@ class RatFunc:
             num = (0,) * (dd - dn) + num
         return RatFunc._make(num, den)
 
-    def _den_monomial(self):
-        """(d, k) if den == d*q^k, else None."""
-        d = self.den
-        if _is_monomial(d):
-            return d[-1], len(d) - 1
-        return None
-
     def as_laurent_int(self):
         """Return the LaurentInt equal to self, or None if not in Z[q,q^-1]."""
-        dk = self._den_monomial()
-        if dk is None or dk[0] != 1:
+        den = self.den
+        if den[-1] != 1 or not _is_monomial(den):
             return None  # content 1 makes num/(d*q^k) with d > 1 non-integral
-        k = dk[1]
-        return LaurentInt({i - k: c for i, c in enumerate(self.num) if c})
+        return LaurentInt._on(self.num, den)
 
     def as_laurent_rational(self):
-        """Return {exp: Fraction} if den is a monomial, else None."""
-        dk = self._den_monomial()
-        if dk is None:
+        """{exponent: coefficient} if den == d*q^k, else None.
+
+        The coefficients are ints when d == 1 and Fractions otherwise.
+        """
+        den = self.den
+        if not _is_monomial(den):
             return None
-        d, k = dk
+        d, k = den[-1], len(den) - 1
+        if d == 1:
+            return {i - k: c for i, c in enumerate(self.num) if c}
         return {i - k: Fraction(c, d) for i, c in enumerate(self.num) if c}
+
+    @property
+    def coeffs(self):
+        """{exponent: coefficient} of a Laurent value; ValueError otherwise."""
+        lau = self.as_laurent_rational()
+        if lau is None:
+            raise ValueError("not a Laurent polynomial: %s" % self.render())
+        return lau
 
     def as_int(self):
         """Return the integer equal to self, or None."""
@@ -480,7 +383,7 @@ class RatFunc:
                               _render_poly(_over(self.den, lead)))
 
     def __repr__(self):
-        return "RatFunc(%s)" % self.render()
+        return "%s(%s)" % (type(self).__name__, self.render())
 
 
 _RF_ZERO = RatFunc((), _ONE_POLY)
@@ -489,6 +392,46 @@ _RF_ONE = RatFunc(_ONE_POLY, _ONE_POLY)
 RF_ZERO = _RF_ZERO
 RF_ONE = _RF_ONE
 RF_Q = RatFunc.q_power(1)
+
+
+class LaurentInt(RatFunc):
+    """Laurent polynomial over Z, built from {exponent: int coefficient}.
+
+    The value is stored as the RatFunc num/q^k (num(0) != 0 when k > 0), so
+    it inherits RatFunc's arithmetic, ==, hash, bar and render; results of
+    arithmetic are plain RatFunc values.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None):
+        cs = {int(e): int(c) for e, c in (coeffs or {}).items() if c}
+        if not cs:
+            super().__init__((), _ONE_POLY)
+            return
+        low = min(min(cs), 0)
+        num = [0] * (max(cs) - low + 1)
+        for e, c in cs.items():
+            num[e - low] = c
+        super().__init__(tuple(num), (0,) * -low + _ONE_POLY)
+
+    @classmethod
+    def _on(cls, num, den):
+        """The LaurentInt on the canonical tuples num/den, den == q^k."""
+        out = object.__new__(cls)
+        RatFunc.__init__(out, num, den)
+        return out
+
+    @classmethod
+    def from_int(cls, n):
+        return cls._on((n,) if n else (), _ONE_POLY)
+
+    @classmethod
+    def q_power(cls, k):
+        return cls({k: 1})
+
+    def at_one(self):
+        return sum(self.num)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +447,9 @@ def gauss_int(n, sign=1):
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if n == 0:
-        return LaurentInt({})
-    neg = n < 0
+    c = -1 if n < 0 else 1
     n = abs(n)
-    out = {n - 1 - 2 * k: 1 for k in range(n)}
-    lp = LaurentInt(out)
-    return -lp if neg else lp
+    return LaurentInt({n - 1 - 2 * k: c for k in range(n)})
 
 
 def gauss_factorial(n, sign=1):
@@ -542,9 +481,8 @@ def gauss_binomial(m, n, sign=1):
     n = min(n, m - n)
     num = RatFunc.from_int(1)
     for k in range(n):
-        num = num * RatFunc.from_laurent(gauss_int(m - k, sign))
-    den = RatFunc.from_laurent(gauss_factorial(n, sign))
-    quo = num / den
+        num = num * gauss_int(m - k, sign)
+    quo = num / gauss_factorial(n, sign)
     out = quo.as_laurent_int()
     if out is None:
         raise ArithmeticError("Gaussian binomial failed to be integral")
@@ -791,9 +729,7 @@ def evaluate_at_root(x, l):
     Raises DenominatorVanishes when x has a pole at eta.
     """
     _check_order(l)
-    if isinstance(x, LaurentInt):
-        x = RatFunc.from_laurent(x)
-    elif isinstance(x, int):
+    if isinstance(x, int):
         x = RatFunc.from_int(x)
     if not isinstance(x, RatFunc):
         raise TypeError("cannot specialize %r" % (x,))

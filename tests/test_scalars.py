@@ -94,6 +94,36 @@ def test_laurent_render():
     assert LaurentInt({-2: -2}).render() == "-2*q^-2"
 
 
+@RATFUNC_SETTINGS
+@given(laurents(), ratfuncs())
+def test_laurent_values_are_ratfunc_values(a, r):
+    ra = RatFunc.from_laurent(a)
+    assert isinstance(a, RatFunc)
+    assert a == ra and hash(a) == hash(ra)
+    assert len({a, ra}) == 1
+    assert a + r == r + a == ra + r
+    assert a - r == -(r - a) == ra - r
+    assert a * r == r * a == ra * r
+    assert a * Fraction(2, 3) == Fraction(2, 3) * a == ra * RatFunc.from_fraction(Fraction(2, 3))
+
+
+def test_laurent_mixes_with_ratfunc_and_fraction():
+    two = LaurentInt({0: 2})
+    assert isinstance(gauss_int(3), RatFunc)
+    assert hash(two) == hash(RatFunc.from_int(2))
+    assert len({two, RatFunc.from_int(2), LaurentInt.from_int(2)}) == 1
+    x = LaurentInt({1: 1})
+    assert (x + RF_Q).render() == (RF_Q + x).render() == "2*q"
+    assert (x * Fraction(1, 2)).render() == "1/2*q"
+    assert (x * Fraction(1, 2)).coeffs == {1: Fraction(1, 2)}
+    # as_laurent_int gives a LaurentInt back on the same tuples
+    y = (x * gauss_int(2)).as_laurent_int()
+    assert isinstance(y, LaurentInt) and y.coeffs == {2: 1, 0: 1}
+    assert y.at_one() == 2
+    with pytest.raises(ValueError):
+        (RF_ONE / (RF_Q + 1)).coeffs
+
+
 # -- RatFunc ----------------------------------------------------------------
 
 
