@@ -162,13 +162,18 @@ def _cmd_kac(args, alg):
     )
 
 
+def _module(alg, lam, kind, at_root=None):
+    """The Kac module, or the simple module, of highest weight lam; the
+    simple one over Q(q), or at q = eta for the root order at_root."""
+    if kind == "kac":
+        return repmod.kac_module(alg, lam)
+    if at_root is None:
+        return repmod.simple_head(repmod.kac_module(alg, lam))
+    return rootofunity.simple_at_root(alg, weight_to_z(alg.shape, lam), at_root)
+
+
 def _cmd_simple(args, alg):
-    lam = _parse_ints(args.lam, "--lambda")
-    if args.at_root is None:
-        mod = repmod.simple_head(repmod.kac_module(alg, lam))
-    else:
-        z = weight_to_z(alg.shape, lam)
-        mod = rootofunity.simple_at_root(alg, z, args.at_root)
+    mod = _module(alg, _parse_ints(args.lam, "--lambda"), "simple", args.at_root)
     return _emit(
         args,
         {"dim": mod.dim, "character": _character_json(mod.character())},
@@ -176,24 +181,13 @@ def _cmd_simple(args, alg):
 
 
 def _cmd_char(args, alg):
-    lam = _parse_ints(args.lam, "--lambda")
-    if args.module == "kac":
-        mod = repmod.kac_module(alg, lam)
-    elif args.at_root is not None:
-        mod = rootofunity.simple_at_root(alg, weight_to_z(alg.shape, lam), args.at_root)
-    else:
-        mod = repmod.simple_head(repmod.kac_module(alg, lam))
+    mod = _module(alg, _parse_ints(args.lam, "--lambda"), args.module, args.at_root)
     return _emit(args, {"character": _character_json(mod.character())})
 
 
 def _cmd_tensor(args, alg):
-    builders = {
-        "kac": lambda lam: repmod.kac_module(alg, lam),
-        "simple": lambda lam: repmod.simple_head(repmod.kac_module(alg, lam)),
-    }
-    build = builders[args.module]
-    m1 = build(_parse_ints(args.lam1, "--lambda1"))
-    m2 = build(_parse_ints(args.lam2, "--lambda2"))
+    m1 = _module(alg, _parse_ints(args.lam1, "--lambda1"), args.module)
+    m2 = _module(alg, _parse_ints(args.lam2, "--lambda2"), args.module)
     t = repmod.tensor_module(m1, m2)
     return _emit(
         args,

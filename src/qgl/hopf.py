@@ -183,12 +183,7 @@ class Hopf:
 
     def delta(self, elt):
         """The coproduct, a superalgebra map into the signed tensor square."""
-        return self.alg.apply_hom(
-            elt,
-            self._delta_atom,
-            target_one=TensorElement.one(self.alg),
-            target_mul=lambda x, y: x * y,
-        )
+        return self.alg.apply_hom(elt, self._delta_atom)
 
     def counit(self, elt):
         """The counit: kills E and F, sends every K-monomial to 1."""

@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists.  Field elements must support +, -, *,
 inverse(), is_zero(), ==; both the rational-function field and the
-cyclotomic fields qualify.
+cyclotomic fields qualify.  Echelon, an incremental reduced row echelon
+basis, is the one elimination routine: every rref goes through it.
 """
 
 
@@ -36,34 +37,57 @@ def mat_vec(a, v, zero):
     return out
 
 
+class Echelon:
+    """A row span in reduced row echelon form, grown one vector at a time.
+
+    rows[r] is one at column pivots[r] and zero at the other pivots, and
+    pivots ascend; the rows are unique to the span, whatever the order of
+    the vectors added.
+    """
+
+    def __init__(self, rows=()):
+        self.rows = []
+        self.pivots = []
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vec):
+        """vec minus the combination of rows that matches it on the pivot
+        columns; all zero iff vec lies in the span."""
+        v = list(vec)
+        for row, pc in zip(self.rows, self.pivots):
+            f = v[pc]
+            if not f.is_zero():
+                v = [a if b.is_zero() else a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        """Add vec to the span; returns its normalized row, or None when vec
+        already lies in the span."""
+        v = self.reduce(vec)
+        pc = next((c for c, x in enumerate(v) if not x.is_zero()), None)
+        if pc is None:
+            return None
+        inv = v[pc].inverse()
+        v = [x if x.is_zero() else x * inv for x in v]
+        for r, row in enumerate(self.rows):
+            f = row[pc]
+            if not f.is_zero():
+                self.rows[r] = [a if b.is_zero() else a - f * b for a, b in zip(row, v)]
+        at = sum(1 for p in self.pivots if p < pc)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pc)
+        return v
+
+
 def rref(rows, zero):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    ech = Echelon(rows)
+    return ech.rows, ech.pivots
 
 
 def rank(rows, zero):
-    return len(rref(rows, zero)[0])
+    return len(Echelon(rows).rows)
 
 
 def nullspace(rows, zero, one):
@@ -85,6 +109,4 @@ def nullspace(rows, zero, one):
 
 def in_span(rows, vec, zero):
     """True iff vec lies in the row span of rows."""
-    base = rref(rows, zero)[0]
-    aug = rref(base + [list(vec)], zero)[0]
-    return len(aug) == len(base)
+    return all(x.is_zero() for x in Echelon(rows).reduce(vec))

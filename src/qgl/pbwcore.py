@@ -816,42 +816,35 @@ class Algebra:
             return 0
         return shape.parity(atom[1], atom[2])
 
-    def apply_hom(self, elt, image, anti=False, graded=False, scalar_map=None,
-                  target_one=None, target_mul=None):
+    def apply_hom(self, elt, image, anti=False, graded=False, scalar_map=None):
         """Extend a map on simple generators to the whole algebra.
 
-        image(atom) must return a value in the target; the target's unit
-        and multiplication default to this algebra's.  With anti=True the
-        word is reversed; with graded=True the reversal carries the sign
-        (-1)^{number of transposed odd pairs}.
+        image(atom) must return a value in the target, a ring whose values
+        multiply with each other and by a RatFunc; image(K^0) is its unit.
+        With anti=True the word is reversed; with graded=True the reversal
+        carries the sign (-1)^{number of transposed odd pairs}.
         """
-        if target_one is None:
-            target_one = self.one()
-        if target_mul is None:
-            target_mul = lambda x, y: x * y
+        one = image(("K", (0,) * self.shape.rank))
         acc = None
         for key, coeff in elt.terms.items():
             for c, word in self.expand_monomial(key):
                 sign = 1
                 if anti:
                     if graded:
-                        ps = [self.atom_parity_of(self.shape, a) for a in word]
-                        odd = sum(ps)
+                        odd = sum(self.atom_parity_of(self.shape, a) for a in word)
                         if (odd * (odd - 1) // 2) % 2:
                             sign = -1
                     word = tuple(reversed(word))
                 total = coeff * c * sign
                 if scalar_map is not None:
                     total = scalar_map(total)
-                val = target_one
+                val = one
                 for atom in word:
-                    val = target_mul(val, image(atom))
-                val = val * total if not isinstance(val, Element) else val.scale(total)
+                    val = val * image(atom)
+                val = val * total
                 acc = val if acc is None else acc + val
         if acc is None:
-            # zero element: scale the unit by zero in the target
-            z = target_one * RF_ZERO if not isinstance(target_one, Element) else target_one.scale(RF_ZERO)
-            return z
+            return one * RF_ZERO
         return acc
 
     # -- integral form ------------------------------------------------------

@@ -21,8 +21,8 @@ generic q and (raising with the divided powers E^(l) too) at q = eta.
 
 import itertools
 
-from .errors import DomainError, NonDominant, NotHighestWeight
-from .linalg import in_span, mat_mul, mat_vec, nullspace, rref
+from .errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
+from .linalg import Echelon, mat_mul, mat_vec, nullspace, rref
 from .relations import MappedView, all_relations
 from .rootdata import (
     bilinear_form,
@@ -39,6 +39,10 @@ from .scalars import (
     gauss_factorial,
     gauss_int,
 )
+
+# The largest Kac module built: its dimension 2^(mn) * weyl_dim_even(lam)
+# is checked before any Gelfand-Tsetlin pattern is enumerated.
+_MAX_KAC_DIM = 512
 
 
 class WeightModule:
@@ -272,50 +276,30 @@ def submodule_closure(mod, vectors, keys=None):
     """rref basis of the submodule generated by the vectors.
 
     A worklist: every generator is applied once to each vector that joined
-    the span, and each image is reduced against the current rref rows.
+    the span.
     """
     zero = mod.field.zero
     if keys is None:
         keys = mod.action_keys()
     mats = [mod.mats[k] for k in keys]
-    basis, pivots = rref([list(v) for v in vectors], zero)
-    todo = list(basis)
+    span = Echelon(vectors)
+    todo = list(span.rows)
     while todo:
         v = todo.pop()
         for m in mats:
-            img = mat_vec(m, v, zero)
-            for row, pc in zip(basis, pivots):
-                f = img[pc]
-                if not f.is_zero():
-                    img = [a if b.is_zero() else a - f * b for a, b in zip(img, row)]
-            pc = next((c for c, x in enumerate(img) if not x.is_zero()), None)
-            if pc is None:
-                continue
-            inv = img[pc].inverse()
-            img = [x * inv for x in img]
-            for r, row in enumerate(basis):
-                f = row[pc]
-                if not f.is_zero():
-                    basis[r] = [a if b.is_zero() else a - f * b for a, b in zip(row, img)]
-            at = sum(1 for p in pivots if p < pc)
-            basis.insert(at, img)
-            pivots.insert(at, pc)
-            todo.append(img)
-    return basis
+            row = span.add(mat_vec(m, v, zero))
+            if row is not None:
+                todo.append(row)
+    return span.rows
 
 
 def quotient_module(mod, span_rows):
     """The quotient by the submodule spanned by the given (closed) rows."""
-    zero = mod.field.zero
-    red, pivots = rref(span_rows, zero)
-    keep = [c for c in range(mod.dim) if c not in pivots]
+    span = Echelon(span_rows)
+    keep = [c for c in range(mod.dim) if c not in span.pivots]
 
     def reduce_coords(vec):
-        v = list(vec)
-        for r, pc in enumerate(pivots):
-            if not v[pc].is_zero():
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, red[r])]
+        v = span.reduce(vec)
         return [v[c] for c in keep]
 
     new_mats = {}
@@ -328,7 +312,7 @@ def quotient_module(mod, span_rows):
         nz = [t for t, x in enumerate(tv) if not x.is_zero()]
         if nz:
             new_top = nz[0]
-    out = WeightModule(
+    return WeightModule(
         mod.alg,
         mod.field,
         [mod.eps_weights[c] for c in keep],
@@ -337,7 +321,6 @@ def quotient_module(mod, span_rows):
         top=new_top,
         l=mod.l,
     )
-    return out
 
 
 def singular_vectors(mod, include_divided=False, skip_top=True):
@@ -584,9 +567,14 @@ def simple_even_module(alg, lam):
 
 
 def kac_module(alg, lam):
-    """K(lam): induced from L0(lam) with the odd raising part acting by 0."""
+    """K(lam): induced from L0(lam) with the odd raising part acting by 0.
+    Its dimension is checked against _MAX_KAC_DIM before L0 is built."""
     sh = alg.shape
     lam = tuple(lam)
+    if len(lam) == sh.rank and in_Xplus(sh, lam):  # else simple_even_module says why
+        dim = kac_dimension_oracle(alg, lam)
+        if dim > _MAX_KAC_DIM:
+            raise ResourceLimit("Kac dimension %d is over the budget of %d" % (dim, _MAX_KAC_DIM))
     l0 = simple_even_module(alg, lam)
     n1 = len(alg.f1_list)
     dvecs = list(itertools.product((0, 1), repeat=n1))
@@ -721,7 +709,7 @@ def rebase_to_divided_monomials(mod, max_degree=None):
         max_degree = mod.dim + 1
     spaces = mod.weight_spaces()
     cols = []
-    space_rows = {}  # weight -> rref rows of the chosen vectors, on that weight space
+    spans = {wt: Echelon() for wt in spaces}  # the chosen vectors, per weight space
     deg = 0
     while len(cols) < mod.dim and deg <= max_degree:
         for d in itertools.product((0, 1), repeat=n1):
@@ -737,10 +725,7 @@ def rebase_to_divided_monomials(mod, max_degree=None):
                 if lead is None:
                     continue
                 wt = mod.eps_weights[lead]
-                rows = space_rows.get(wt, [])
-                trial = rref(rows + [[vec[r] for r in spaces[wt]]], zero)[0]
-                if len(trial) > len(rows):
-                    space_rows[wt] = trial
+                if spans[wt].add([vec[r] for r in spaces[wt]]) is not None:
                     cols.append(vec)
                     if len(cols) == mod.dim:
                         break
@@ -904,7 +889,7 @@ class VermaOracle:
         return rels
 
     def relation_span(self, degree):
-        """rref rows spanning the ideal slice in the given word degree."""
+        """The words of the given degree and an Echelon of the ideal slice."""
         hit = self._rel_spans.get(degree)
         if hit is not None:
             return hit
@@ -930,7 +915,7 @@ class VermaOracle:
                         for rword, c in rel.items():
                             row[pos[lw + rword + rw]] = c
                         rows.append(row)
-        hit = (slice_words, rref(rows, RF_ZERO)[0])
+        hit = (slice_words, Echelon(rows))
         self._rel_spans[degree] = hit
         return hit
 
@@ -945,6 +930,6 @@ class VermaOracle:
             row = [RF_ZERO] * len(slice_words)
             for w, c in comp.items():
                 row[pos[w]] = c
-            if not in_span(span, row, RF_ZERO):
+            if any(not x.is_zero() for x in span.reduce(row)):
                 return False
         return True

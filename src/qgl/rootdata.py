@@ -242,6 +242,8 @@ def frobenius_decompose(shape, z, l):
     the canonical total extension of the unique constrained split).
     """
     _check_order(l)
+    if len(z) != shape.rank:
+        raise DomainError("z length does not match shape")
     if not in_Zplus(shape, z):
         raise DomainError("z must be nonnegative at constrained indices")
     zp, zpp = [], []

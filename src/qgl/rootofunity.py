@@ -119,9 +119,7 @@ def restricted_simple(alg, z, l):
         raise DomainError("z length does not match shape")
     if not all(0 <= x < l for x in z):
         raise OutOfRestrictedRange("z must lie in [0, %d)^%d" % (l, alg.shape.rank))
-    lam = z_to_weight(alg.shape, z)
-    mod = specialize_kac(alg, lam, l)
-    return repmod.simple_head(mod, include_divided=True)
+    return simple_at_root(alg, z, l)
 
 
 def simple_at_root(alg, z, l):

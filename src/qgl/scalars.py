@@ -32,7 +32,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import sub
 
-from .errors import BadRootOrder, DenominatorVanishes
+from .errors import BadRootOrder, DenominatorVanishes, ResourceLimit
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Z: tuples of ints, ascending degree, no trailing
@@ -514,6 +514,7 @@ def kbracket_scalar(zval, c, t, sign=1):
 # ---------------------------------------------------------------------------
 
 _CYCLO_CACHE = {}
+_MAX_ROOT_ORDER = 10 ** 6  # the largest l whose Phi_l is built: 0.5 s, ~10**6 coefficients
 
 
 def _prime_factors(n):
@@ -538,6 +539,8 @@ def cyclotomic_poly(n):
     """
     if n in _CYCLO_CACHE:
         return _CYCLO_CACHE[n]
+    if n > _MAX_ROOT_ORDER:
+        raise ResourceLimit("root order %d is over the budget of %d" % (n, _MAX_ROOT_ORDER))
     ups, downs = [], []
     primes = _prime_factors(n)
     for mask in range(1 << len(primes)):

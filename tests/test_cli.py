@@ -158,6 +158,29 @@ def test_high_divided_power_is_fast():
     assert json.loads(proc.stdout)["element"]["terms"]
 
 
+OVER_BUDGET = [
+    # z of the wrong length for the shape
+    ["decompose-z", "--shape", "2,1", "--z", "1,2", "--l", "3"],
+    ["decompose-z", "--shape", "1,1", "--z", "1,2,3,4", "--l", "3"],
+    # Kac dimension 4 * 10^11: no pattern may be enumerated
+    ["kac", "--shape", "2,1", "--lambda=99999999999,0,0"],
+    ["simple", "--shape", "2,1", "--lambda=99999999999,0,0"],
+    # a root order whose cyclotomic polynomial would not fit in memory
+    ["simple", "--shape", "1,1", "--lambda=3,1", "--at-root", "99999999999"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET, ids=lambda a: " ".join(a[:3]))
+def test_bad_sizes_exit_cleanly_and_fast(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli"] + argv,
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("domain error")
+
+
 def test_braid_and_omega_roundtrip():
     code, out, _ = capture(
         ["braid", "--shape", "2,1", "-i", "1", "--emit", "text", "E[2,3]"]
