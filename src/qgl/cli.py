@@ -102,9 +102,9 @@ def _tensor_json(te):
 
 
 def _cmd_nf(args, alg):
-    elt = parse_element(args.expr, alg)
     if args.emit_ast:
         return _emit(args, {"ast": ast_to_json(parse(args.expr, alg.shape))})
+    elt = parse_element(args.expr, alg)
     return _emit(args, _element_payload(elt), lambda: print_canonical(elt))
 
 
@@ -304,7 +304,8 @@ def _build_parser():
 
     sp = add("nf", _cmd_nf, help="straighten an expression to normal form")
     sp.add_argument("expr")
-    sp.add_argument("--emit-ast", action="store_true", help="emit the parse tree instead")
+    sp.add_argument("--emit-ast", action="store_true",
+                    help="emit the parse tree instead, without evaluating it")
     sp = add("mul", _cmd_mul, help="multiply two expressions")
     sp.add_argument("expr1")
     sp.add_argument("expr2")

@@ -222,7 +222,7 @@ def _elt_pow(alg, elt, n):
         raise DomainError("negative power of a non-invertible element")
     ((key, coeff),) = elt.terms.items()
     u = alg.unit_monomial()
-    if (key.fd, key.fpsi, key.epsi, key.ed) != (u.fd, u.fpsi, u.epsi, u.ed):
+    if key._replace(k=u.k) != u:
         raise DomainError("negative power of a non-invertible element")
     inv = alg.k_mono(tuple(-x for x in key.k)).scale(coeff.inverse())
     return _elt_pow(alg, inv, -n) if n < -1 else inv
@@ -309,26 +309,18 @@ def _coeff_parts(coeff):
 
 
 def _mono_factors(alg, key):
+    def power(n):
+        return "" if n == 1 else "^%d" % n
+
     parts = []
-    for idx, (i, j) in enumerate(alg.f1_list):
-        if key.fd[idx]:
-            parts.append("F[%d,%d]" % (i, j))
-    for idx, (i, j) in enumerate(alg.f0_list):
-        n = key.fpsi[idx]
-        if n:
-            parts.append("F[%d,%d]" % (i, j) + ("" if n == 1 else "^%d" % n))
-    for i, e in enumerate(key.k, start=1):
-        if e > 0:
-            parts.append("K[%d]" % i + ("" if e == 1 else "^%d" % e))
-        elif e < 0:
-            parts.append("Kinv[%d]" % i + ("" if e == -1 else "^%d" % (-e)))
-    for idx, (i, j) in enumerate(alg.e0_list):
-        n = key.epsi[idx]
-        if n:
-            parts.append("E[%d,%d]" % (i, j) + ("" if n == 1 else "^%d" % n))
-    for idx, (i, j) in enumerate(alg.e1_list):
-        if key.ed[idx]:
-            parts.append("E[%d,%d]" % (i, j))
+    for atom in alg.mono_word(key):
+        if atom[0] == "K":
+            for i, e in enumerate(atom[1], start=1):
+                if e:
+                    parts.append("%s[%d]" % ("K" if e > 0 else "Kinv", i) + power(abs(e)))
+        else:
+            kind, i, j, n = atom
+            parts.append("%s[%d,%d]" % (kind, i, j) + power(n))
     return parts
 
 

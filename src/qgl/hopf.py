@@ -119,7 +119,7 @@ class TensorElement:
         return hash(frozenset((k, v) for k, v in self.terms.items()))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0].key(), kv[0][1].key()))
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def map_slot(self, f, slot):
         """Apply a linear map (Element -> Element) to one tensor slot."""
@@ -190,7 +190,7 @@ class Hopf:
         u = self.alg.unit_monomial()
         acc = RF_ZERO
         for key, coeff in elt.terms.items():
-            if (key.fd, key.fpsi, key.epsi, key.ed) == (u.fd, u.fpsi, u.epsi, u.ed):
+            if key._replace(k=u.k) == u:
                 acc = acc + coeff
         return acc
 
@@ -206,7 +206,7 @@ class Hopf:
                 return -(alg.gen("E", i, j) * alg.k_alpha(i, -1))
             return -(alg.k_alpha(i) * alg.gen("F", i, j))
 
-        return alg.apply_hom(elt, image, anti=True, graded=True)
+        return alg.apply_hom(elt, image, anti=True)
 
     # -- derived maps ----------------------------------------------------------
 

@@ -20,6 +20,15 @@ recursion, torus commutation, and the E-F crossing rules.  Lowering-side
 rules are obtained from raising-side rules through the anti-automorphism
 Omega (E <-> F, K -> K^-1, q -> q^-1).
 
+The PBW order lives in one place, the slot table ``Algebra.slots`` built by
+the constructor: one slot per root vector in PBW order, odd F (descending
+pairs), even F (descending), the torus slot, even E (ascending), odd E
+(ascending).  A slot is (field, index, kind, i, j): the PBWMonomial field
+that holds its exponent, the place within that field, and the root vector.
+Reading monomials as words, words as monomials, weights, printing and the
+straightening order (a pair is reducible when its left atom's slot is not
+before its right atom's) all go through that table.
+
 Each algebra caches the replacement of every reducible pair of atoms it
 meets.  A crossing pair (an E atom followed by an F atom) is cached as its
 full normal form, not as one rewrite step: crossing a composite F expands
@@ -28,6 +37,8 @@ tree of mostly cancelling rewrites runs once per pair and algebra.
 One step budget (_MAX_STEPS) bounds a top-level straightening together
 with the pair resolutions it opens.
 """
+
+from collections import namedtuple
 
 from .errors import (
     DomainError,
@@ -49,6 +60,9 @@ _MAX_STEPS = 5_000_000
 # crossing pairs whose normal forms may be under construction at once; a
 # deeper pair keeps its one-step rewrite, which bounds the recursion
 _MAX_NESTING = 100
+# largest t of a torus bracket [K;c;t] built, directly or as a K-exponent
+# coordinate; the tests and the benchmark workloads use t <= 4
+_MAX_BRACKET = 8
 
 
 class _Budget:
@@ -62,43 +76,15 @@ class _Budget:
         self.depth = 0
 
 
-def _e_key(shape, i, j):
-    return (shape.parity(i, j), i, j)
+class PBWMonomial(namedtuple("PBWMonomial", "fd fpsi k epsi ed")):
+    """Canonical key of one PBW basis word: the exponents of its odd F, even
+    F, torus, even E and odd E blocks.  Equality, hash and order are those
+    of the tuple ``key()``."""
 
-
-def _f_key(shape, i, j):
-    return (1 - shape.parity(i, j), -i, -j)
-
-
-class PBWMonomial:
-    """Canonical key of one PBW basis word (value semantics via tuples)."""
-
-    __slots__ = ("fd", "fpsi", "k", "epsi", "ed")
-
-    def __init__(self, fd, fpsi, k, epsi, ed):
-        object.__setattr__(self, "fd", fd)
-        object.__setattr__(self, "fpsi", fpsi)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "epsi", epsi)
-        object.__setattr__(self, "ed", ed)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PBWMonomial is immutable")
+    __slots__ = ()
 
     def key(self):
-        return (self.fd, self.fpsi, self.k, self.epsi, self.ed)
-
-    def __eq__(self, other):
-        return isinstance(other, PBWMonomial) and self.key() == other.key()
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "PBWMonomial%r" % (self.key(),)
+        return tuple(self)
 
 
 class Element:
@@ -218,7 +204,7 @@ class Element:
         return p if p is not None else 0
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].key())
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
         if not self.terms:
@@ -242,10 +228,33 @@ class Algebra:
         self.e1_list = list(shape.I1)
         self.f1_list = sorted(shape.I1, reverse=True)
         self.f0_list = sorted(shape.I0, reverse=True)
-        self._e0_idx = {p: i for i, p in enumerate(self.e0_list)}
-        self._e1_idx = {p: i for i, p in enumerate(self.e1_list)}
-        self._f0_idx = {p: i for i, p in enumerate(self.f0_list)}
-        self._f1_idx = {p: i for i, p in enumerate(self.f1_list)}
+        # the slot table: (field, index, kind, i, j) in PBW order, field being
+        # the position of the block in PBWMonomial
+        blocks = (
+            ("F", self.f1_list),
+            ("F", self.f0_list),
+            ("K", [(None, None)]),
+            ("E", self.e0_list),
+            ("E", self.e1_list),
+        )
+        self.slots = [
+            (field, index, kind, i, j)
+            for field, (kind, pairs) in enumerate(blocks)
+            for index, (i, j) in enumerate(pairs)
+        ]
+        self._torus_pos = [kind for _, _, kind, _, _ in self.slots].index("K")
+        self._slot_of = {
+            (kind, i, j): (field, index, pos)
+            for pos, (field, index, kind, i, j) in enumerate(self.slots)
+            if kind != "K"
+        }
+        self._unit = PBWMonomial(
+            (0,) * len(self.f1_list),
+            (0,) * len(self.f0_list),
+            (0,) * shape.rank,
+            (0,) * len(self.e0_list),
+            (0,) * len(self.e1_list),
+        )
         self._pair_cache = {}
         self._prod_cache = {}
         self._expand_cache = {}
@@ -265,14 +274,7 @@ class Algebra:
         return Element(self, {})
 
     def unit_monomial(self):
-        r = self.shape.rank
-        return PBWMonomial(
-            (0,) * len(self.f1_list),
-            (0,) * len(self.f0_list),
-            (0,) * r,
-            (0,) * len(self.e0_list),
-            (0,) * len(self.e1_list),
-        )
+        return self._unit
 
     def one(self):
         return Element(self, {self.unit_monomial(): RF_ONE})
@@ -295,8 +297,7 @@ class Algebra:
         mu = tuple(int(x) for x in mu)
         if len(mu) != self.shape.rank:
             raise DomainError("torus exponent length mismatch")
-        u = self.unit_monomial()
-        return Element(self, {PBWMonomial(u.fd, u.fpsi, mu, u.epsi, u.ed): RF_ONE})
+        return Element(self, {self._unit._replace(k=mu): RF_ONE})
 
     def k_alpha(self, i, exp=1):
         vec = self.shape.k_alpha_vector(i)
@@ -306,35 +307,14 @@ class Algebra:
         kind, i, j, n = atom
         if n == 0:
             return self.one()
-        par = self.shape.parity(i, j)
-        if par and n >= 2:
+        if self.shape.parity(i, j) and n >= 2:
             return self.zero()
-        u = self.unit_monomial()
-        if kind == "E":
-            if par:
-                ed = list(u.ed)
-                ed[self.e1_list.index((i, j))] = n
-                return Element(self, {PBWMonomial(u.fd, u.fpsi, u.k, u.epsi, tuple(ed)): RF_ONE})
-            epsi = list(u.epsi)
-            epsi[self.e0_list.index((i, j))] = n
-            return Element(self, {PBWMonomial(u.fd, u.fpsi, u.k, tuple(epsi), u.ed): RF_ONE})
-        if par:
-            fd = list(u.fd)
-            fd[self.f1_list.index((i, j))] = n
-            return Element(self, {PBWMonomial(tuple(fd), u.fpsi, u.k, u.epsi, u.ed): RF_ONE})
-        fpsi = list(u.fpsi)
-        fpsi[self.f0_list.index((i, j))] = n
-        return Element(self, {PBWMonomial(u.fd, tuple(fpsi), u.k, u.epsi, u.ed): RF_ONE})
+        return Element(self, {self.word_to_monomial((atom,)): RF_ONE})
 
-    def monomial(self, fd=None, fpsi=None, k=None, epsi=None, ed=None):
-        u = self.unit_monomial()
-        key = PBWMonomial(
-            tuple(fd) if fd is not None else u.fd,
-            tuple(fpsi) if fpsi is not None else u.fpsi,
-            tuple(k) if k is not None else u.k,
-            tuple(epsi) if epsi is not None else u.epsi,
-            tuple(ed) if ed is not None else u.ed,
-        )
+    def monomial(self, **blocks):
+        """The basis element with the given blocks (fd, fpsi, k, epsi, ed);
+        the blocks not given are zero."""
+        key = self._unit._replace(**{f: tuple(v) for f, v in blocks.items()})
         return Element(self, {key: RF_ONE})
 
     def divided_power(self, kind, i, j, n):
@@ -356,6 +336,8 @@ class Algebra:
         self.shape.check_node(i)
         if t < 0:
             raise DomainError("t must be nonnegative")
+        if t > _MAX_BRACKET:
+            raise ResourceLimit("bracket [K;c;t] with t = %d above %d" % (t, _MAX_BRACKET))
         out = self.one()
         for s in range(1, t + 1):
             a = c - s + 1
@@ -369,66 +351,36 @@ class Algebra:
     # -- monomial <-> word --------------------------------------------------
 
     def mono_word(self, key):
+        """The monomial's word: one atom per nonzero slot, in PBW order."""
         w = []
-        for idx, (i, j) in enumerate(self.f1_list):
-            if key.fd[idx]:
-                w.append(("F", i, j, key.fd[idx]))
-        for idx, (i, j) in enumerate(self.f0_list):
-            if key.fpsi[idx]:
-                w.append(("F", i, j, key.fpsi[idx]))
-        if any(key.k):
-            w.append(("K", key.k))
-        for idx, (i, j) in enumerate(self.e0_list):
-            if key.epsi[idx]:
-                w.append(("E", i, j, key.epsi[idx]))
-        for idx, (i, j) in enumerate(self.e1_list):
-            if key.ed[idx]:
-                w.append(("E", i, j, key.ed[idx]))
+        for field, index, kind, i, j in self.slots:
+            if kind == "K":
+                if any(key.k):
+                    w.append(("K", key.k))
+            elif key[field][index]:
+                w.append((kind, i, j, key[field][index]))
         return tuple(w)
 
     def word_to_monomial(self, word):
-        fd = [0] * len(self.f1_list)
-        fpsi = [0] * len(self.f0_list)
-        k = [0] * self.shape.rank
-        epsi = [0] * len(self.e0_list)
-        ed = [0] * len(self.e1_list)
+        """The monomial of a word in PBW order; atoms in one slot add up."""
+        blocks = [list(b) for b in self._unit]
         for atom in word:
             if atom[0] == "K":
-                for idx, x in enumerate(atom[1]):
-                    k[idx] += x
-            elif atom[0] == "E":
-                _, i, j, n = atom
-                if self.shape.parity(i, j):
-                    ed[self._e1_idx[(i, j)]] += n
-                else:
-                    epsi[self._e0_idx[(i, j)]] += n
+                blocks[2] = [a + b for a, b in zip(blocks[2], atom[1])]
             else:
-                _, i, j, n = atom
-                if self.shape.parity(i, j):
-                    fd[self._f1_idx[(i, j)]] += n
-                else:
-                    fpsi[self._f0_idx[(i, j)]] += n
-        return PBWMonomial(tuple(fd), tuple(fpsi), tuple(k), tuple(epsi), tuple(ed))
+                field, index, _ = self._slot_of[atom[:3]]
+                blocks[field][index] += atom[3]
+        return PBWMonomial._make(map(tuple, blocks))
 
     def monomial_weight(self, key):
-        r = self.shape.rank
-        w = [0] * r
-        for idx, (i, j) in enumerate(self.f1_list):
-            if key.fd[idx]:
-                w[i - 1] -= key.fd[idx]
-                w[j - 1] += key.fd[idx]
-        for idx, (i, j) in enumerate(self.f0_list):
-            if key.fpsi[idx]:
-                w[i - 1] -= key.fpsi[idx]
-                w[j - 1] += key.fpsi[idx]
-        for idx, (i, j) in enumerate(self.e0_list):
-            if key.epsi[idx]:
-                w[i - 1] += key.epsi[idx]
-                w[j - 1] -= key.epsi[idx]
-        for idx, (i, j) in enumerate(self.e1_list):
-            if key.ed[idx]:
-                w[i - 1] += key.ed[idx]
-                w[j - 1] -= key.ed[idx]
+        w = [0] * self.shape.rank
+        for atom in self.mono_word(key):
+            if atom[0] != "K":
+                kind, i, j, n = atom
+                if kind == "F":
+                    n = -n
+                w[i - 1] += n
+                w[j - 1] -= n
         return tuple(w)
 
     def monomial_parity(self, key):
@@ -436,29 +388,13 @@ class Algebra:
 
     # -- straightening ------------------------------------------------------
 
-    @staticmethod
-    def _zone(atom):
-        return 0 if atom[0] == "F" else (1 if atom[0] == "K" else 2)
+    def _position(self, atom):
+        """The atom's place in the PBW order: its slot's, or the torus slot."""
+        return self._torus_pos if atom[0] == "K" else self._slot_of[atom[:3]][2]
 
     def _reducible(self, left, right):
-        zl, zr = self._zone(left), self._zone(right)
-        if zl > zr:
-            return True
-        if zl != zr:
-            return False
-        if zl == 1:
-            return True  # merge torus monomials
-        if zl == 2:
-            if (left[1], left[2]) == (right[1], right[2]):
-                return True
-            return _e_key(self.shape, left[1], left[2]) > _e_key(
-                self.shape, right[1], right[2]
-            )
-        if (left[1], left[2]) == (right[1], right[2]):
-            return True
-        return _f_key(self.shape, left[1], left[2]) > _f_key(
-            self.shape, right[1], right[2]
-        )
+        # equal positions: the same root vector twice, or two torus atoms; both merge
+        return self._position(left) >= self._position(right)
 
     def straighten(self, terms):
         """Reduce (coeff, word) pairs to a canonical monomial->coeff map."""
@@ -530,29 +466,29 @@ class Algebra:
         return hit
 
     def _resolve_uncached(self, left, right):
-        zl, zr = self._zone(left), self._zone(right)
-        if zl == 1 and zr == 1:
+        kinds = left[0] + right[0]
+        if kinds == "KK":
             merged = tuple(a + b for a, b in zip(left[1], right[1]))
             if any(merged):
                 return [(RF_ONE, (("K", merged),))]
             return [(RF_ONE, ())]
-        if zl == 2 and zr == 1:
+        if kinds == "EK":
             # E K -> q^{-n (mu, eps_i - eps_j)} K E
             _, i, j, n = left
             mu = right[1]
             e = -n * bilinear_form(self.shape, mu, self.shape.root_weight(i, j))
             return [(RatFunc.q_power(e), (right, left))]
-        if zl == 1 and zr == 0:
+        if kinds == "KF":
             # K F -> q^{-n (mu, eps_s - eps_t)} F K
             _, s, t, n = right
             mu = left[1]
             e = -n * bilinear_form(self.shape, mu, self.shape.root_weight(s, t))
             return [(RatFunc.q_power(e), (right, left))]
-        if zl == 2 and zr == 2:
+        if kinds == "EE":
             return self._resolve_ee(left, right)
-        if zl == 0 and zr == 0:
+        if kinds == "FF":
             return self._resolve_ff(left, right)
-        if zl == 2 and zr == 0:
+        if kinds == "EF":
             return self._resolve_ef(left, right)
         raise AssertionError("unexpected pair %r %r" % (left, right))
 
@@ -750,7 +686,6 @@ class Algebra:
             elt,
             image,
             anti=True,
-            graded=True,
             scalar_map=lambda c: c.bar(),
         )
 
@@ -816,13 +751,13 @@ class Algebra:
             return 0
         return shape.parity(atom[1], atom[2])
 
-    def apply_hom(self, elt, image, anti=False, graded=False, scalar_map=None):
+    def apply_hom(self, elt, image, anti=False, scalar_map=None):
         """Extend a map on simple generators to the whole algebra.
 
         image(atom) must return a value in the target, a ring whose values
         multiply with each other and by a RatFunc; image(K^0) is its unit.
-        With anti=True the word is reversed; with graded=True the reversal
-        carries the sign (-1)^{number of transposed odd pairs}.
+        With anti=True the map is a graded anti-homomorphism: the word is
+        reversed with the sign (-1)^{number of transposed odd pairs}.
         """
         one = image(("K", (0,) * self.shape.rank))
         acc = None
@@ -830,10 +765,9 @@ class Algebra:
             for c, word in self.expand_monomial(key):
                 sign = 1
                 if anti:
-                    if graded:
-                        odd = sum(self.atom_parity_of(self.shape, a) for a in word)
-                        if (odd * (odd - 1) // 2) % 2:
-                            sign = -1
+                    odd = sum(self.atom_parity_of(self.shape, a) for a in word)
+                    if (odd * (odd - 1) // 2) % 2:
+                        sign = -1
                     word = tuple(reversed(word))
                 total = coeff * c * sign
                 if scalar_map is not None:
@@ -867,8 +801,12 @@ class Algebra:
     def k_exponent_coords(self, i, nu):
         """Coordinates of K_{alpha_i}^nu in the basis {K^delta [K;0;t]}.
 
-        Returns {(delta, t): RatFunc}.
+        Returns {(delta, t): RatFunc}; the basis has brackets up to t = |nu|.
         """
+        if abs(nu) > _MAX_BRACKET:
+            raise ResourceLimit(
+                "K-exponent %d needs brackets [K;0;t] above t = %d" % (nu, _MAX_BRACKET)
+            )
         sign = self.q_sign(i)
         key = (sign, nu)
         hit = self._kconv_cache.get(key)
@@ -909,10 +847,8 @@ class Algebra:
         out = {}
         for key, coeff in elt.terms.items():
             c = coeff
-            for idx, (i, j) in enumerate(self.f0_list):
-                c = c * gauss_factorial(key.fpsi[idx])
-            for idx, (i, j) in enumerate(self.e0_list):
-                c = c * gauss_factorial(key.epsi[idx])
+            for n in key.fpsi + key.epsi:
+                c = c * gauss_factorial(n)
             # K_mu = prod_i K_{alpha_i}^{nu_i}, nu = prefix sums of mu
             nu = []
             acc = 0

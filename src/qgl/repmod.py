@@ -691,7 +691,7 @@ def trivial_module(alg, field=None):
     return WeightModule(alg, field, [tuple([0] * alg.shape.rank)], [0], mats, top=0)
 
 
-def rebase_to_divided_monomials(mod, max_degree=None):
+def rebase_to_divided_monomials(mod):
     """Re-coordinatize a generic highest-weight module on the lattice basis
     of divided-power lowering monomials applied to the top vector.
 
@@ -705,13 +705,11 @@ def rebase_to_divided_monomials(mod, max_degree=None):
     zero = mod.field.zero
     n1, n0 = len(alg.f1_list), len(alg.f0_list)
     top_v = mod.unit_vector(mod.top)
-    if max_degree is None:
-        max_degree = mod.dim + 1
     spaces = mod.weight_spaces()
     cols = []
     spans = {wt: Echelon() for wt in spaces}  # the chosen vectors, per weight space
     deg = 0
-    while len(cols) < mod.dim and deg <= max_degree:
+    while len(cols) < mod.dim and deg <= mod.dim + 1:
         for d in itertools.product((0, 1), repeat=n1):
             for psi in itertools.product(range(deg + 1), repeat=n0):
                 if sum(d) + sum(psi) != deg:

@@ -91,18 +91,17 @@ def specialize_module(mod, l):
     )
 
 
-def specialize_kac(alg, lam, l, with_divided=True):
+def specialize_kac(alg, lam, l):
     """The Kac module at q = eta, with the divided powers X^{(l)} of the
     even simple root vectors carried along."""
     _check_order(l)
     mod = repmod.kac_module(alg, lam)
     mod = repmod.rebase_to_divided_monomials(mod)
-    if with_divided:
-        for i in range(1, alg.shape.rank):
-            if i == alg.shape.m:
-                continue
-            mod.ensure_divided("E", i, i + 1, l)
-            mod.ensure_divided("F", i, i + 1, l)
+    for i in range(1, alg.shape.rank):
+        if i == alg.shape.m:
+            continue
+        mod.ensure_divided("E", i, i + 1, l)
+        mod.ensure_divided("F", i, i + 1, l)
     return specialize_module(mod, l)
 
 

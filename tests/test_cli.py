@@ -167,6 +167,12 @@ OVER_BUDGET = [
     ["simple", "--shape", "2,1", "--lambda=99999999999,0,0"],
     # a root order whose cyclotomic polynomial would not fit in memory
     ["simple", "--shape", "1,1", "--lambda=3,1", "--at-root", "99999999999"],
+    # torus brackets [K;c;t] above t = pbwcore._MAX_BRACKET, built directly or
+    # as the K-exponent coordinates of K_{alpha_1}^10 and ^20
+    ["nf", "Kb[1;0;20]", "--shape", "1,1"],
+    ["nf", "Kb[1;0;30]", "--shape", "1,1"],
+    ["specialize", "K[1]^10", "--shape", "1,1", "-l", "3"],
+    ["specialize", "K[1]^20", "--shape", "1,1", "-l", "3"],
 ]
 
 
@@ -179,6 +185,25 @@ def test_bad_sizes_exit_cleanly_and_fast(argv):
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("domain error")
+
+
+def test_emit_ast_parses_without_evaluating():
+    # a quotient by a non-scalar has a parse tree but no value
+    code, out, _ = capture(["nf", "--shape", "2,1", "--emit-ast", "E[1,2]/E[1,2]"])
+    assert code == 0
+    (item,) = json.loads(out)["ast"]["sum"]
+    assert [f["op"] for f in item["term"]["product"]] == ["*", "/"]
+    # the value of E^(400) would divide by [400]!, 79 801 coefficients
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "nf", "--shape", "2,1", "--emit-ast", "E[1,2]^(400)"],
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert proc.returncode == 0
+    (item,) = json.loads(proc.stdout)["ast"]["sum"]
+    assert item["term"]["product"] == [
+        {"op": "*", "factor": {"divided_power": {"gen": "E", "indices": [1, 2]}, "n": 400}}
+    ]
 
 
 def test_braid_and_omega_roundtrip():

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgl import pbwcore, relations
 from qgl.errors import NotIntegral, OddPowerTooHigh, ResourceLimit
@@ -407,3 +408,103 @@ def test_a_form_accepts_quantum_integer_scalars():
     ((_, coeff),) = coords.items()
     # E^1 = [1]! E^(1), so the [2]! survives as the coefficient
     assert coeff == gauss_factorial(2)
+
+
+# -- the PBW order ------------------------------------------------------------
+# The order as it was written out by hand before the slot table, kept as the
+# reference: F before K before E; odd F first, pairs descending; even E
+# first, pairs ascending; the same root vector twice, or two torus atoms,
+# merge.
+
+ORDER_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
+
+
+def _ref_zone(atom):
+    return 0 if atom[0] == "F" else (1 if atom[0] == "K" else 2)
+
+
+def _ref_e_key(shape, i, j):
+    return (shape.parity(i, j), i, j)
+
+
+def _ref_f_key(shape, i, j):
+    return (1 - shape.parity(i, j), -i, -j)
+
+
+def _ref_reducible(shape, left, right):
+    zl, zr = _ref_zone(left), _ref_zone(right)
+    if zl != zr:
+        return zl > zr
+    if zl == 1 or (left[1], left[2]) == (right[1], right[2]):
+        return True
+    key = _ref_e_key if zl == 2 else _ref_f_key
+    return key(shape, left[1], left[2]) > key(shape, right[1], right[2])
+
+
+def _ref_weight(alg, key):
+    w = [0] * alg.shape.rank
+    blocks = [
+        (alg.f1_list, key.fd, -1),
+        (alg.f0_list, key.fpsi, -1),
+        (alg.e0_list, key.epsi, 1),
+        (alg.e1_list, key.ed, 1),
+    ]
+    for pairs, exps, sign in blocks:
+        for (i, j), n in zip(pairs, exps):
+            w[i - 1] += sign * n
+            w[j - 1] -= sign * n
+    return tuple(w)
+
+
+@pytest.mark.parametrize("shape", ORDER_SHAPES)
+def test_reducible_matches_the_reference_order(shape):
+    alg = Algebra(shape)
+    sh = alg.shape
+    atoms = [
+        (kind, i, j, n)
+        for kind in ("E", "F")
+        for (i, j) in list(sh.I0) + list(sh.I1)
+        for n in (1, 2)
+    ]
+    atoms += [("K", tuple(1 if x == 0 else 0 for x in range(sh.rank))),
+              ("K", tuple(-1 if x == sh.rank - 1 else 0 for x in range(sh.rank)))]
+    for left, right in itertools.product(atoms, repeat=2):
+        assert alg._reducible(left, right) == _ref_reducible(sh, left, right), (left, right)
+
+
+ORDER_ALGEBRAS = {s: Algebra(s) for s in ORDER_SHAPES}
+
+
+@st.composite
+def pbw_keys(draw, alg):
+    def block(size, lo, hi):
+        return tuple(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
+
+    return PBWMonomial(
+        block(len(alg.f1_list), 0, 1),
+        block(len(alg.f0_list), 0, 3),
+        block(alg.shape.rank, -3, 3),
+        block(len(alg.e0_list), 0, 3),
+        block(len(alg.e1_list), 0, 1),
+    )
+
+
+@st.composite
+def algebra_and_keys(draw):
+    alg = ORDER_ALGEBRAS[draw(st.sampled_from(ORDER_SHAPES))]
+    return alg, draw(st.lists(pbw_keys(alg), min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_and_keys())
+def test_monomial_words_follow_the_reference_order(case):
+    alg, keys = case
+    for key in keys:
+        word = alg.mono_word(key)
+        assert alg.word_to_monomial(word) == key
+        assert not any(_ref_reducible(alg.shape, a, b) for a, b in zip(word, word[1:])), word
+        assert alg.monomial_weight(key) == _ref_weight(alg, key)
+        assert hash(key) == hash(key.key())
+        assert key == PBWMonomial(*key.key())
+    assert [k.key() for k in sorted(keys)] == sorted(k.key() for k in keys)
+    assert len(set(keys)) == len({k.key() for k in keys})
