@@ -15,7 +15,6 @@ avoid the odd node.
 """
 
 from .errors import BraidAtOddNode
-from .relations import MappedView
 
 
 def _check_even_node(shape, i):
@@ -96,6 +95,9 @@ def root_vector_via_braid(alg, kind, i, j):
 
 def BraidView(alg, i, inverse=False):
     """The algebra seen through T_i or T_i^{-1} (see ``relations.MappedView``)."""
+    # the catalog is loaded only where a relation check runs
+    from .relations import MappedView
+
     _check_even_node(alg.shape, i)
     op = braid_t_inv if inverse else braid_t
     return MappedView(alg, lambda elt: op(alg, i, elt))

@@ -4,19 +4,21 @@ Every subcommand prints a single JSON document (or a plain-text rendering
 with --emit text) and exits 0 on success, 2 on a syntax/usage error, 3 on
 a domain error, and 4 when the self-test battery fails.  Identical
 arguments, seed, and configuration produce byte-identical output.
+
+Each handler imports the layers it calls when it runs, so a one-shot
+command loads only those, and only the handlers that use an Algebra build
+one.  The parser (``expr``, which imports only ``errors``) is the one
+exception, imported here for every command: the benchmark's own test
+(``bench/test_bench.py``) checks that its tracer rebinds
+``cli.parse_element``.
 """
 
 import argparse
 import json
-import random
 import sys
 
-from . import relations, repmod, rootofunity
-from .braid import braid_t, braid_t_inv
 from .errors import DomainError, ExprSyntaxError
 from .expr import ast_to_json, element_to_json, parse, parse_element, print_canonical
-from .hopf import Hopf
-from .pbwcore import Algebra, Element
 from .rootdata import (
     Shape,
     frobenius_decompose,
@@ -24,7 +26,6 @@ from .rootdata import (
     p_factor,
     weight_to_z,
 )
-from .scalars import RF_ONE
 
 
 def _parse_ints(text, what):
@@ -73,8 +74,14 @@ def _emit(args, payload, text_fn=None):
     return 0
 
 
-def _element_payload(elt):
-    return {"element": element_to_json(elt)}
+def _algebra(shape):
+    from .pbwcore import Algebra
+
+    return Algebra(shape)
+
+
+def _emit_element(args, elt):
+    return _emit(args, {"element": element_to_json(elt)}, lambda: print_canonical(elt))
 
 
 def _character_json(char):
@@ -84,6 +91,9 @@ def _character_json(char):
 
 
 def _tensor_json(te):
+    from .pbwcore import Element
+    from .scalars import RF_ONE
+
     out = []
     for (a, b), coeff in te.sorted_terms():
         ea = element_to_json(Element(te.alg, {a: RF_ONE}))
@@ -101,62 +111,69 @@ def _tensor_json(te):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_nf(args, alg):
+def _cmd_nf(args, shape):
     if args.emit_ast:
-        return _emit(args, {"ast": ast_to_json(parse(args.expr, alg.shape))})
-    elt = parse_element(args.expr, alg)
-    return _emit(args, _element_payload(elt), lambda: print_canonical(elt))
+        return _emit(args, {"ast": ast_to_json(parse(args.expr, shape))})
+    return _emit_element(args, parse_element(args.expr, _algebra(shape)))
 
 
-def _cmd_mul(args, alg):
+def _cmd_mul(args, shape):
+    alg = _algebra(shape)
     a = parse_element(args.expr1, alg)
     b = parse_element(args.expr2, alg)
-    out = a * b
-    return _emit(args, _element_payload(out), lambda: print_canonical(out))
+    return _emit_element(args, a * b)
 
 
-def _cmd_delta(args, alg):
+def _cmd_delta(args, shape):
+    from .hopf import Hopf
+
+    alg = _algebra(shape)
     te = Hopf(alg).delta(parse_element(args.expr, alg))
     return _emit(args, {"tensor_terms": _tensor_json(te)})
 
 
-def _cmd_antipode(args, alg):
-    out = Hopf(alg).antipode(parse_element(args.expr, alg))
-    return _emit(args, _element_payload(out), lambda: print_canonical(out))
+def _cmd_antipode(args, shape):
+    from .hopf import Hopf
+
+    alg = _algebra(shape)
+    return _emit_element(args, Hopf(alg).antipode(parse_element(args.expr, alg)))
 
 
-def _cmd_counit(args, alg):
+def _cmd_counit(args, shape):
+    from .hopf import Hopf
+
+    alg = _algebra(shape)
     val = Hopf(alg).counit(parse_element(args.expr, alg))
     return _emit(args, {"counit": val.render()}, lambda: val.render())
 
 
-def _cmd_omega(args, alg):
-    out = parse_element(args.expr, alg).omega()
-    return _emit(args, _element_payload(out), lambda: print_canonical(out))
+def _cmd_omega(args, shape):
+    return _emit_element(args, parse_element(args.expr, _algebra(shape)).omega())
 
 
-def _cmd_braid(args, alg):
+def _cmd_braid(args, shape):
+    from .braid import braid_t, braid_t_inv
+
+    alg = _algebra(shape)
     op = braid_t_inv if args.inverse else braid_t
-    out = op(alg, args.node, parse_element(args.expr, alg))
-    return _emit(args, _element_payload(out), lambda: print_canonical(out))
+    return _emit_element(args, op(alg, args.node, parse_element(args.expr, alg)))
 
 
-def _cmd_typical(args, alg):
+def _cmd_typical(args, shape):
     lam = _parse_ints(args.lam, "--lambda")
-    return _emit(
-        args,
-        {"typical": is_typical(alg.shape, lam), "P": p_factor(alg.shape, lam)},
-    )
+    return _emit(args, {"typical": is_typical(shape, lam), "P": p_factor(shape, lam)})
 
 
-def _cmd_kac(args, alg):
+def _cmd_kac(args, shape):
+    from .repmod import kac_module
+
     lam = _parse_ints(args.lam, "--lambda")
-    mod = repmod.kac_module(alg, lam)
+    mod = kac_module(_algebra(shape), lam)
     return _emit(
         args,
         {
             "dim": mod.dim,
-            "dim_even": mod.dim // (2 ** (alg.shape.m * alg.shape.n)),
+            "dim_even": mod.dim // (2 ** (shape.m * shape.n)),
             "character": _character_json(mod.character()),
         },
     )
@@ -165,39 +182,49 @@ def _cmd_kac(args, alg):
 def _module(alg, lam, kind, at_root=None):
     """The Kac module, or the simple module, of highest weight lam; the
     simple one over Q(q), or at q = eta for the root order at_root."""
+    if at_root is not None and kind != "kac":
+        from .rootofunity import simple_at_root
+
+        return simple_at_root(alg, weight_to_z(alg.shape, lam), at_root)
+    from .repmod import kac_module, simple_head
+
     if kind == "kac":
-        return repmod.kac_module(alg, lam)
-    if at_root is None:
-        return repmod.simple_head(repmod.kac_module(alg, lam))
-    return rootofunity.simple_at_root(alg, weight_to_z(alg.shape, lam), at_root)
+        return kac_module(alg, lam)
+    return simple_head(kac_module(alg, lam))
 
 
-def _cmd_simple(args, alg):
-    mod = _module(alg, _parse_ints(args.lam, "--lambda"), "simple", args.at_root)
+def _cmd_simple(args, shape):
+    mod = _module(_algebra(shape), _parse_ints(args.lam, "--lambda"), "simple", args.at_root)
     return _emit(
         args,
         {"dim": mod.dim, "character": _character_json(mod.character())},
     )
 
 
-def _cmd_char(args, alg):
-    mod = _module(alg, _parse_ints(args.lam, "--lambda"), args.module, args.at_root)
+def _cmd_char(args, shape):
+    mod = _module(_algebra(shape), _parse_ints(args.lam, "--lambda"), args.module, args.at_root)
     return _emit(args, {"character": _character_json(mod.character())})
 
 
-def _cmd_tensor(args, alg):
+def _cmd_tensor(args, shape):
+    from .repmod import tensor_module
+
+    alg = _algebra(shape)
     m1 = _module(alg, _parse_ints(args.lam1, "--lambda1"), args.module)
     m2 = _module(alg, _parse_ints(args.lam2, "--lambda2"), args.module)
-    t = repmod.tensor_module(m1, m2)
+    t = tensor_module(m1, m2)
     return _emit(
         args,
         {"dim": t.dim, "character": _character_json(t.character())},
     )
 
 
-def _cmd_specialize(args, alg):
+def _cmd_specialize(args, shape):
+    from .rootofunity import specialize_element
+
+    alg = _algebra(shape)
     elt = parse_element(args.expr, alg)
-    coords = rootofunity.specialize_element(alg, elt, args.l)
+    coords = specialize_element(alg, elt, args.l)
     terms = []
     for (fd, fpsi, deltas, ts, epsi, ed), val in sorted(coords.items()):
         terms.append(
@@ -214,13 +241,17 @@ def _cmd_specialize(args, alg):
     return _emit(args, {"l": args.l, "terms": terms})
 
 
-def _cmd_smallgroup(args, alg):
-    counts = rootofunity.small_group_counts(alg.shape, args.l)
+def _cmd_smallgroup(args, shape):
+    from .rootofunity import small_group_counts
+
+    counts = small_group_counts(shape, args.l)
     return _emit(args, {"l": args.l, "counts": counts})
 
 
-def _cmd_classical_check(args, alg):
-    results = rootofunity.classical_limit_check(alg)
+def _cmd_classical_check(args, shape):
+    from .rootofunity import classical_limit_check
+
+    results = classical_limit_check(_algebra(shape))
     return _emit(
         args,
         {
@@ -230,16 +261,21 @@ def _cmd_classical_check(args, alg):
     )
 
 
-def _cmd_decompose_z(args, alg):
+def _cmd_decompose_z(args, shape):
     z = _parse_ints(args.z, "--z")
-    zp, zpp = frobenius_decompose(alg.shape, z, args.l)
+    zp, zpp = frobenius_decompose(shape, z, args.l)
     return _emit(
         args,
         {"z": list(z), "l": args.l, "z_restricted": list(zp), "z_frobenius": list(zpp)},
     )
 
 
-def _cmd_selftest(args, alg):
+def _cmd_selftest(args, shape):
+    import random
+
+    from .relations import all_relations
+
+    alg = _algebra(shape)
     rng = random.Random(args.seed)
     trials = args.trials
     passed, failed, details = 0, 0, []
@@ -252,15 +288,15 @@ def _cmd_selftest(args, alg):
             failed += 1
             details.append(name)
 
-    for name, el in relations.all_relations(alg):
+    for name, el in all_relations(alg):
         record("relation:%s" % name, el.is_zero())
 
     gens = [
         alg.gen(kind, i, j)
         for kind in ("E", "F")
-        for (i, j) in list(alg.shape.I0) + list(alg.shape.I1)
+        for (i, j) in list(shape.I0) + list(shape.I1)
     ]
-    mu = [0] * alg.shape.rank
+    mu = [0] * shape.rank
     mu[0] = 1
     gens.append(alg.k_mono(tuple(mu)))
     for t in range(trials):
@@ -368,8 +404,7 @@ def run(argv):
             raise ExprSyntaxError("--shape needs exactly two integers", 0)
         if "seed" in cfg and getattr(args, "seed", None) in (None, 0):
             args.seed = cfg["seed"]
-        alg = Algebra(Shape(*mn))
-        return args.handler(args, alg)
+        return args.handler(args, Shape(*mn))
     except ExprSyntaxError as e:
         sys.stderr.write("syntax error at offset %d: %s\n" % (e.offset, e.args[0]))
         return 2

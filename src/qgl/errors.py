@@ -70,7 +70,9 @@ class BadRootOrder(DomainError):
 
 
 class ResourceLimit(DomainError):
-    """A computation ran past a documented budget: the rewrite-step ceiling
-    of straightening (pbwcore._MAX_STEPS), the largest t of a torus bracket
-    [K;c;t] (pbwcore._MAX_BRACKET), the Kac dimension of a module's highest
-    weight (repmod._MAX_KAC_DIM) or a root order (scalars._MAX_ROOT_ORDER)."""
+    """A computation ran past a documented budget: the rank m + n of a shape
+    (rootdata._MAX_RANK), the rewrite-step ceiling of straightening
+    (pbwcore._MAX_STEPS), the largest t of a torus bracket [K;c;t]
+    (pbwcore._MAX_BRACKET), the largest n of a divided power X^(n)
+    (pbwcore._MAX_DIVIDED), the Kac dimension of a module's highest weight
+    (repmod._MAX_KAC_DIM) or a root order (scalars._MAX_ROOT_ORDER)."""

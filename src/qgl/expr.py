@@ -21,7 +21,6 @@ from .errors import (
     ExprSyntaxError,
     NegativeDividedPower,
 )
-from .scalars import RatFunc
 
 _NAMES = ("Kinv", "Kb", "Ka", "K", "E", "F", "q")
 _MAX_NESTING = 100  # parenthesis depth; keeps the recursive descent off the stack limit
@@ -204,9 +203,7 @@ def parse(src, shape):
 
 
 def _as_scalar(elt):
-    """The RatFunc value of a scalar element, or None."""
-    if not elt.terms:
-        return RatFunc.from_int(0)
+    """The coefficient of a nonzero scalar element, or None."""
     if len(elt.terms) == 1:
         ((key, coeff),) = elt.terms.items()
         if key == elt.alg.unit_monomial():
@@ -244,11 +241,11 @@ def evaluate(ast, alg):
             if op == "*":
                 out = out * v
             else:
+                if v.is_zero():
+                    raise DomainError("division by zero")
                 s = _as_scalar(v)
                 if s is None:
                     raise DomainError("division requires a scalar divisor")
-                if s.is_zero():
-                    raise DomainError("division by zero")
                 out = out.scale(s.inverse())
         return out
     if kind == "pow":
@@ -260,9 +257,9 @@ def evaluate(ast, alg):
         _, gk, (i, j) = base
         return alg.divided_power(gk, i, j, n)
     if kind == "int":
-        return alg.scalar(RatFunc.from_int(ast[1]))
+        return alg.scalar(ast[1])
     if kind == "q":
-        return alg.scalar(RatFunc.q_power(1))
+        return alg.scalar(alg.qi(1))  # q_1 = q: index 1 is in the first block
     if kind == "gen":
         _, name, idx = ast
         if name in ("E", "F"):

@@ -15,7 +15,6 @@ S(xy) = (-1)^{par x * par y} S(y) S(x).
 """
 
 from .pbwcore import Element
-from .relations import MappedView
 from .scalars import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -231,4 +230,7 @@ class Hopf:
 
 def TensorSquareView(hopf):
     """The algebra seen through the coproduct (see ``relations.MappedView``)."""
+    # the catalog is loaded only where a relation check runs
+    from .relations import MappedView
+
     return MappedView(hopf.alg, hopf.delta)

@@ -63,6 +63,17 @@ _MAX_NESTING = 100
 # largest t of a torus bracket [K;c;t] built, directly or as a K-exponent
 # coordinate; the tests and the benchmark workloads use t <= 4
 _MAX_BRACKET = 8
+# largest n whose [n]! is built, for a divided power X^(n) or for the
+# integral coordinates of X^n: X^(200) prints 6.6 MB; the tests use
+# n <= 100 and the benchmark workloads n <= 3
+_MAX_DIVIDED = 200
+
+
+def _factorial(n):
+    """[n]!, for n within the divided-power budget."""
+    if n > _MAX_DIVIDED:
+        raise ResourceLimit("divided power X^(%d) is over the budget of %d" % (n, _MAX_DIVIDED))
+    return gauss_factorial(n)
 
 
 class _Budget:
@@ -328,7 +339,7 @@ class Algebra:
                     "odd root vector (%d,%d) admits no divided power %d" % (i, j, n)
                 )
             return self._atom_element((kind, i, j, n))
-        fact = gauss_factorial(n)
+        fact = _factorial(n)
         return self._atom_element((kind, i, j, n)).scale(fact.inverse())
 
     def kbracket_element(self, i, c, t):
@@ -848,7 +859,7 @@ class Algebra:
         for key, coeff in elt.terms.items():
             c = coeff
             for n in key.fpsi + key.epsi:
-                c = c * gauss_factorial(n)
+                c = c * _factorial(n)
             # K_mu = prod_i K_{alpha_i}^{nu_i}, nu = prefix sums of mu
             nu = []
             acc = 0

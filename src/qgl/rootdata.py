@@ -14,8 +14,17 @@ z_{m+n} = lambda_{m+n}.
 
 from math import comb
 
-from .errors import DomainError, IndexOutOfShape
-from .scalars import _check_order
+from .errors import BadRootOrder, DomainError, IndexOutOfShape, ResourceLimit
+
+# The largest rank m + n of a shape, checked before the O((m+n)^2) index
+# lists are built: at m + n = 32, straightening E[1,32]*F[1,32] takes about
+# 0.5 s; the tests and the benchmark workloads use m + n <= 6.
+_MAX_RANK = 32
+
+
+def _check_order(l):
+    if not isinstance(l, int) or l < 3 or l % 2 == 0:
+        raise BadRootOrder("root order must be an odd integer >= 3, got %r" % (l,))
 
 
 class Shape:
@@ -26,6 +35,9 @@ class Shape:
     def __init__(self, m, n):
         if m < 1 or n < 1:
             raise DomainError("shape requires m >= 1 and n >= 1")
+        if m + n > _MAX_RANK:
+            raise ResourceLimit("shape rank m + n = %d is over the budget of %d"
+                                % (m + n, _MAX_RANK))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         r = m + n

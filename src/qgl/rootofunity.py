@@ -6,20 +6,19 @@ enumeration of the small quantum (super)group bases, restricted simple
 modules with their divided-power maximal-vector conditions, character
 factorization through the Frobenius-type splitting of weights, and the
 classical-limit check of the Serre presentation.
+
+``repmod`` is imported inside the functions that build modules, so that
+specializing an element or counting small-group bases loads no module code.
 """
 
-from . import repmod
 from .errors import DomainError, OutOfRestrictedRange
 from .rootdata import (
+    _check_order,
     frobenius_decompose,
     in_Xplus,
     z_to_weight,
 )
-from .scalars import (
-    cyclo_field,
-    evaluate_at_root,
-    _check_order,
-)
+from .scalars import cyclo_field, evaluate_at_root
 
 
 # -- element specialization --------------------------------------------------
@@ -78,6 +77,8 @@ def specialize_module(mod, l):
     means the chosen lattice basis was not integral and is reported as an
     error.
     """
+    from . import repmod
+
     _check_order(l)
     if mod.l is not None:
         raise DomainError("module is already specialized")
@@ -94,6 +95,8 @@ def specialize_module(mod, l):
 def specialize_kac(alg, lam, l):
     """The Kac module at q = eta, with the divided powers X^{(l)} of the
     even simple root vectors carried along."""
+    from . import repmod
+
     _check_order(l)
     mod = repmod.kac_module(alg, lam)
     mod = repmod.rebase_to_divided_monomials(mod)
@@ -124,6 +127,8 @@ def restricted_simple(alg, z, l):
 def simple_at_root(alg, z, l):
     """The simple head of the specialized Kac module for any z with
     dominant associated weight (not necessarily restricted)."""
+    from . import repmod
+
     _check_order(l)
     lam = z_to_weight(alg.shape, tuple(int(x) for x in z))
     if not in_Xplus(alg.shape, lam):
@@ -146,6 +151,8 @@ def restricted_checks(alg, z, l):
       small_group_generates every nonzero basis vector generates the whole
                             module under the simple (non-divided) action
     """
+    from . import repmod
+
     mod = restricted_simple(alg, z, l)
     out = {}
     top = mod.unit_vector(mod.top)

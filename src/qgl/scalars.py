@@ -32,7 +32,8 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import sub
 
-from .errors import BadRootOrder, DenominatorVanishes, ResourceLimit
+from .errors import DenominatorVanishes, ResourceLimit
+from .rootdata import _check_order
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Z: tuples of ints, ascending degree, no trailing
@@ -563,11 +564,6 @@ def cyclotomic_poly(n):
     phi = tuple(acc)
     _CYCLO_CACHE[n] = phi
     return phi
-
-
-def _check_order(l):
-    if not isinstance(l, int) or l < 3 or l % 2 == 0:
-        raise BadRootOrder("root order must be an odd integer >= 3, got %r" % (l,))
 
 
 class CycloNum:

@@ -16,6 +16,7 @@ from qgl.linalg import rank
 from qgl.pbwcore import Algebra, Element, PBWMonomial
 from qgl.rootdata import Shape, in_Xplus, is_typical, weyl_dim_even
 from qgl.scalars import RF_ONE, RF_ZERO, RatFunc
+from verma_oracle import VermaOracle
 
 
 def _verdict(num, summary):
@@ -208,7 +209,7 @@ def test_criterion_03_divided_power_identities():
 def test_criterion_04_verma_oracle():
     for shape, lam in [((1, 1), (2, -1)), ((2, 1), (3, 1, 0))]:
         alg = Algebra(shape)
-        vo = repmod.VermaOracle(alg, lam, depth=4)
+        vo = VermaOracle(alg, lam, depth=4)
         rng = random.Random(2024)
         gens = []
         for i in range(1, alg.shape.rank):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -167,6 +168,12 @@ OVER_BUDGET = [
     ["simple", "--shape", "2,1", "--lambda=99999999999,0,0"],
     # a root order whose cyclotomic polynomial would not fit in memory
     ["simple", "--shape", "1,1", "--lambda=3,1", "--at-root", "99999999999"],
+    # a rank m + n above rootdata._MAX_RANK, checked before any index list
+    ["typical", "--shape", "1,99999999999", "--lambda=0"],
+    # [n]! above n = pbwcore._MAX_DIVIDED, for a divided power or for the
+    # integral coordinates of an ordinary power
+    ["nf", "--shape", "2,1", "E[1,2]^(600)"],
+    ["specialize", "--shape", "2,1", "-l", "3", "E[1,2]^600"],
     # torus brackets [K;c;t] above t = pbwcore._MAX_BRACKET, built directly or
     # as the K-exponent coordinates of K_{alpha_1}^10 and ^20
     ["nf", "Kb[1;0;20]", "--shape", "1,1"],
@@ -185,6 +192,70 @@ def test_bad_sizes_exit_cleanly_and_fast(argv):
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("domain error")
+
+
+def test_large_shape_exits_cleanly_under_a_memory_limit():
+    # the index lists of gl(1500|1500) alone outgrow a 2 GB address space
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "nf", "--shape", "1500,1500", "1"],
+        capture_output=True, text=True, timeout=10, env=env, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("domain error") and len(proc.stderr.splitlines()) == 1
+
+
+def test_divided_power_over_budget_is_fast():
+    # [600]! alone takes longer than 30 s to build; the budget is checked first
+    start = time.perf_counter()
+    code, out, err = capture(["nf", "--shape", "2,1", "E[1,2]^(600)"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and err.startswith("domain error")
+    code, _, _ = capture(["nf", "--shape", "2,1", "E[1,2]^(200)"])  # at the budget
+    assert code == 0
+
+
+# The qgl modules a fresh interpreter holds after answering one command:
+# each handler imports only the layers it calls.  The parser (expr) is
+# loaded for every command; see the cli docstring.
+_ROOT = {"cli", "errors", "rootdata", "expr"}
+_ELEMENTS = _ROOT | {"scalars", "linalg", "pbwcore"}
+_MODULES = _ELEMENTS | {"repmod"}
+LAYERS = [
+    (["typical", "--shape", "1,1", "--lambda=0,0"], _ROOT),
+    (["decompose-z", "--shape", "2,1", "--z", "7,5,2", "--l", "3"], _ROOT),
+    (["nf", "--shape", "2,1", "--emit-ast", "E[1,2]"], _ROOT),
+    (["nf", "--shape", "2,1", "E[1,2]*F[1,2]"], _ELEMENTS),
+    (["mul", "--shape", "1,1", "E[1,2]", "F[1,2]"], _ELEMENTS),
+    (["delta", "--shape", "1,1", "E[1,2]"], _ELEMENTS | {"hopf"}),
+    (["braid", "--shape", "2,1", "-i", "1", "E[2,3]"], _ELEMENTS | {"braid"}),
+    (["selftest", "--shape", "1,1", "--trials", "2"], _ELEMENTS | {"relations"}),
+    (["kac", "--shape", "2,1", "--lambda=1,0,0"], _MODULES),
+    (["tensor", "--shape", "1,1", "--lambda1", "1,0", "--lambda2", "0,0"], _MODULES),
+    (["simple", "--shape", "2,1", "--lambda=1,0,0", "--at-root", "3"],
+     _MODULES | {"rootofunity"}),
+    (["specialize", "--shape", "1,1", "-l", "3", "E[1,2]"], _ELEMENTS | {"rootofunity"}),
+    (["smallgroup", "--shape", "1,1", "-l", "3"], _ROOT | {"scalars", "rootofunity"}),
+]
+
+
+@pytest.mark.parametrize("argv,layers", LAYERS, ids=[" ".join(a) for a, _ in LAYERS])
+def test_each_command_loads_only_its_layers(argv, layers):
+    code = ("import sys\n"
+            "from qgl.cli import run\n"
+            "assert run(sys.argv[1:]) == 0\n"
+            "print(' '.join(sorted(m[4:] for m in sys.modules if m.startswith('qgl.'))))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code] + argv,
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == layers
 
 
 def test_emit_ast_parses_without_evaluating():

@@ -16,6 +16,7 @@ from qgl.linalg import mat_mul, mat_vec, rank, rref
 from qgl.pbwcore import Algebra
 from qgl.rootdata import bilinear_form, in_Xplus, is_typical, weight_to_z, weyl_dim_even
 from qgl.scalars import GENERIC_FIELD, RF_ZERO, RatFunc
+from verma_oracle import VermaOracle
 
 
 # -- simple modules of the even subalgebra -----------------------------------
@@ -488,7 +489,7 @@ def _diff(lhs, rhs):
 @pytest.mark.parametrize("shape,lam", [((1, 1), (2, -1)), ((2, 1), (3, 1, 0))])
 def test_verma_oracle_multiplicativity(shape, lam):
     alg = Algebra(shape)
-    vo = repmod.VermaOracle(alg, lam, depth=4)
+    vo = VermaOracle(alg, lam, depth=4)
     rng = random.Random(99)
     gens = []
     for i in range(1, alg.shape.rank):
@@ -520,7 +521,7 @@ def test_verma_oracle_ef_eigenvalue():
 
     alg = Algebra((2, 1))
     lam = (3, 1, 0)
-    vo = repmod.VermaOracle(alg, lam, depth=3)
+    vo = VermaOracle(alg, lam, depth=3)
     for i in (1, 2):
         v = vo.act_e(i, vo.act_f(i, {(): RF_ONE}))
         a = bilinear_form(alg.shape, lam, alg.shape.alpha(i))
@@ -533,7 +534,7 @@ def test_verma_oracle_ef_eigenvalue():
 def test_verma_oracle_relations_nontrivial():
     # the relation ideal slice is proper: a single word is not in it
     alg = Algebra((2, 1))
-    vo = repmod.VermaOracle(alg, (1, 0, 0), depth=3)
+    vo = VermaOracle(alg, (1, 0, 0), depth=3)
     assert not vo.vanishes_mod_relations({(1, 2): RF_ZERO + alg.qi(1, 0)})
     # but the odd square is
     assert vo.vanishes_mod_relations({(2, 2): alg.qi(1, 0)})

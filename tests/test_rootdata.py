@@ -4,8 +4,9 @@ coordinate changes, typicality, and the restricted-range decomposition."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgl.errors import BadRootOrder, DomainError, IndexOutOfShape
+from qgl.errors import BadRootOrder, DomainError, IndexOutOfShape, ResourceLimit
 from qgl.rootdata import (
+    _MAX_RANK,
     Shape,
     bilinear_form,
     c_value,
@@ -28,6 +29,14 @@ def rand_weights(shape, bound=4):
     return st.tuples(
         *[st.integers(min_value=-bound, max_value=bound) for _ in range(shape.rank)]
     )
+
+
+def test_shape_rank_budget():
+    # the budget is checked before the O((m+n)^2) index lists are built
+    assert Shape(_MAX_RANK - 1, 1).rank == _MAX_RANK
+    for m, n in ((_MAX_RANK, 1), (1, _MAX_RANK), (1500, 1500), (10 ** 12, 1)):
+        with pytest.raises(ResourceLimit):
+            Shape(m, n)
 
 
 def test_index_sets():
