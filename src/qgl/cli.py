@@ -50,18 +50,14 @@ def _load_config(path):
             raise ExprSyntaxError("bad config line: %r" % line, 0)
         key, _, val = line.partition("=")
         cfg[key.strip()] = val.strip()
-    allowed = {"shape", "truncation_depth", "seed"}
-    bad = set(cfg) - allowed
+    bad = set(cfg) - {"shape", "seed"}
     if bad:
         raise ExprSyntaxError("unknown config keys: %s" % ", ".join(sorted(bad)), 0)
-    for key in ("truncation_depth", "seed"):
-        if key in cfg:
-            try:
-                cfg[key] = int(cfg[key])
-            except ValueError:
-                raise ExprSyntaxError("config %s must be an integer, got %r" % (key, cfg[key]), 0)
-    if cfg.get("truncation_depth", 0) < 0:
-        raise ExprSyntaxError("config truncation_depth must be nonnegative", 0)
+    if "seed" in cfg:
+        try:
+            cfg["seed"] = int(cfg["seed"])
+        except ValueError:
+            raise ExprSyntaxError("config seed must be an integer, got %r" % cfg["seed"], 0)
     return cfg
 
 

@@ -164,12 +164,12 @@ class _Parser:
             self.expect(",")
             j = self.expect("int")[1]
             self.expect("]")
-            self._check_pair(i, j, t[2])
+            self.shape.check_pair(i, j)
             return ("gen", name, (i, j))
         if name in ("K", "Kinv", "Ka"):
             i = self.expect("int")[1]
             self.expect("]")
-            self._check_node(i, t[2])
+            self.shape.check_node(i)
             return ("gen", name, (i,))
         # Kb[i; c; t]
         i = self.expect("int")[1]
@@ -182,14 +182,8 @@ class _Parser:
         self.expect(";")
         tt = self.expect("int")[1]
         self.expect("]")
-        self._check_node(i, t[2])
-        return ("gen", "Kb", (i, c, tt))
-
-    def _check_pair(self, i, j, off):
-        self.shape.check_pair(i, j)
-
-    def _check_node(self, i, off):
         self.shape.check_node(i)
+        return ("gen", "Kb", (i, c, tt))
 
 
 def parse(src, shape):

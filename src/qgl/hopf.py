@@ -14,23 +14,17 @@ with the antipode extended as the graded anti-homomorphism
 S(xy) = (-1)^{par x * par y} S(y) S(x).
 """
 
-from .pbwcore import Element
+from .pbwcore import Element, LinearCombination, add_term
 from .scalars import RF_ONE, RF_ZERO, RatFunc
 
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """Element of the signed tensor square, keyed by monomial pairs."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ()
 
     def __init__(self, alg, terms):
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(
-            self, "terms", {k: c for k, c in terms.items() if not c.is_zero()}
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("TensorElement is immutable")
+        super().__init__(alg, {k: c for k, c in terms.items() if not c.is_zero()})
 
     @classmethod
     def one(cls, alg):
@@ -43,48 +37,18 @@ class TensorElement:
 
     @classmethod
     def from_pair(cls, x, y):
-        alg = x.alg
         out = {}
         for k1, c1 in x.terms.items():
             for k2, c2 in y.terms.items():
-                key = (k1, k2)
-                s = out.get(key, RF_ZERO) + c1 * c2
-                out[key] = s
-        return cls(alg, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, RF_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TensorElement(self.alg, out)
-
-    def __neg__(self):
-        return TensorElement(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = RatFunc.from_int(c)
-        return TensorElement(self.alg, {k: v * c for k, v in self.terms.items()})
+                add_term(out, (k1, k2), c1 * c2)
+        return cls(x.alg, out)
 
     def __mul__(self, other):
+        """A scalar multiple, or the signed product of two tensor elements."""
         if isinstance(other, (int, RatFunc)):
             return self.scale(other)
-        if not isinstance(other, TensorElement):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         alg = self.alg
         out = {}
@@ -99,26 +63,8 @@ class TensorElement:
                 right = alg.mono_product(b, d)
                 for k1, v1 in left.items():
                     for k2, v2 in right.items():
-                        key = (k1, k2)
-                        s = out.get(key, RF_ZERO) + coeff * v1 * v2
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        add_term(out, (k1, k2), coeff * v1 * v2)
         return TensorElement(alg, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((k, v) for k, v in self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def map_slot(self, f, slot):
         """Apply a linear map (Element -> Element) to one tensor slot."""
@@ -128,12 +74,7 @@ class TensorElement:
             src = a if slot == 0 else b
             img = f(Element(alg, {src: RF_ONE}))
             for k, v in img.terms.items():
-                key = (k, b) if slot == 0 else (a, k)
-                s = out.get(key, RF_ZERO) + c * v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_term(out, (k, b) if slot == 0 else (a, k), c * v)
         return TensorElement(alg, out)
 
     def multiply_out(self):
@@ -219,12 +160,7 @@ class Hopf:
             src = a if slot == 0 else b
             img = self.delta(Element(self.alg, {src: RF_ONE}))
             for (x, y), v in img.terms.items():
-                key = (x, y, b) if slot == 0 else (a, x, y)
-                s = out.get(key, RF_ZERO) + c * v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_term(out, (x, y, b) if slot == 0 else (a, x, y), c * v)
         return out
 
 

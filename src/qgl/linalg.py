@@ -80,13 +80,13 @@ class Echelon:
         return v
 
 
-def rref(rows, zero):
+def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
     ech = Echelon(rows)
     return ech.rows, ech.pivots
 
 
-def rank(rows, zero):
+def rank(rows):
     return len(Echelon(rows).rows)
 
 
@@ -95,7 +95,7 @@ def nullspace(rows, zero, one):
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows, zero)
+    red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -107,6 +107,6 @@ def nullspace(rows, zero, one):
     return basis
 
 
-def in_span(rows, vec, zero):
+def in_span(rows, vec):
     """True iff vec lies in the row span of rows."""
     return all(x.is_zero() for x in Echelon(rows).reduce(vec))

@@ -47,7 +47,6 @@ from .errors import (
     OddPowerTooHigh,
     ResourceLimit,
 )
-from .linalg import rref
 from .rootdata import Shape, bilinear_form
 from .scalars import (
     RF_ONE,
@@ -98,8 +97,25 @@ class PBWMonomial(namedtuple("PBWMonomial", "fd fpsi k epsi ed")):
         return tuple(self)
 
 
-class Element:
-    """Finite map PBWMonomial -> RatFunc over a fixed algebra; immutable."""
+def add_term(out, key, c):
+    """Add c to out[key] in a sparse term map, dropping the key when the sum
+    is zero."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+class LinearCombination:
+    """Finite map key -> RatFunc over a fixed algebra; immutable.
+
+    The one term-map type: sums, negation, scaling and equality are defined
+    here, and accept only an operand of the same concrete type (or a scalar,
+    where a subclass's ``_coerce`` allows one).  Each subclass defines its
+    own product.
+    """
 
     __slots__ = ("alg", "terms")
 
@@ -108,7 +124,7 @@ class Element:
         object.__setattr__(self, "terms", dict(terms))
 
     def __setattr__(self, *a):
-        raise AttributeError("Element is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def is_zero(self):
         return not self.terms
@@ -116,53 +132,81 @@ class Element:
     def __bool__(self):
         return bool(self.terms)
 
-    def _check(self, other):
+    def _coerce(self, other):
+        """other as a value of this type, or None when it is not one."""
+        if type(other) is not type(self):
+            return None
         if self.alg is not other.alg:
             raise DomainError("elements from different algebras")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            other = self.alg.scalar(other)
-        self._check(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, RF_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Element(self.alg, out)
+            add_term(out, k, c)
+        return type(self)(self.alg, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.alg, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            other = self.alg.scalar(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def scale(self, c):
         if isinstance(c, int):
             c = RatFunc.from_int(c)
         if c.is_zero():
-            return self.alg.zero()
-        return Element(self.alg, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            return self.scale(other)
-        self._check(other)
-        return self.alg.multiply(self, other)
+            return type(self)(self.alg, {})
+        return type(self)(self.alg, {k: v * c for k, v in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, RatFunc)):
             return self.scale(other)
         return NotImplemented
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.alg is other.alg and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
+
+
+class Element(LinearCombination):
+    """Finite map PBWMonomial -> RatFunc over a fixed algebra; immutable."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if isinstance(other, (int, RatFunc)):
+            return self.alg.scalar(other)
+        return super()._coerce(other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, RatFunc)):
+            return self.scale(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.alg.multiply(self, other)
 
     def __pow__(self, n):
         if n < 0:
@@ -180,12 +224,9 @@ class Element:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.alg.scalar(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash(frozenset((k, c) for k, c in self.terms.items()))
+    __hash__ = LinearCombination.__hash__
 
     def omega(self):
         return self.alg.omega(self)
@@ -213,9 +254,6 @@ class Element:
             elif p != pk:
                 raise DomainError("element is not parity-homogeneous")
         return p if p is not None else 0
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
         if not self.terms:
@@ -271,6 +309,7 @@ class Algebra:
         self._expand_cache = {}
         self._comp_cache = {}
         self._kconv_cache = {}
+        self._bracket_cache = {}
 
     # -- basics -------------------------------------------------------------
 
@@ -349,15 +388,31 @@ class Algebra:
             raise DomainError("t must be nonnegative")
         if t > _MAX_BRACKET:
             raise ResourceLimit("bracket [K;c;t] with t = %d above %d" % (t, _MAX_BRACKET))
-        out = self.one()
-        for s in range(1, t + 1):
-            a = c - s + 1
-            num = self.k_alpha(i, 1).scale(self.qi(i, a)) - self.k_alpha(i, -1).scale(
-                self.qi(i, -a)
-            )
-            den = self.qi(i, s) - self.qi(i, -s)
-            out = out * num.scale(den.inverse())
-        return out
+        kvec = self.shape.k_alpha_vector(i)
+        return Element(self, {
+            self._unit._replace(k=tuple(e * x for x in kvec)): v
+            for e, v in self._kbracket_poly(self.q_sign(i), c, t).items()
+        })
+
+    def _kbracket_poly(self, sign, c, t):
+        """[K;c;t] as {exponent of K = K_{alpha_i}: RatFunc}, q_i = q^sign:
+        [K;c;t-1] times (q_i^a K - q_i^-a K^-1) / (q_i^t - q_i^-t), a = c-t+1."""
+        key = (sign, c, t)
+        hit = self._bracket_cache.get(key)
+        if hit is None:
+            if t == 0:
+                hit = {0: RF_ONE}
+            else:
+                a = c - t + 1
+                den = (RatFunc.q_power(sign * t) - RatFunc.q_power(-sign * t)).inverse()
+                up = RatFunc.q_power(sign * a) * den
+                down = -RatFunc.q_power(-sign * a) * den
+                hit = {}
+                for e, v in self._kbracket_poly(sign, c, t - 1).items():
+                    add_term(hit, e + 1, v * up)
+                    add_term(hit, e - 1, v * down)
+            self._bracket_cache[key] = hit
+        return hit
 
     # -- monomial <-> word --------------------------------------------------
 
@@ -431,12 +486,7 @@ class Algebra:
                     idx = p
                     break
             if idx is None:
-                key = self.word_to_monomial(word)
-                s = out.get(key, RF_ZERO) + coeff
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_term(out, self.word_to_monomial(word), coeff)
                 continue
             for c2, repl in self._resolve(word[idx], word[idx + 1], budget):
                 nw = word[:idx] + repl + word[idx + 2 :]
@@ -654,11 +704,7 @@ class Algebra:
             for k2, c2 in b.terms.items():
                 c12 = c1 * c2
                 for k, c in self.mono_product(k1, k2).items():
-                    s = out.get(k, RF_ZERO) + c12 * c
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    add_term(out, k, c12 * c)
         return Element(self, out)
 
     # -- involutions --------------------------------------------------------
@@ -794,25 +840,14 @@ class Algebra:
 
     # -- integral form ------------------------------------------------------
 
-    def _k_basis_poly(self, sign, t):
-        """[K;0;t] as {exponent: RatFunc} in the variable K_{alpha_i}, q_i=q^sign."""
-        poly = {0: RF_ONE}
-        for s in range(1, t + 1):
-            a = -s + 1
-            den = (RatFunc.q_power(sign * s) - RatFunc.q_power(-sign * s)).inverse()
-            new = {}
-            for e, cval in poly.items():
-                up = cval * RatFunc.q_power(sign * a) * den
-                dn = cval * RatFunc.q_power(-sign * a) * den
-                new[e + 1] = new.get(e + 1, RF_ZERO) + up
-                new[e - 1] = new.get(e - 1, RF_ZERO) - dn
-            poly = {e: c for e, c in new.items() if not c.is_zero()}
-        return poly
-
     def k_exponent_coords(self, i, nu):
         """Coordinates of K_{alpha_i}^nu in the basis {K^delta [K;0;t]}.
 
         Returns {(delta, t): RatFunc}; the basis has brackets up to t = |nu|.
+        [K;0;t] spans the K-degrees -t..t and K[K;0;t-1] the degrees
+        -t+2..t, so peeling t = |nu| down to 0, the degree -t coefficient of
+        the remainder fixes the coordinate of [K;0;t] and then its degree t
+        coefficient fixes that of K[K;0;t-1].
         """
         if abs(nu) > _MAX_BRACKET:
             raise ResourceLimit(
@@ -823,27 +858,18 @@ class Algebra:
         hit = self._kconv_cache.get(key)
         if hit is not None:
             return hit
-        if nu == 0:
-            hit = {(0, 0): RF_ONE}
-            self._kconv_cache[key] = hit
-            return hit
-        D = abs(nu)
-        basis = [(0, t) for t in range(D + 1)] + [(1, t) for t in range(D)]
-        cols = []
-        for delta, t in basis:
-            poly = self._k_basis_poly(sign, t)
-            if delta:
-                poly = {e + 1: c for e, c in poly.items()}
-            cols.append(poly)
-        aug = [
-            [col.get(e, RF_ZERO) for col in cols] + [RF_ONE if e == nu else RF_ZERO]
-            for e in range(-D, D + 1)
-        ]
-        red, pivots = rref(aug, RF_ZERO)
-        n = len(basis)
-        if pivots != list(range(n)):
-            raise ArithmeticError("singular system")
-        hit = {basis[c]: red[c][n] for c in range(n) if not red[c][n].is_zero()}
+        rest = {nu: RF_ONE}
+        coords = {}
+        for t in range(abs(nu), -1, -1):
+            # (delta, u, the K-degree that fixes the coordinate of K^delta [K;0;u])
+            for delta, u, deg in [(0, t, -t), (1, t - 1, t)] if t else [(0, 0, 0)]:
+                if deg in rest:
+                    poly = self._kbracket_poly(sign, 0, u)
+                    x = rest[deg] / poly[deg - delta]
+                    coords[(delta, u)] = x
+                    for e, v in poly.items():
+                        add_term(rest, e + delta, -(x * v))
+        hit = dict(sorted(coords.items()))
         self._kconv_cache[key] = hit
         return hit
 
@@ -875,12 +901,7 @@ class Algebra:
                     for (delta, t), c2 in coords.items()
                 ]
             for deltas, ts, cv in options:
-                akey = (key.fd, key.fpsi, deltas, ts, key.epsi, key.ed)
-                s = out.get(akey, RF_ZERO) + cv
-                if s.is_zero():
-                    out.pop(akey, None)
-                else:
-                    out[akey] = s
+                add_term(out, (key.fd, key.fpsi, deltas, ts, key.epsi, key.ed), cv)
         result = {}
         for akey, cv in sorted(out.items()):
             li = cv.as_laurent_int()

@@ -424,7 +424,7 @@ def simple_head(mod, include_divided=False):
                 row = _form_times(f, m, spaces[nu], spaces[wt], zero)
                 if any(not y.is_zero() for y in row):
                     rows.append(row)
-        forms[wt] = rref(rows, zero)
+        forms[wt] = rref(rows)
     keep = sorted(spaces[wt][p] for wt, (_, piv) in forms.items() for p in piv)
     if len(keep) == mod.dim:
         return mod
@@ -736,7 +736,7 @@ def rebase_to_divided_monomials(mod):
     # P columns are the new basis vectors; conjugate every stored matrix
     p = [[cols[c][r] for c in range(mod.dim)] for r in range(mod.dim)]
     aug = [list(p[r]) + mod.unit_vector(r) for r in range(mod.dim)]
-    red, piv = rref(aug, zero)
+    red, piv = rref(aug)
     if piv != list(range(mod.dim)):
         raise DomainError("basis change matrix is singular")
     p_inv = [row[mod.dim:] for row in red]

@@ -262,17 +262,11 @@ def classical_reduce(alg, elt):
     the classical Cartan divided powers).  Returns {key: int} with the
     delta component zeroed.
     """
+    from .pbwcore import add_term
+
     out = {}
     for (fd, fpsi, deltas, ts, epsi, ed), li in alg.a_form_coords(elt).items():
-        c = li.at_one()
-        if c == 0:
-            continue
-        key = (fd, fpsi, tuple([0] * len(deltas)), ts, epsi, ed)
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, (fd, fpsi, tuple([0] * len(deltas)), ts, epsi, ed), li.at_one())
     return out
 
 

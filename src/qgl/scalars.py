@@ -440,20 +440,17 @@ class LaurentInt(RatFunc):
 # ---------------------------------------------------------------------------
 
 
-def gauss_int(n, sign=1):
-    """Symmetric Gaussian integer [n] = (q_i^n - q_i^-n)/(q_i - q_i^-1), q_i = q^sign.
+def gauss_int(n):
+    """Symmetric Gaussian integer [n] = (q^n - q^-n)/(q - q^-1).
 
-    [n] is invariant under q -> q^-1, so the sign never changes the value;
-    it is accepted to keep call sites honest about which q_i they mean.
+    [n] is invariant under q -> q^-1, so it is also [n] at q_i = q^-1.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     c = -1 if n < 0 else 1
     n = abs(n)
     return LaurentInt({n - 1 - 2 * k: c for k in range(n)})
 
 
-def gauss_factorial(n, sign=1):
+def gauss_factorial(n):
     """[n]! = [n][n-1]...[1]; [0]! = 1.
 
     [k] = q^(1-k) (1 + x + ... + x^(k-1)) in x = q^2, so each factor is a
@@ -462,8 +459,6 @@ def gauss_factorial(n, sign=1):
     """
     if n < 0:
         raise ValueError("factorial of negative integer")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     cs = [1]
     for k in range(2, n + 1):
         # prefix sums padded with k zeros in front and k - 1 totals behind:
@@ -475,37 +470,37 @@ def gauss_factorial(n, sign=1):
     return LaurentInt({2 * i - shift: c for i, c in enumerate(cs)})
 
 
-def gauss_binomial(m, n, sign=1):
+def gauss_binomial(m, n):
     """Gaussian binomial [m choose n]; zero when n > m or n < 0 (convention)."""
     if n < 0 or n > m:
         return LaurentInt({})
     n = min(n, m - n)
     num = RatFunc.from_int(1)
     for k in range(n):
-        num = num * gauss_int(m - k, sign)
-    quo = num / gauss_factorial(n, sign)
+        num = num * gauss_int(m - k)
+    quo = num / gauss_factorial(n)
     out = quo.as_laurent_int()
     if out is None:
         raise ArithmeticError("Gaussian binomial failed to be integral")
     return out
 
 
-def kbracket_scalar(zval, c, t, sign=1):
+def kbracket_scalar(zval, c, t):
     """Eigenvalue of the bracket element [K;c;t] on a vector of K-exponent zval.
 
     Product over s = 1..t of
-        (q_i^(zval+c-s+1) - q_i^-(zval+c)+s-1)) / (q_i^s - q_i^-s),
-    which equals the Gaussian binomial [zval+c choose t] at q_i.
+        (q_i^(zval+c-s+1) - q_i^-(zval+c-s+1)) / (q_i^s - q_i^-s),
+    which equals the Gaussian binomial [zval+c choose t] at q_i.  Each
+    factor is a ratio of q-integers, so the value is the same at q_i = q
+    and q_i = q^-1.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     out = RF_ONE
     for s in range(1, t + 1):
         a = zval + c - s + 1
-        num = RatFunc.q_power(sign * a) - RatFunc.q_power(-sign * a)
-        den = RatFunc.q_power(sign * s) - RatFunc.q_power(-sign * s)
+        num = RatFunc.q_power(a) - RatFunc.q_power(-a)
+        den = RatFunc.q_power(s) - RatFunc.q_power(-s)
         out = out * (num / den)
     return out
 

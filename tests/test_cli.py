@@ -90,24 +90,15 @@ def test_config_file(tmp_path):
     assert code == 2
 
 
-def test_shallow_truncation_depth_prints_the_default_answer(tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("truncation_depth = 1\n")
-    for cmd in ("kac", "simple"):
-        argv = [cmd, "--shape", "3,1", "--lambda=2,1,0,0"]
-        code, out, _ = capture(argv)
-        assert code == 0
-        assert capture(argv + ["--config", str(cfg)]) == (0, out, "")
-
-
 def test_config_errors_are_usage_errors(tmp_path):
     code, out, err = capture(
         ["typical", "--config", str(tmp_path / "missing"), "--lambda", "1,0"]
     )
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     cfg = tmp_path / "cfg"
+    # truncation_depth and max_degree were keys once and are unknown now
     for line in ("truncation_depth = two", "seed = 1.5", "max_degree = 3",
-                 "truncation_depth = -3"):
+                 "truncation_depth = -3", "truncation_depth = 1"):
         cfg.write_text("shape = 1,1\n%s\n" % line)
         code, out, err = capture(["typical", "--config", str(cfg), "--lambda", "1,0"])
         assert code == 2 and out == "" and len(err.splitlines()) == 1, line
@@ -225,8 +216,8 @@ def test_divided_power_over_budget_is_fast():
 # each handler imports only the layers it calls.  The parser (expr) is
 # loaded for every command; see the cli docstring.
 _ROOT = {"cli", "errors", "rootdata", "expr"}
-_ELEMENTS = _ROOT | {"scalars", "linalg", "pbwcore"}
-_MODULES = _ELEMENTS | {"repmod"}
+_ELEMENTS = _ROOT | {"scalars", "pbwcore"}
+_MODULES = _ELEMENTS | {"linalg", "repmod"}
 LAYERS = [
     (["typical", "--shape", "1,1", "--lambda=0,0"], _ROOT),
     (["decompose-z", "--shape", "2,1", "--z", "7,5,2", "--l", "3"], _ROOT),

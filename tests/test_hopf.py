@@ -2,6 +2,7 @@
 triangularity of coproducts of raising-operator words."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -98,6 +99,20 @@ def test_tensor_sign_rule():
     assert a * b == TensorElement.from_pair(f, e).scale(-1)
     # and without odd crossing there is no sign
     assert b * a == TensorElement.from_pair(f, e)
+
+
+def test_elements_and_tensor_elements_do_not_mix():
+    # a sum of the two would be keyed partly by monomials and partly by
+    # monomial pairs, and their product cannot be formed
+    alg = Algebra((1, 1))
+    e = alg.gen("E", 1, 2)
+    d = Hopf(alg).delta(e)
+    for x, y in ((e, d), (d, e)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, y)
+    assert alg.zero() != TensorElement.zero(alg)
+    assert TensorElement.zero(alg) != alg.zero()
 
 
 # -- coalgebra axioms -------------------------------------------------------

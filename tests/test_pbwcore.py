@@ -200,7 +200,7 @@ def test_kbracket_element_eigenvalue():
                     # recover nu as the prefix sum of key.k up to index i
                     nu = sum(key.k[:i])
                     total = total + coeff * alg.qi(i, nu * z)
-                assert total == kbracket_scalar(z, c, t, alg.q_sign(i)), (i, c, t, z)
+                assert total == kbracket_scalar(z, c, t), (i, c, t, z)
 
 
 # -- crossing-pair normal forms ----------------------------------------------
@@ -386,11 +386,24 @@ def test_a_form_k_conversion():
         tot = RatFunc.from_int(0)
         for (fd, fpsi, deltas, ts, epsi, ed), li in coords.items():
             val = RatFunc.from_laurent(li)
-            val = val * alg.qi(1, deltas[0] * z) * kbracket_scalar(z, 0, ts[0], 1)
+            val = val * alg.qi(1, deltas[0] * z) * kbracket_scalar(z, 0, ts[0])
             # second torus variable K_{alpha_2} carries exponent nu_2 = 0
             val = val * alg.qi(2, deltas[1] * 0)
             tot = tot + val
         assert tot == alg.qi(1, 2 * z)
+
+
+def test_k_exponent_coords_rebuild_the_torus_power():
+    # K_{alpha_i}^nu = sum of x * K_{alpha_i}^delta [K_{alpha_i}; 0; t] over the
+    # coordinates; nodes 1 and 2 of gl(1|1) have q_i = q and q_i = q^-1
+    alg = Algebra((1, 1))
+    assert [alg.q_sign(i) for i in (1, 2)] == [1, -1]
+    for i in (1, 2):
+        for nu in range(-pbwcore._MAX_BRACKET, pbwcore._MAX_BRACKET + 1):
+            total = alg.zero()
+            for (delta, t), x in alg.k_exponent_coords(i, nu).items():
+                total = total + (alg.k_alpha(i, delta) * alg.kbracket_element(i, 0, t)).scale(x)
+            assert total == alg.k_alpha(i, nu), (i, nu)
 
 
 def test_a_form_rejects_non_integral():

@@ -327,12 +327,12 @@ def _fixed_point_closure(mod, vectors, keys=None):
     the rank stops growing."""
     zero = mod.field.zero
     mats = [mod.mats[k] for k in (keys if keys is not None else mod.action_keys())]
-    basis = rref([list(v) for v in vectors], zero)[0]
+    basis = rref([list(v) for v in vectors])[0]
     while True:
         new = list(basis)
         for m in mats:
             new += [mat_vec(m, v, zero) for v in basis]
-        red = rref(new, zero)[0]
+        red = rref(new)[0]
         if len(red) == len(basis):
             return red
         basis = red
@@ -442,7 +442,7 @@ def test_pbw_monomials_independent_in_typical_kac(shape, lam):
                 continue
             el = alg.monomial(fd=d, fpsi=psi)
             vecs.append(mod.act_element(el, mod.unit_vector(mod.top)))
-    assert rank(vecs, mod.field.zero) == len(vecs)
+    assert rank(vecs) == len(vecs)
 
 
 # -- tensor products ---------------------------------------------------------

@@ -337,7 +337,6 @@ def test_gauss_int_values():
     assert gauss_int(2) == LaurentInt({1: 1, -1: 1})
     assert gauss_int(3) == LaurentInt({2: 1, 0: 1, -2: 1})
     assert gauss_int(-3) == -gauss_int(3)
-    assert gauss_int(4, sign=-1) == gauss_int(4)  # symmetric in q -> q^-1
 
 
 def test_gauss_factorial_values():
@@ -352,7 +351,6 @@ def test_gauss_factorial_matches_the_product_loop():
         if n >= 2:
             want = want * gauss_int(n)
         assert gauss_factorial(n) == want, n
-        assert gauss_factorial(n, sign=-1) == want, n
 
 
 def test_gauss_binomial_spec_value():
@@ -382,19 +380,18 @@ def test_gauss_binomial_pascal(m, n):
     st.integers(min_value=-5, max_value=8),
     st.integers(min_value=-2, max_value=3),
     st.integers(min_value=0, max_value=4),
-    st.sampled_from([1, -1]),
 )
-def test_kbracket_matches_binomial(zval, c, t, sign):
-    got = kbracket_scalar(zval, c, t, sign)
-    want = gauss_binomial(zval + c, t, sign)
+def test_kbracket_matches_binomial(zval, c, t):
+    got = kbracket_scalar(zval, c, t)
+    want = gauss_binomial(zval + c, t)
     if zval + c >= 0:
         assert got == RatFunc.from_laurent(want)
     else:
         # negative upper index: the generalized binomial via Gaussian integers
         prod = RF_ONE
         for s in range(1, t + 1):
-            prod = prod * RatFunc.from_laurent(gauss_int(zval + c - s + 1, sign))
-        prod = prod / RatFunc.from_laurent(gauss_factorial(t, sign))
+            prod = prod * RatFunc.from_laurent(gauss_int(zval + c - s + 1))
+        prod = prod / RatFunc.from_laurent(gauss_factorial(t))
         assert got == prod
 
 
