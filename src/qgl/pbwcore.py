@@ -52,6 +52,7 @@ from .scalars import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    check_q_degree,
     gauss_factorial,
 )
 
@@ -211,6 +212,8 @@ class Element(LinearCombination):
     def __pow__(self, n):
         if n < 0:
             raise DomainError("negative powers only defined for torus monomials")
+        check_q_degree(n * max((c.q_degree() for c in self.terms.values()), default=0),
+                       "a power")
         out = self.alg.one()
         base = self
         while n:  # square and multiply
@@ -310,6 +313,7 @@ class Algebra:
         self._comp_cache = {}
         self._kconv_cache = {}
         self._bracket_cache = {}
+        self._kac_induction = None  # repmod._KacInduction, built on first use
 
     # -- basics -------------------------------------------------------------
 
@@ -388,6 +392,7 @@ class Algebra:
             raise DomainError("t must be nonnegative")
         if t > _MAX_BRACKET:
             raise ResourceLimit("bracket [K;c;t] with t = %d above %d" % (t, _MAX_BRACKET))
+        check_q_degree(c, "the shift c of a torus bracket [K;c;t]")
         kvec = self.shape.k_alpha_vector(i)
         return Element(self, {
             self._unit._replace(k=tuple(e * x for x in kvec)): v

@@ -11,7 +11,11 @@ L0(lam), the simple module of the even part gl(m) + gl(n), is built in
 closed form on pairs of Gelfand-Tsetlin patterns, one per block: the
 non-normalized GT formulas (Molev, arXiv math/0211289, section 2) with
 every linear factor a symmetric q-integer (Jimbo 1986), so no product is
-straightened.  The Kac module K(lam) is induced from it.
+straightened.  The Kac module K(lam) = Lambda_q(g_-1) (x) L0(lam) is induced
+from it (R. B. Zhang, J. Math. Phys. 34, 1993): a generator passes an
+ordered odd monomial one odd root at a time, by closed-form two-atom
+rules, and what is left of it acts on L0; no product is straightened
+there either.
 
 The simple head of a highest-weight module is its quotient by the radical
 of the contravariant form: the vectors that no raising word takes to the
@@ -23,6 +27,7 @@ import itertools
 
 from .errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
 from .linalg import Echelon, mat_mul, mat_vec, nullspace, rref
+from .pbwcore import add_term
 from .rootdata import (
     bilinear_form,
     in_Xplus,
@@ -32,7 +37,9 @@ from .rootdata import (
 from .scalars import (
     GENERIC_FIELD,
     RF_ONE,
+    RF_Q,
     RatFunc,
+    check_q_degree,
     evaluate_at_root,
     gauss_factorial,
     gauss_int,
@@ -525,6 +532,7 @@ def simple_even_module(alg, lam):
         raise DomainError("weight length does not match shape")
     if not in_Xplus(sh, lam):
         raise NonDominant("weight %r is not dominant for the even part" % (lam,))
+    check_q_degree(max(abs(x) for x in lam), "the highest weight %r" % (lam,))
     blocks = [_gt_patterns(lam[:sh.m]), _gt_patterns(lam[sh.m:])]
     dim = len(blocks[0]) * len(blocks[1])
     if dim != weyl_dim_even(sh, lam):
@@ -566,10 +574,218 @@ def simple_even_module(alg, lam):
 
 # -- Kac modules ------------------------------------------------------------
 
+_Q_INV = RatFunc.q_power(-1)
+
+
+def _times(a, b):
+    """a * b, without the product when a factor is RF_ONE itself: most
+    coefficients of the Kac induction are."""
+    if a is RF_ONE:
+        return b
+    return a if b is RF_ONE else a * b
+
+
+class _KacInduction:
+    """The lam-free half of Kac induction on one algebra.
+
+    K(lam) = Lambda_q(g_-1) (x) L0(lam) has the basis F1^d (x) w: F1^d an
+    ordered monomial of the odd F's, d its 0/1 exponents in PBW order, and
+    w a basis vector of L0.  ``induce(g, d)`` is g F1^d modulo the odd
+    raising operators, which kill 1 (x) L0, as {(d', Y): coeff} with
+    Y = (fpsi, k, epsi) the even part of the PBW monomial F1^d' Y; Y then
+    acts on w.
+
+    A generator passes F1^d one odd root F_b at a time, by the two-atom
+    product g F_b in closed form (``_rule``):
+
+    * two odd F's: the quantum-matrix relations of Lambda_q(g_-1);
+    * an even F: a twisted derivation of Lambda_q(g_-1);
+    * a simple E_i: (-1)^{p(E_i)} F_b E_i, and at most one term of
+      [E_i, F_b]; E_i moves on past the rest of F1^d, and an odd E kills
+      1 (x) L0.
+
+    A torus atom passes F1^d with a q-power.  Nothing is straightened;
+    ``tests/test_repmod.py`` checks every rule against the straightener's
+    two-atom product, and whole modules against the straightened
+    induction of ``tests/kac_oracle.py``.  The tables do not depend on lam
+    and live on the algebra (``Algebra._kac_induction``), so all Kac
+    modules of one algebra, both factors of a tensor product say, share
+    them.
+    """
+
+    def __init__(self, alg):
+        self.alg = alg
+        unit = alg.unit_monomial()
+        self.even_one = (unit.fpsi, unit.k, unit.epsi)
+        self.odd = [("F", i, j, 1) for i, j in alg.f1_list]  # the roots of F1^d, in order
+        self._place = {atom: p for p, atom in enumerate(self.odd)}
+        self._rules = {}
+        self._lmul = {}
+        self._induce = {}
+
+    @classmethod
+    def of(cls, alg):
+        """The tables of alg, built on first use."""
+        if alg._kac_induction is None:
+            alg._kac_induction = cls(alg)
+        return alg._kac_induction
+
+    # -- the two-atom rules ------------------------------------------------
+
+    def _rule(self, atom, p):
+        """atom F_b, F_b the odd root at place p, as terms (coeff, e, x, nu):
+        coeff F1^e x K^nu, where e lists places in order, x is an atom or
+        None and nu a torus exponent or None."""
+        key = (atom, p)
+        hit = self._rules.get(key)
+        if hit is None:
+            if atom[0] == "E":
+                make = self._crossing
+            elif atom in self._place:
+                make = self._odd_pair
+            else:
+                make = self._even_pair
+            hit = self._rules[key] = make(atom, p)
+        return hit
+
+    def _odd_pair(self, atom, p):
+        """F_ij F_kl for odd roots, (i, j) after (k, l) in PBW order: the
+        quantum-matrix relations of Lambda_q(g_-1)."""
+        (i, j), (k, l) = atom[1:3], self.alg.f1_list[p]
+        swap = (p, self._place[atom])
+        if i == k:  # one row
+            return [(-RF_Q, swap, None, None)]
+        if j == l:  # one column
+            return [(-_Q_INV, swap, None, None)]
+        if l < j:  # nested
+            return [(-RF_ONE, swap, None, None)]
+        # crossing, i < k and j < l
+        cross = (self._place[("F", k, j, 1)], self._place[("F", i, l, 1)])
+        return [(-RF_ONE, swap, None, None), (RF_Q - _Q_INV, cross, None, None)]
+
+    def _even_pair(self, atom, p):
+        """F_ab F_st for an even root (a, b) and an odd root (s, t): F_ab
+        moves right, times q on a shared index, and leaves the odd root
+        vector (a, t) or (s, b) where the two roots meet end to start, or
+        that and an even one where they overlap."""
+        a, b = atom[1:3]
+        s, t = self.alg.f1_list[p]
+        if b <= self.alg.shape.m:  # the first block, which meets the row s
+            if s == a:
+                return [(RF_Q, (p,), atom, None)]
+            new = (self._place[("F", a, t, 1)],)
+            if s == b:
+                return [(_Q_INV, (p,), atom, None), (-_Q_INV, new, None, None)]
+            if a < s < b:
+                return [(RF_ONE, (p,), atom, None), (RF_Q - _Q_INV, new, ("F", s, b, 1), None)]
+        else:  # the second block, which meets the column t
+            if t == b:
+                return [(RF_Q, (p,), atom, None)]
+            new = (self._place[("F", s, b, 1)],)
+            if t == a:
+                return [(_Q_INV, (p,), atom, None), (RF_ONE, new, None, None)]
+            if a < t < b:
+                return [(RF_ONE, (p,), atom, None), (RF_Q - _Q_INV, new, ("F", a, t, 1), None)]
+        return [(RF_ONE, (p,), atom, None)]
+
+    def _root(self, i, j):
+        """F_ij as (e, x) of a term: an odd root is a place of F1^d, an even
+        one an atom."""
+        atom = ("F", i, j, 1)
+        if atom in self._place:
+            return (self._place[atom],), None
+        return (), atom
+
+    def _crossing(self, atom, p):
+        """E_i F_st for a simple E_i and an odd root (s, t)."""
+        sh = self.alg.shape
+        i = atom[1]
+        s, t = self.alg.f1_list[p]
+        kv = sh.k_alpha_vector(i)
+        kv_inv = tuple(-x for x in kv)
+        out = [(-RF_ONE if i == sh.m else RF_ONE, (p,), atom, None)]
+        if (s, t) == (i, i + 1):
+            # the Kac relation: [E_m, F_m] = (K_m - K_m^-1) / (q - q^-1)
+            den = (RF_Q - _Q_INV).inverse()
+            out += [(den, (), None, kv), (-den, (), None, kv_inv)]
+        elif s == i:  # i <= m, where q_i = q
+            out.append((_Q_INV if i == sh.m else -RF_Q,) + self._root(i + 1, t) + (kv,))
+        elif t == i + 1:
+            out.append((RF_ONE,) + self._root(s, i) + (kv_inv,))
+        return out
+
+    def _torus_past(self, nu, d):
+        """The q-power of K^nu F1^d = q^{(nu, weight of F1^d)} F1^d K^nu."""
+        sh = self.alg.shape
+        return RatFunc.q_power(-sum(bilinear_form(sh, nu, sh.root_weight(i, j))
+                                    for x, (i, j) in zip(d, self.alg.f1_list) if x))
+
+    # -- products ----------------------------------------------------------
+
+    def lmul(self, p, d):
+        """F_b F1^d in Lambda_q(g_-1), F_b the odd root at place p: {d': coeff}."""
+        key = (p, d)
+        hit = self._lmul.get(key)
+        if hit is None:
+            first = d.index(1) if 1 in d else len(d)
+            if p < first:
+                hit = {d[:p] + (1,) + d[p + 1:]: RF_ONE}
+            elif p == first:
+                hit = {}  # F_b^2 = 0
+            else:
+                rest = {(d[:first] + (0,) + d[first + 1:], self.even_one): RF_ONE}
+                hit = {}
+                for c, e, _, _ in self._rule(self.odd[p], first):
+                    for (d2, _), c2 in self._odd_times(e, rest).items():
+                        add_term(hit, d2, _times(c, c2))
+            self._lmul[key] = hit
+        return hit
+
+    def _odd_times(self, e, terms):
+        """F1^e times {(d, Y): coeff}: the places e, right to left."""
+        for p in reversed(e):
+            out = {}
+            for (d, y), c in terms.items():
+                for d2, c2 in self.lmul(p, d).items():
+                    add_term(out, (d2, y), _times(c, c2))
+            terms = out
+        return terms
+
+    def induce(self, atom, d):
+        """atom F1^d modulo the odd raising operators: {(d', Y): coeff}."""
+        key = (atom, d)
+        hit = self._induce.get(key)
+        if hit is None:
+            hit = self._induce[key] = self._induce_uncached(atom, d)
+        return hit
+
+    def _induce_uncached(self, atom, d):
+        if atom in self._place:
+            return {(d2, self.even_one): c for d2, c in self.lmul(self._place[atom], d).items()}
+        if 1 not in d:
+            if atom[0] == "E" and self.alg.shape.parity(atom[1], atom[2]):
+                return {}  # an odd raising operator kills 1 (x) L0
+            key = self.alg.word_to_monomial((atom,))
+            return {(d, (key.fpsi, key.k, key.epsi)): RF_ONE}
+        first = d.index(1)
+        rest = d[:first] + (0,) + d[first + 1:]
+        out = {}
+        for c, e, x, nu in self._rule(atom, first):
+            terms = {(rest, self.even_one): RF_ONE} if x is None else self.induce(x, rest)
+            if nu is not None:
+                # x is an even F or None, so K^nu goes right after it
+                c = _times(c, self._torus_past(nu, rest))
+                terms = {(d2, (y[0], nu, y[2])): c2 for (d2, y), c2 in terms.items()}
+            for key, c2 in self._odd_times(e, terms).items():
+                add_term(out, key, _times(c, c2))
+        return out
+
 
 def kac_module(alg, lam):
-    """K(lam): induced from L0(lam) with the odd raising part acting by 0.
-    Its dimension is checked against _MAX_KAC_DIM before L0 is built."""
+    """K(lam) = Lambda_q(g_-1) (x) L0(lam), the basis F1^d (x) w in the order
+    of d, then w.  A simple generator acts through ``_KacInduction``; its
+    even parts act on L0.  The dimension is checked against _MAX_KAC_DIM
+    before L0 is built."""
     sh = alg.shape
     lam = tuple(lam)
     if len(lam) == sh.rank and in_Xplus(sh, lam):  # else simple_even_module says why
@@ -591,28 +807,25 @@ def kac_module(alg, lam):
         weights.append(tuple(wt))
         parities.append(sum(d) % 2)
     zero = GENERIC_FIELD.zero
+    induction = _KacInduction.of(alg)
     mats = {}
-    images = {}  # (fpsi, k, epsi, w) -> that even monomial applied to basis vector w
+    images = {}  # ((fpsi, k, epsi), w) -> that even monomial applied to basis vector w
     for i in range(1, sh.rank):
         for kind in ("E", "F"):
-            g = alg.gen(kind, i, i + 1)
+            atom = (kind, i, i + 1, 1)
             m = [[zero] * len(labels) for _ in range(len(labels))]
-            prods = {d: g * alg.monomial(fd=d) for d in dvecs}
             for cidx, (d, w) in enumerate(labels):
-                for key, coeff in prods[d].terms.items():
-                    if any(key.ed):
-                        continue  # odd raising operators kill 1 (x) L0
-                    even_key = (key.fpsi, key.k, key.epsi, w)
-                    img = images.get(even_key)
+                for (fd, even), coeff in induction.induce(atom, d).items():
+                    img = images.get((even, w))
                     if img is None:
-                        even = alg.monomial(fpsi=key.fpsi, k=key.k, epsi=key.epsi)
-                        img = images[even_key] = l0.act_element(even, l0.unit_vector(w))
+                        y = alg.monomial(fpsi=even[0], k=even[1], epsi=even[2])
+                        img = images[(even, w)] = l0.act_element(y, l0.unit_vector(w))
                     for wp, val in enumerate(img):
                         if val.is_zero():
                             continue
-                        tgt = index[(key.fd, wp)]
-                        m[tgt][cidx] = m[tgt][cidx] + coeff * val
-            mats[(kind, i, i + 1, 1)] = m
+                        tgt = index[(fd, wp)]
+                        m[tgt][cidx] = m[tgt][cidx] + _times(coeff, val)
+            mats[atom] = m
     return WeightModule(alg, GENERIC_FIELD, weights, parities, mats,
                         top=index[(tuple([0] * n1), l0.top)])
 

@@ -35,6 +35,23 @@ from operator import sub
 from .errors import DenominatorVanishes, ResourceLimit
 from .rootdata import _check_order
 
+# The largest q-degree built from an integer the user gives: the exponent n
+# of a power x^n times the q-degree of x's coefficients (q^k itself), the
+# shift c of a torus bracket [K;c;t] and each entry of a module's highest
+# weight.  q^k is a dense tuple of |k| + 1 integers and every product or gcd
+# with it costs as much: q^1000000 took 0.7 s and 51 MB, and Kac induction
+# at lambda = (100000, 0) ran past 200 s.  The benchmark workloads reach
+# q-degree 11; at 1000, kac --shape 1,1 --lambda=1000,0 answers in 0.15 s.
+_MAX_Q_DEGREE = 1000
+
+
+def check_q_degree(k, what):
+    """Raise ResourceLimit when the q-degree |k| of what is over the budget."""
+    if abs(k) > _MAX_Q_DEGREE:
+        raise ResourceLimit("%s has q-degree %d, over the budget of %d"
+                            % (what, abs(k), _MAX_Q_DEGREE))
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials over Z: tuples of ints, ascending degree, no trailing
 # zeros; () is the zero polynomial.
@@ -231,6 +248,10 @@ class RatFunc:
 
     def is_zero(self):
         return not self.num
+
+    def q_degree(self):
+        """The larger degree of num and den: x^n has q-degree n times it."""
+        return max(len(self.num), len(self.den)) - 1
 
     def __bool__(self):
         return bool(self.num)

@@ -185,6 +185,37 @@ def test_bad_sizes_exit_cleanly_and_fast(argv):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("domain error")
 
 
+
+# integers that become q-exponents, over scalars._MAX_Q_DEGREE: each took
+# from 0.5 s (lambda = 3000) to past 200 s (lambda = 100000) before the budget
+Q_DEGREE_PROBES = [
+    ["kac", "--shape", "1,1", "--lambda=100000,0"],
+    ["kac", "--shape", "1,1", "--lambda=3000,0"],
+    ["simple", "--shape", "2,1", "--lambda=0,0,-5000"],
+    ["nf", "--shape", "1,1", "q^1000000"],
+    ["nf", "--shape", "1,1", "q^-1000000"],
+    ["nf", "--shape", "1,1", "Kb[1;1000000;1]"],
+]
+
+
+@pytest.mark.parametrize("argv", Q_DEGREE_PROBES, ids=lambda a: " ".join(a[::3]))
+def test_q_degree_over_budget_exits_within_a_second(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli"] + argv,
+        capture_output=True, text=True, timeout=1, env=env,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "over the budget of 1000" in proc.stderr
+
+
+def test_q_degree_at_the_budget_is_answered():
+    for argv in (["nf", "--shape", "1,1", "q^1000"], ["nf", "--shape", "1,1", "Kb[1;-1000;1]"],
+                 ["kac", "--shape", "1,1", "--lambda=1000,-1000"]):
+        code, out, err = capture(argv)
+        assert code == 0 and err == "" and json.loads(out)["schema"] == 1, argv
+
 def test_large_shape_exits_cleanly_under_a_memory_limit():
     # the index lists of gl(1500|1500) alone outgrow a 2 GB address space
     resource = pytest.importorskip("resource")

@@ -13,9 +13,10 @@ from qgl import repmod
 from qgl import rootofunity as ru
 from qgl.errors import DomainError, NonDominant, NotHighestWeight
 from qgl.linalg import mat_mul, mat_vec, rank, rref
-from qgl.pbwcore import Algebra
-from qgl.rootdata import bilinear_form, in_Xplus, is_typical, weight_to_z, weyl_dim_even
+from qgl.pbwcore import Algebra, Element
+from qgl.rootdata import Shape, bilinear_form, in_Xplus, is_typical, weight_to_z, weyl_dim_even
 from qgl.scalars import GENERIC_FIELD, RF_ZERO, RatFunc
+from kac_oracle import straightened_kac_module
 from verma_oracle import VermaOracle
 
 
@@ -156,6 +157,89 @@ def test_kac_highest_vector():
     assert mod.eps_weights[mod.top] == lam
     assert mod.parities[mod.top] == 0
 
+
+
+# -- Kac induction against full straightening --------------------------------
+
+# shape -> (typical, atypical, negative) highest weights
+INDUCTION_WEIGHTS = {
+    (1, 1): [(2, 0), (0, 0), (-3, 1)],
+    (2, 1): [(2, 1, 1), (2, 0, 0), (-1, -2, 3)],
+    (1, 2): [(2, 1, 0), (1, 2, 0), (-2, 1, -1)],
+    (2, 2): [(2, 0, 1, 0), (1, 0, 0, 0), (-1, -1, 2, 1)],
+    (3, 1): [(2, 1, 0, 1), (1, 0, 0, 0), (-1, -1, -2, 3)],
+    (1, 3): [(3, 1, 0, 0), (1, 1, 0, 0), (-2, 1, 1, 0)],
+    (3, 2): [(0, 0, 0, 2, 2), (0, 0, 0, 0, 0), (-2, -2, -2, 1, 1)],
+    (2, 3): [(3, 3, 0, 0, 0), (1, 1, 0, 0, 0), (-1, -1, -3, -3, -3)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(INDUCTION_WEIGHTS), ids=str)
+def test_kac_module_matches_the_straightened_induction(shape):
+    typical, atypical, negative = INDUCTION_WEIGHTS[shape]
+    assert is_typical(Shape(*shape), typical) and not is_typical(Shape(*shape), atypical)
+    assert min(negative) < 0
+    for lam in (typical, atypical, negative):
+        mod = repmod.kac_module(Algebra(shape), lam)
+        ref = straightened_kac_module(Algebra(shape), lam)
+        assert (mod.eps_weights, mod.parities, mod.top) == (ref.eps_weights, ref.parities, ref.top)
+        assert sorted(mod.mats) == sorted(ref.mats)
+        for key, m in ref.mats.items():
+            assert mod.mats[key] == m, (shape, lam, key)
+
+
+def _rule_element(alg, terms):
+    """The Element of the terms (coeff, e, x, nu) of a Kac induction rule."""
+    out = {}
+    for c, e, x, nu in terms:
+        word = [("F", i, j, 1) for p, (i, j) in enumerate(alg.f1_list) if p in e]
+        word += [x] if x is not None else []
+        word += [("K", nu)] if nu is not None else []
+        key = alg.word_to_monomial(word)
+        out[key] = out.get(key, RF_ZERO) + c
+    return Element(alg, {k: c for k, c in out.items() if not c.is_zero()})
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3),
+                                   (3, 2), (2, 3), (4, 1), (1, 4), (3, 3)], ids=str)
+def test_induction_rules_match_two_atom_products(shape):
+    # every closed-form rule is the straightener's product of its two atoms:
+    # the simple E's, the even F's (composites arise from [E_m, F_b]) and the
+    # odd F's, each against every odd root it may precede
+    alg = Algebra(shape)
+    ind = repmod._KacInduction.of(alg)
+    sh = alg.shape
+    atoms = [("E", i, i + 1, 1) for i in range(1, sh.rank)]
+    atoms += [("F", i, j, 1) for i, j in alg.f0_list + alg.f1_list]
+    checked = 0
+    for atom in atoms:
+        for p, (s, t) in enumerate(alg.f1_list):
+            if atom[0] == "F" and sh.parity(atom[1], atom[2]) and alg.f1_list.index(atom[1:3]) <= p:
+                continue  # already in PBW order, or F_b^2
+            want = alg.gen(atom[0], atom[1], atom[2]) * alg.gen("F", s, t)
+            assert _rule_element(alg, ind._rule(atom, p)) == want, (atom, (s, t))
+            checked += 1
+    assert checked >= len(alg.f1_list) * (sh.rank - 1)
+
+
+def test_kac_module_straightens_no_long_word(monkeypatch):
+    words = []
+    straighten = Algebra.straighten
+
+    def recorded(self, terms):
+        words.extend(w for _, w in terms)
+        return straighten(self, terms)
+
+    monkeypatch.setattr(Algebra, "straighten", recorded)
+    for shape, lam in [((2, 1), (2, 0, 0)), ((2, 2), (1, 0, 0, 0)), ((1, 3), (1, 1, 0, 0)),
+                       ((3, 2), (0, 0, 0, 0, 0))]:
+        mod = repmod.kac_module(Algebra(shape), lam)
+        assert mod.dim == repmod.kac_dimension_oracle(mod.alg, lam)
+    assert all(len(w) <= 2 for w in words), max(words, key=len)
+    # the straightened induction would fail the same check
+    words.clear()
+    straightened_kac_module(Algebra((2, 2)), (1, 0, 0, 0))
+    assert max(len(w) for w in words) > 2
 
 # -- verify catches broken modules ------------------------------------------
 

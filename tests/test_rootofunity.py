@@ -2,12 +2,15 @@
 small-group dimension counts, restricted simple modules, character
 factorization, and the classical Serre-presentation limit."""
 
+import itertools
+import time
+
 import pytest
 
 from qgl import repmod, rootofunity as ru
 from qgl.errors import BadRootOrder, DenominatorVanishes, OutOfRestrictedRange
 from qgl.pbwcore import Algebra
-from qgl.rootdata import Shape
+from qgl.rootdata import Shape, frobenius_decompose, in_Xplus, z_to_weight
 from qgl.scalars import CycloNum, RatFunc, evaluate_at_root, gauss_int
 
 
@@ -121,6 +124,25 @@ def test_frobenius_character_factorization_gl21(z):
     r = ru.frobenius_character_check(alg, z, 3)
     assert r["z_frobenius"] != (0, 0, 0)
     assert r["match"], z
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2)], ids=str)
+def test_frobenius_character_factorization_sweep(shape):
+    # ch L(z) = ch L(z') ch L(3 z'') for every z in [0,7)^3 with z'' != 0 and
+    # a dominant weight.  The one constrained index is 1 for (2,1) and 2 for
+    # (1,2); at the indices m and m + n all of z stays in z'.  Each sweep
+    # builds 588 simple modules at q = eta through simple_at_root, about 6 s
+    # on a 2-core host; the bound catches a path that became ten times slower.
+    alg = Algebra(shape)
+    start = time.perf_counter()
+    checked = 0
+    for z in itertools.product(range(7), repeat=3):
+        _, zpp = frobenius_decompose(alg.shape, z, 3)
+        if any(zpp) and in_Xplus(alg.shape, z_to_weight(alg.shape, z)):
+            assert ru.frobenius_character_check(alg, z, 3)["match"], z
+            checked += 1
+    assert checked == 196
+    assert time.perf_counter() - start < 60
 
 
 def test_frobenius_vanishing():
