@@ -98,7 +98,8 @@ class Hopf:
 
     # -- generator images ----------------------------------------------------
 
-    def _delta_atom(self, atom):
+    def delta_atom(self, atom):
+        """The coproduct of a simple generator or a torus atom, cached."""
         alg = self.alg
         hit = self._delta_gen.get(atom)
         if hit is not None:
@@ -123,7 +124,7 @@ class Hopf:
 
     def delta(self, elt):
         """The coproduct, a superalgebra map into the signed tensor square."""
-        return self.alg.apply_hom(elt, self._delta_atom)
+        return self.alg.apply_hom(elt, self.delta_atom)
 
     def counit(self, elt):
         """The counit: kills E and F, sends every K-monomial to 1."""

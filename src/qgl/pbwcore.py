@@ -110,12 +110,13 @@ def add_term(out, key, c):
 
 
 class LinearCombination:
-    """Finite map key -> RatFunc over a fixed algebra; immutable.
+    """Finite map key -> scalar over a fixed algebra; immutable.
 
     The one term-map type: sums, negation, scaling and equality are defined
     here, and accept only an operand of the same concrete type (or a scalar,
     where a subclass's ``_coerce`` allows one).  Each subclass defines its
-    own product.
+    own product.  ``repmod``'s action matrices are term maps too, with a
+    module in the alg slot and scalars in its field.
     """
 
     __slots__ = ("alg", "terms")
@@ -543,12 +544,14 @@ class Algebra:
             _, i, j, n = left
             mu = right[1]
             e = -n * bilinear_form(self.shape, mu, self.shape.root_weight(i, j))
+            check_q_degree(e, "a torus monomial passing a root vector")
             return [(RatFunc.q_power(e), (right, left))]
         if kinds == "KF":
             # K F -> q^{-n (mu, eps_s - eps_t)} F K
             _, s, t, n = right
             mu = left[1]
             e = -n * bilinear_form(self.shape, mu, self.shape.root_weight(s, t))
+            check_q_degree(e, "a torus monomial passing a root vector")
             return [(RatFunc.q_power(e), (right, left))]
         if kinds == "EE":
             return self._resolve_ee(left, right)

@@ -11,7 +11,8 @@ catalog is used four ways:
 * through the coproduct (``hopf.TensorSquareView``);
 * through a braid operator T_i or T_i^-1 (``braid.BraidView``);
 * through a module's action map, as matrix identities
-  (``repmod.WeightModule.verify``).
+  (``repmod.WeightModule.verify``), which adds and multiplies sparse
+  action matrices: ``pbwcore.LinearCombination``s keyed by (row, column).
 
 Sign conventions: the super bracket is [x, y] = xy - (-1)^{par x par y} yx,
 and the mixed E/F bracket relation uses this reading (the only case where

@@ -27,7 +27,7 @@ import itertools
 
 from .errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
 from .linalg import Echelon, mat_mul, mat_vec, nullspace, rref
-from .pbwcore import add_term
+from .pbwcore import LinearCombination, add_term
 from .rootdata import (
     bilinear_form,
     in_Xplus,
@@ -61,18 +61,22 @@ class WeightModule:
     rebasing, quotients and specialization touch only what is stored.
     """
 
-    def __init__(self, alg, field, eps_weights, parities, mats, top=None, l=None):
+    def __init__(self, alg, field, eps_weights, parities, mats, top=None):
         self.alg = alg
         self.field = field
         self.eps_weights = [tuple(w) for w in eps_weights]
         self.parities = list(parities)
         self.mats = dict(mats)
         self.top = top
-        self.l = l
 
     @property
     def dim(self):
         return len(self.eps_weights)
+
+    @property
+    def l(self):
+        """The order of eta for a module over Q(eta), None over Q(q)."""
+        return self.field.l
 
     def scal(self, c):
         """Map a RatFunc coefficient into the module's field."""
@@ -113,18 +117,14 @@ class WeightModule:
             out = [o if c.is_zero() else o + c * cval for o, c in zip(out, cur)]
         return out
 
-    def _matrix(self, act):
-        """The matrix whose columns are act applied to the unit vectors."""
-        cols = [act(self.unit_vector(c)) for c in range(self.dim)]
-        return [list(row) for row in zip(*cols)]
-
     def matrix_of_atom(self, atom):
         """The stored matrix of an atom, or else one built from its action
         on the unit vectors; built matrices are not kept."""
         hit = self.mats.get(atom)
         if hit is not None:
             return hit
-        return self._matrix(lambda v: self._act_atom(atom, v))
+        cols = [self._act_atom(atom, self.unit_vector(c)) for c in range(self.dim)]
+        return [list(row) for row in zip(*cols)]
 
     def ensure_divided(self, kind, i, j, n):
         """Store the divided-power matrix X_{ij}^{(n)} (generic field only)."""
@@ -184,7 +184,9 @@ class WeightModule:
         for _, word in pairs:
             if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2])) for a in word):
                 return _ABSENT
-        return _Matrix(self, self._matrix(lambda v: self._act_sum(pairs, v)))
+        return _Matrix(self, {(r, c): x for c in range(self.dim)
+                              for r, x in enumerate(self._act_sum(pairs, self.unit_vector(c)))
+                              if not x.is_zero()})
 
     def verify(self):
         """Check the module against the relation catalog; returns defects.
@@ -202,17 +204,16 @@ class WeightModule:
         sh = self.alg.shape
         defects = []
         for i in self.nodes():
-            al = sh.alpha(i)
             pi = 1 if i == sh.m else 0
-            for kind, s in (("E", 1), ("F", -1)):
-                m = self.matrix_of_atom((kind, i, i + 1, 1))
+            for kind in ("E", "F"):
+                key = (kind, i, i + 1, 1)
+                shift = _key_shift(key, sh.rank)
+                m = self.matrix_of_atom(key)
                 for r in range(self.dim):
                     for c in range(self.dim):
                         if m[r][c].is_zero():
                             continue
-                        want = tuple(
-                            self.eps_weights[c][t] + s * al[t] for t in range(sh.rank)
-                        )
+                        want = tuple(a + b for a, b in zip(self.eps_weights[c], shift))
                         if self.eps_weights[r] != want:
                             defects.append("weight:%s%d" % (kind, i))
                         if (self.parities[r] - self.parities[c] - pi) % 2:
@@ -223,44 +224,29 @@ class WeightModule:
         return defects
 
 
-class _Matrix:
-    """A module's action matrix with the ring operations of the relation
-    catalog; scale maps a RatFunc through the module's field."""
+class _Matrix(LinearCombination):
+    """A module's action matrix for the relation catalog: the term map
+    {(row, column): value}, with the module in the alg slot.  Sums and the
+    zero test are the term map's; scale maps a RatFunc through the
+    module's field."""
 
-    __slots__ = ("mod", "rows")
-
-    def __init__(self, mod, rows):
-        self.mod = mod
-        self.rows = rows
-
-    def __add__(self, other):
-        if not isinstance(other, _Matrix):
-            return NotImplemented
-        return _Matrix(
-            self.mod, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self):
-        return _Matrix(self.mod, [[-x for x in row] for row in self.rows])
-
-    def __sub__(self, other):
-        if not isinstance(other, _Matrix):
-            return NotImplemented
-        return _Matrix(
-            self.mod, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+    __slots__ = ()
 
     def __mul__(self, other):
-        if not isinstance(other, _Matrix):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return _Matrix(self.mod, mat_mul(self.rows, other.rows, self.mod.field.zero))
+        rows = {}  # other's terms by row
+        for (k, c), y in other.terms.items():
+            rows.setdefault(k, []).append((c, y))
+        out = {}
+        for (r, k), x in self.terms.items():
+            for c, y in rows.get(k, ()):
+                add_term(out, (r, c), x * y)
+        return _Matrix(self.alg, out)
 
     def scale(self, c):
-        cval = self.mod.scal(c)
-        return _Matrix(self.mod, [[x if x.is_zero() else x * cval for x in row] for row in self.rows])
-
-    def is_zero(self):
-        return all(x.is_zero() for row in self.rows for x in row)
+        return super().scale(self.alg.scal(c))
 
 
 class _Absent:
@@ -327,21 +313,21 @@ def quotient_module(mod, span_rows):
         [mod.parities[c] for c in keep],
         new_mats,
         top=new_top,
-        l=mod.l,
     )
 
 
-def singular_vectors(mod, include_divided=False, skip_top=True):
-    """Weight vectors killed by every raising operator.
+def _raising_keys(mod):
+    """The stored raising keys: the simple E's, then the divided powers
+    E^(n), which only a module specialized at q = eta stores."""
+    return [("E", i, i + 1, 1) for i in mod.nodes()] + [
+        k for k in mod.action_keys() if k[0] == "DE"]
 
-    With include_divided, stored divided-power raising matrices are
-    required to vanish as well (the root-of-unity maximal condition).
-    """
+
+def singular_vectors(mod, skip_top=True):
+    """Weight vectors killed by every stored raising operator: at q = eta
+    the divided powers E^(n) too (the root-of-unity maximal condition)."""
     zero, one = mod.field.zero, mod.field.one
-    keys = [("E", i, i + 1, 1) for i in mod.nodes()]
-    if include_divided:
-        keys += [k for k in mod.action_keys() if k[0] == "DE"]
-    mats = [mod.mats[k] for k in keys]
+    mats = [mod.mats[k] for k in _raising_keys(mod)]
     out = []
     top_wt = mod.eps_weights[mod.top] if (skip_top and mod.top is not None) else None
     for wt, idxs in sorted(mod.weight_spaces().items()):
@@ -384,7 +370,7 @@ def _form_times(f, m, rows, cols, zero):
     return out
 
 
-def simple_head(mod, include_divided=False):
+def simple_head(mod):
     """The simple quotient of a highest-weight module: the quotient by the
     radical of its contravariant form, in one pass over the weight spaces.
 
@@ -396,9 +382,9 @@ def simple_head(mod, include_divided=False):
     by 1 along every simple root), their rref Phi_mu has the maximal
     submodule as kernel; its pivot columns are the head's basis, and the
     head acts on them by Phi_nu * X[rows of nu, pivot columns of mu].
-    With include_divided the stored divided powers E^(n) raise as well,
-    which makes the same argument hold at a root of unity (Lusztig's
-    triangular decomposition of the integral form).
+    At q = eta the stored divided powers E^(n) raise as well, which makes
+    the same argument hold at a root of unity (Lusztig's triangular
+    decomposition of the integral form).
     """
     if mod.top is None:
         raise NotHighestWeight("simple head needs a distinguished top vector")
@@ -410,10 +396,7 @@ def simple_head(mod, include_divided=False):
         raise NotHighestWeight(
             "the top weight space has dimension %d, not 1" % len(spaces[top_wt])
         )
-    keys = [("E", i, i + 1, 1) for i in mod.nodes()]
-    if include_divided:
-        keys += [k for k in mod.action_keys() if k[0] == "DE"]
-    raising = [(_key_shift(k, rank), mod.mats[k]) for k in keys]
+    raising = [(_key_shift(k, rank), mod.mats[k]) for k in _raising_keys(mod)]
 
     def height(wt):
         return sum((rank - k) * x for k, x in enumerate(wt, 1))
@@ -458,7 +441,6 @@ def simple_head(mod, include_divided=False):
         [mod.parities[c] for c in keep],
         new_mats,
         top=pos[mod.top],
-        l=mod.l,
     )
 
 
@@ -797,15 +779,10 @@ def kac_module(alg, lam):
     dvecs = list(itertools.product((0, 1), repeat=n1))
     labels = [(d, w) for d in dvecs for w in range(l0.dim)]
     index = {lab: t for t, lab in enumerate(labels)}
-    weights, parities = [], []
-    for d, w in labels:
-        wt = list(l0.eps_weights[w])
-        for idx, (i, j) in enumerate(alg.f1_list):
-            if d[idx]:
-                wt[i - 1] -= 1
-                wt[j - 1] += 1
-        weights.append(tuple(wt))
-        parities.append(sum(d) % 2)
+    unit = alg.unit_monomial()
+    shifts = {d: alg.monomial_weight(unit._replace(fd=d)) for d in dvecs}  # the weight of F1^d
+    weights = [tuple(a + b for a, b in zip(l0.eps_weights[w], shifts[d])) for d, w in labels]
+    parities = [sum(d) % 2 for d, _ in labels]
     zero = GENERIC_FIELD.zero
     induction = _KacInduction.of(alg)
     mats = {}
@@ -838,11 +815,33 @@ def kac_dimension_oracle(alg, lam):
 # -- tensor products --------------------------------------------------------
 
 
+def _factor_columns(mod, key):
+    """The nonzero entries of a coproduct factor on mod, [(row, value)] per
+    column; the unit is the identity, with None for its entries 1."""
+    word = mod.alg.mono_word(key)
+    if not word:
+        return [[(c, None)] for c in range(mod.dim)]
+    (atom,) = word
+    if atom[0] == "K":
+        return [[(c, mod.q_weight(atom[1], wt))] for c, wt in enumerate(mod.eps_weights)]
+    cols = [[] for _ in range(mod.dim)]
+    for r, row in enumerate(mod.matrix_of_atom(atom)):
+        for c, x in enumerate(row):
+            if not x.is_zero():
+                cols[c].append((r, x))
+    return cols
+
+
 def tensor_module(m1, m2):
-    """Signed tensor product with the coproduct action on simple generators."""
-    if m1.alg is not m2.alg or m1.field is not m2.field or m1.l != m2.l:
+    """Signed tensor product: a simple generator g acts through its
+    coproduct Delta(g) = sum c x (x) y (``hopf.Hopf.delta_atom``), each
+    term sending a (x) b to (-1)^{p(y) p(a)} c (x a) (x) (y b)."""
+    # the coproduct is loaded only where a tensor product is built
+    from .hopf import Hopf
+
+    if m1.alg is not m2.alg or m1.l != m2.l:
         raise DomainError("tensor factors live over different bases")
-    alg, sh = m1.alg, m1.alg.shape
+    alg = m1.alg
     zero = m1.field.zero
     labels = [(a, b) for a in range(m1.dim) for b in range(m2.dim)]
     index = {lab: t for t, lab in enumerate(labels)}
@@ -851,58 +850,40 @@ def tensor_module(m1, m2):
         for a, b in labels
     ]
     parities = [(m1.parities[a] + m2.parities[b]) % 2 for a, b in labels]
+    hopf = Hopf(alg)
     mats = {}
-    for i in range(1, sh.rank):
-        al = sh.alpha(i)
-        pi = 1 if i == sh.m else 0
-        me1 = m1.matrix_of_atom(("E", i, i + 1, 1))
-        me2 = m2.matrix_of_atom(("E", i, i + 1, 1))
-        mf1 = m1.matrix_of_atom(("F", i, i + 1, 1))
-        mf2 = m2.matrix_of_atom(("F", i, i + 1, 1))
-        em = [[zero] * len(labels) for _ in range(len(labels))]
-        fm = [[zero] * len(labels) for _ in range(len(labels))]
-        for cidx, (a, b) in enumerate(labels):
-            # E: E x (x) K y + (-1)^{p_i p(x)} x (x) E y
-            kb = m2.q_weight(al, m2.eps_weights[b])
-            for ap in range(m1.dim):
-                v = me1[ap][a]
-                if not v.is_zero():
-                    em[index[(ap, b)]][cidx] = em[index[(ap, b)]][cidx] + v * kb
-            sgn = -1 if (pi and m1.parities[a]) else 1
-            for bp in range(m2.dim):
-                v = me2[bp][b]
-                if not v.is_zero():
-                    val = v if sgn == 1 else zero - v
-                    em[index[(a, bp)]][cidx] = em[index[(a, bp)]][cidx] + val
-            # F: F x (x) y + (-1)^{p_i p(x)} K^{-1} x (x) F y
-            for ap in range(m1.dim):
-                v = mf1[ap][a]
-                if not v.is_zero():
-                    fm[index[(ap, b)]][cidx] = fm[index[(ap, b)]][cidx] + v
-            ka_inv = m1.q_weight(tuple(-x for x in al), m1.eps_weights[a])
-            for bp in range(m2.dim):
-                v = mf2[bp][b]
-                if not v.is_zero():
-                    val = v * ka_inv
-                    if sgn == -1:
-                        val = zero - val
-                    fm[index[(a, bp)]][cidx] = fm[index[(a, bp)]][cidx] + val
-        mats[("E", i, i + 1, 1)] = em
-        mats[("F", i, i + 1, 1)] = fm
+    for i in range(1, alg.shape.rank):
+        for kind in ("E", "F"):
+            key = (kind, i, i + 1, 1)
+            m = [[zero] * len(labels) for _ in range(len(labels))]
+            for (x, y), c in hopf.delta_atom(key).terms.items():
+                cx, cy = _factor_columns(m1, x), _factor_columns(m2, y)
+                cval = None if c == RF_ONE else m1.scal(c)
+                py = alg.monomial_parity(y)
+                for cidx, (a, b) in enumerate(labels):
+                    for ap, u in cx[a]:
+                        for bp, v in cy[b]:
+                            val = v if u is None else u if v is None else u * v
+                            if cval is not None:
+                                val = val * cval
+                            if py and m1.parities[a]:
+                                val = -val
+                            tgt = index[(ap, bp)]
+                            m[tgt][cidx] = m[tgt][cidx] + val
+            mats[key] = m
     top = None
     if m1.top is not None and m2.top is not None:
         top = index[(m1.top, m2.top)]
-    return WeightModule(alg, m1.field, weights, parities, mats, top=top, l=m1.l)
+    return WeightModule(alg, m1.field, weights, parities, mats, top=top)
 
 
-def trivial_module(alg, field=None):
-    field = field or GENERIC_FIELD
-    zero = field.zero
+def trivial_module(alg):
+    zero = GENERIC_FIELD.zero
     mats = {}
     for i in range(1, alg.shape.rank):
         mats[("E", i, i + 1, 1)] = [[zero]]
         mats[("F", i, i + 1, 1)] = [[zero]]
-    return WeightModule(alg, field, [tuple([0] * alg.shape.rank)], [0], mats, top=0)
+    return WeightModule(alg, GENERIC_FIELD, [tuple([0] * alg.shape.rank)], [0], mats, top=0)
 
 
 def rebase_to_divided_monomials(mod):
@@ -962,7 +943,7 @@ def rebase_to_divided_monomials(mod):
         idxs = [r for r in range(mod.dim) if not cols[c][r].is_zero()]
         weights.append(mod.eps_weights[idxs[0]])
         parities.append(mod.parities[idxs[0]])
-    return WeightModule(alg, GENERIC_FIELD, weights, parities, new_mats, top=0, l=None)
+    return WeightModule(alg, GENERIC_FIELD, weights, parities, new_mats, top=0)
 
 
 # -- typicality through module structure ------------------------------------

@@ -88,7 +88,7 @@ def specialize_module(mod, l):
     for key, m in mod.mats.items():
         mats[key] = [[zero if x.is_zero() else evaluate_at_root(x, l) for x in row] for row in m]
     return repmod.WeightModule(
-        mod.alg, field, mod.eps_weights, mod.parities, mats, top=mod.top, l=l
+        mod.alg, field, mod.eps_weights, mod.parities, mats, top=mod.top
     )
 
 
@@ -134,7 +134,7 @@ def simple_at_root(alg, z, l):
     if not in_Xplus(alg.shape, lam):
         raise DomainError("z has no dominant associated weight")
     mod = specialize_kac(alg, lam, l)
-    return repmod.simple_head(mod, include_divided=True)
+    return repmod.simple_head(mod)
 
 
 # -- restricted-weight structure checks --------------------------------------
@@ -163,7 +163,7 @@ def restricted_checks(alg, z, l):
             if any(not x.is_zero() for x in col):
                 ok = False
     out["divided_f_kills_top"] = ok
-    sing = repmod.singular_vectors(mod, include_divided=True, skip_top=False)
+    sing = repmod.singular_vectors(mod, skip_top=False)
     out["maximal_line_unique"] = len(sing) == 1
     simple_keys = [k for k in mod.action_keys() if k[0] in ("E", "F") and k[3] == 1]
     gen_ok = True

@@ -762,16 +762,18 @@ def evaluate_at_root(x, l):
 
 
 class FieldOps:
-    """Tiny field descriptor shared by the generic and root-of-unity scalars."""
+    """Tiny field descriptor shared by the generic and root-of-unity scalars:
+    l is the order of eta for Q(eta), None for Q(q)."""
 
-    def __init__(self, zero, one):
+    def __init__(self, zero, one, l):
         self.zero = zero
         self.one = one
+        self.l = l
 
 
-GENERIC_FIELD = FieldOps(RF_ZERO, RF_ONE)
+GENERIC_FIELD = FieldOps(RF_ZERO, RF_ONE, None)
 
 
 def cyclo_field(l):
     _check_order(l)
-    return FieldOps(CycloNum.from_int(0, l), CycloNum.from_int(1, l))
+    return FieldOps(CycloNum.from_int(0, l), CycloNum.from_int(1, l), l)

@@ -14,7 +14,9 @@ from qgl import rootofunity as ru
 from qgl.errors import DomainError, NonDominant, NotHighestWeight
 from qgl.linalg import mat_mul, mat_vec, rank, rref
 from qgl.pbwcore import Algebra, Element
-from qgl.rootdata import Shape, bilinear_form, in_Xplus, is_typical, weight_to_z, weyl_dim_even
+from qgl.rootdata import (
+    Shape, bilinear_form, frobenius_decompose, in_Xplus, is_typical, weight_to_z, weyl_dim_even,
+)
 from qgl.scalars import GENERIC_FIELD, RF_ZERO, RatFunc
 from kac_oracle import straightened_kac_module
 from verma_oracle import VermaOracle
@@ -252,7 +254,7 @@ def _verified_modules():
 def _copy(mod, mats=None, parities=None):
     return repmod.WeightModule(
         mod.alg, mod.field, mod.eps_weights, parities or mod.parities, mats or mod.mats,
-        top=mod.top, l=mod.l,
+        top=mod.top,
     )
 
 
@@ -299,11 +301,11 @@ def test_typicality_matches_simplicity(shape):
 # -- simple heads against the singular-vector peeling they replaced -----------
 
 
-def _peeling_head(mod, include_divided=False):
+def _peeling_head(mod):
     """Reference head: quotient by the closure of the proper singular
     vectors until none is left."""
     while True:
-        sing = repmod.singular_vectors(mod, include_divided=include_divided)
+        sing = repmod.singular_vectors(mod)
         if not sing:
             return mod
         mod = repmod.quotient_module(mod, repmod.submodule_closure(mod, [v for _, v in sing]))
@@ -321,12 +323,12 @@ HEAD_CASES = [
 ]
 
 
-def _check_head(head, ref, include_divided):
+def _check_head(head, ref):
     assert head.dim == ref.dim
     assert head.character() == ref.character()
     assert head.eps_weights[head.top] == ref.eps_weights[ref.top]
     assert head.verify() == []
-    assert repmod.singular_vectors(head, include_divided=include_divided) == []
+    assert repmod.singular_vectors(head) == []
 
 
 @pytest.mark.parametrize("shape,typical,atypical", HEAD_CASES)
@@ -336,14 +338,14 @@ def test_simple_head_matches_peeling(shape, typical, atypical):
     for lam in (typical, atypical):
         mod = repmod.kac_module(alg, lam)
         head = repmod.simple_head(mod)
-        _check_head(head, _peeling_head(mod), False)
+        _check_head(head, _peeling_head(mod))
         assert (head is mod) == is_typical(alg.shape, lam)
 
 
 def _check_head_at_root(alg, lam, l):
     head = ru.simple_at_root(alg, weight_to_z(alg.shape, lam), l)
-    ref = _peeling_head(ru.specialize_kac(alg, lam, l), include_divided=True)
-    _check_head(head, ref, True)
+    ref = _peeling_head(ru.specialize_kac(alg, lam, l))
+    _check_head(head, ref)
 
 
 @pytest.mark.parametrize("l", [3, 5])
@@ -554,6 +556,82 @@ def test_tensor_with_trivial_module():
     assert t.dim == a.dim
     assert t.character() == a.character()
     assert t.verify() == []
+
+
+def _coproduct_matrices(m1, m2):
+    """The simple generators on m1 (x) m2, basis a (x) b at a * dim m2 + b,
+    from Delta(E_i) = E_i (x) K_alpha_i + 1 (x) E_i and Delta(F_i) =
+    F_i (x) 1 + K_alpha_i^-1 (x) F_i, where the second term carries the
+    sign (-1)^{p_i p(a)}."""
+    sh = m1.alg.shape
+    one, zero = m1.field.one, m1.field.zero
+    n2 = m2.dim
+    out = {}
+    for i in range(1, sh.rank):
+        al = sh.alpha(i)
+        odd = i == sh.m
+        for kind in ("E", "F"):
+            key = (kind, i, i + 1, 1)
+            x1, x2 = m1.mats[key], m2.mats[key]
+            m = [[zero] * (m1.dim * n2) for _ in range(m1.dim * n2)]
+            for a in range(m1.dim):
+                for b in range(n2):
+                    if kind == "E":
+                        k1, k2 = m2.q_weight(al, m2.eps_weights[b]), one
+                    else:
+                        k1, k2 = one, m1.q_weight(tuple(-x for x in al), m1.eps_weights[a])
+                    if odd and m1.parities[a]:
+                        k2 = -k2
+                    for ap in range(m1.dim):
+                        m[ap * n2 + b][a * n2 + b] += x1[ap][a] * k1
+                    for bp in range(n2):
+                        m[a * n2 + bp][a * n2 + b] += k2 * x2[bp][b]
+            out[key] = m
+    return out
+
+
+def _tensor_factors():
+    gl21, gl12 = Algebra((2, 1)), Algebra((1, 2))
+    return {
+        "kac-kac-gl21": (repmod.kac_module(gl21, (2, 0, 0)), repmod.kac_module(gl21, (1, 0, 1))),
+        "kac-kac-gl12": (repmod.kac_module(gl12, (1, 1, 0)), repmod.kac_module(gl12, (0, 1, 0))),
+        "kac-trivial": (repmod.kac_module(gl21, (1, 1, 0)), repmod.trivial_module(gl21)),
+        "restricted-l3": (ru.restricted_simple(gl21, (1, 0, 0), 3),
+                          ru.restricted_simple(gl21, (0, 1, 0), 3)),
+    }
+
+
+@pytest.mark.parametrize("case", ["kac-kac-gl21", "kac-kac-gl12", "kac-trivial", "restricted-l3"])
+def test_tensor_matrices_match_the_coproduct(case):
+    m1, m2 = _tensor_factors()[case]
+    t = repmod.tensor_module(m1, m2)
+    want = _coproduct_matrices(m1, m2)
+    assert set(t.mats) == set(want)
+    for key, m in want.items():
+        assert any(not x.is_zero() for row in m for x in row), key
+        assert t.mats[key] == m, key
+
+
+# z on gl(2|1) and gl(1|2), split at l = 3 into a restricted z' and 3 z''
+FROBENIUS_TENSORS = [
+    ((2, 1), (4, 0, 0)), ((2, 1), (4, 3, 1)), ((2, 1), (3, 2, 0)),
+    ((1, 2), (0, 4, 0)), ((1, 2), (2, 4, 1)),
+]
+
+
+@pytest.mark.parametrize("shape,z", FROBENIUS_TENSORS, ids=str)
+def test_tensor_over_q_eta_realizes_the_frobenius_splitting(shape, z):
+    # two modules over Q(eta) have fields built apart; the product must
+    # still be formed, and L(z') (x) L(3 z'') has the character of L(z)
+    alg, l = Algebra(shape), 3
+    zp, zpp = frobenius_decompose(alg.shape, z, l)
+    whole = ru.simple_at_root(alg, z, l)
+    t = repmod.tensor_module(ru.simple_at_root(alg, zp, l),
+                             ru.simple_at_root(alg, tuple(l * x for x in zpp), l))
+    assert t.l == l
+    assert t.verify() == []
+    assert t.dim == whole.dim
+    assert t.character() == whole.character()
 
 
 # -- the free-word action oracle ---------------------------------------------
