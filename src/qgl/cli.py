@@ -379,7 +379,7 @@ def _build_parser():
     sp.add_argument("--z", required=True)
     sp.add_argument("--l", type=int, required=True)
     sp = add("selftest", _cmd_selftest, help="deterministic self-test battery")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--trials", type=int, default=50)
     return p
 
@@ -398,8 +398,8 @@ def run(argv):
         mn = _parse_ints(shape_text, "--shape")
         if len(mn) != 2:
             raise ExprSyntaxError("--shape needs exactly two integers", 0)
-        if "seed" in cfg and getattr(args, "seed", None) in (None, 0):
-            args.seed = cfg["seed"]
+        if getattr(args, "seed", 0) is None:  # the flag, else the config, else 0
+            args.seed = cfg.get("seed", 0)
         return args.handler(args, Shape(*mn))
     except ExprSyntaxError as e:
         sys.stderr.write("syntax error at offset %d: %s\n" % (e.offset, e.args[0]))

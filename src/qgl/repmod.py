@@ -15,7 +15,8 @@ straightened.  The Kac module K(lam) = Lambda_q(g_-1) (x) L0(lam) is induced
 from it (R. B. Zhang, J. Math. Phys. 34, 1993): a generator passes an
 ordered odd monomial one odd root at a time, by closed-form two-atom
 rules, and what is left of it acts on L0; no product is straightened
-there either.
+there either.  For q = eta it is induced the same way from L0(lam) rebased
+onto divided lowering monomials, the integral lattice.
 
 The simple head of a highest-weight module is its quotient by the radical
 of the contravariant form: the vectors that no raising word takes to the
@@ -763,31 +764,33 @@ class _KacInduction:
         return out
 
 
-def kac_module(alg, lam):
-    """K(lam) = Lambda_q(g_-1) (x) L0(lam), the basis F1^d (x) w in the order
-    of d, then w.  A simple generator acts through ``_KacInduction``; its
-    even parts act on L0.  The dimension is checked against _MAX_KAC_DIM
-    before L0 is built."""
+def _check_kac_budget(alg, lam):
+    """Raise ResourceLimit when the Kac dimension 2^(mn) * weyl_dim_even(lam)
+    is over _MAX_KAC_DIM; a weight that is not dominant is left for
+    simple_even_module to reject."""
     sh = alg.shape
     lam = tuple(lam)
-    if len(lam) == sh.rank and in_Xplus(sh, lam):  # else simple_even_module says why
+    if len(lam) == sh.rank and in_Xplus(sh, lam):
         dim = kac_dimension_oracle(alg, lam)
         if dim > _MAX_KAC_DIM:
             raise ResourceLimit("Kac dimension %d is over the budget of %d" % (dim, _MAX_KAC_DIM))
-    l0 = simple_even_module(alg, lam)
-    n1 = len(alg.f1_list)
-    dvecs = list(itertools.product((0, 1), repeat=n1))
-    labels = [(d, w) for d in dvecs for w in range(l0.dim)]
+
+
+def _induced_module(l0, labels):
+    """K(lam) = Lambda_q(g_-1) (x) l0 on the basis F1^d (x) w, in the order of
+    labels, a list of every (d, w).  A simple generator acts through
+    ``_KacInduction``; its even parts act on l0, in whatever basis l0 has."""
+    alg = l0.alg
     index = {lab: t for t, lab in enumerate(labels)}
     unit = alg.unit_monomial()
-    shifts = {d: alg.monomial_weight(unit._replace(fd=d)) for d in dvecs}  # the weight of F1^d
+    shifts = {d: alg.monomial_weight(unit._replace(fd=d)) for d in {d for d, _ in labels}}
     weights = [tuple(a + b for a, b in zip(l0.eps_weights[w], shifts[d])) for d, w in labels]
     parities = [sum(d) % 2 for d, _ in labels]
     zero = GENERIC_FIELD.zero
     induction = _KacInduction.of(alg)
     mats = {}
     images = {}  # ((fpsi, k, epsi), w) -> that even monomial applied to basis vector w
-    for i in range(1, sh.rank):
+    for i in range(1, alg.shape.rank):
         for kind in ("E", "F"):
             atom = (kind, i, i + 1, 1)
             m = [[zero] * len(labels) for _ in range(len(labels))]
@@ -804,7 +807,35 @@ def kac_module(alg, lam):
                         m[tgt][cidx] = m[tgt][cidx] + _times(coeff, val)
             mats[atom] = m
     return WeightModule(alg, GENERIC_FIELD, weights, parities, mats,
-                        top=index[(tuple([0] * n1), l0.top)])
+                        top=index[(tuple([0] * len(alg.f1_list)), l0.top)])
+
+
+def kac_module(alg, lam):
+    """K(lam) = Lambda_q(g_-1) (x) L0(lam), the basis F1^d (x) w in the order
+    of d, then w.  The dimension is checked against _MAX_KAC_DIM before L0
+    is built."""
+    _check_kac_budget(alg, lam)
+    l0 = simple_even_module(alg, lam)
+    dvecs = itertools.product((0, 1), repeat=len(alg.f1_list))
+    return _induced_module(l0, [(d, w) for d in dvecs for w in range(l0.dim)])
+
+
+def divided_kac_module(alg, lam):
+    """K(lam) on the lattice basis F1^d (x) F0^(psi) v0 of divided lowering
+    monomials, on which it specializes at q = eta.
+
+    K(lam) is free over Lambda_q(g_-1), so only L0(lam) is rebased, a module
+    2^(mn) times smaller, and K(lam) is induced from it.  The basis is
+    ordered by (|d| + |psi|, d, psi): the order in which a greedy choice of
+    divided monomials over the whole of K(lam) picks the same vectors.  The
+    dimension is checked against _MAX_KAC_DIM before L0 is built.
+    """
+    _check_kac_budget(alg, lam)
+    l0, psis = rebase_to_divided_monomials(simple_even_module(alg, lam))
+    dvecs = itertools.product((0, 1), repeat=len(alg.f1_list))
+    labels = [(d, w) for d in dvecs for w in range(l0.dim)]
+    labels.sort(key=lambda dw: (sum(dw[0]) + sum(psis[dw[1]]), dw[0], psis[dw[1]]))
+    return _induced_module(l0, labels)
 
 
 def kac_dimension_oracle(alg, lam):
@@ -887,43 +918,44 @@ def trivial_module(alg):
 
 
 def rebase_to_divided_monomials(mod):
-    """Re-coordinatize a generic highest-weight module on the lattice basis
-    of divided-power lowering monomials applied to the top vector.
+    """Re-coordinatize a generic highest-weight module of the even part on
+    the lattice basis of divided lowering monomials F0^(psi) v0.
 
-    The quotient construction can leave action matrices with denominators
-    that vanish at a root of unity; the divided-monomial basis spans the
-    integral lattice, so the conjugated matrices specialize cleanly.
+    The Gelfand-Tsetlin matrices have denominators that vanish at a root of
+    unity; the divided monomials span the integral lattice, so the
+    conjugated matrices specialize cleanly.  The monomials are chosen in
+    the order (|psi|, psi), one echelon basis per weight space.  Returns the
+    rebased module and the exponents psi of its basis vectors.
     """
     if mod.top is None:
         raise NotHighestWeight("rebasing needs a distinguished top vector")
     alg = mod.alg
     zero = mod.field.zero
-    n1, n0 = len(alg.f1_list), len(alg.f0_list)
+    n0 = len(alg.f0_list)
     top_v = mod.unit_vector(mod.top)
     spaces = mod.weight_spaces()
-    cols = []
+    cols, psis, leads = [], [], []
     spans = {wt: Echelon() for wt in spaces}  # the chosen vectors, per weight space
     deg = 0
     while len(cols) < mod.dim and deg <= mod.dim + 1:
-        for d in itertools.product((0, 1), repeat=n1):
-            for psi in itertools.product(range(deg + 1), repeat=n0):
-                if sum(d) + sum(psi) != deg:
-                    continue
-                el = alg.monomial(fd=d, fpsi=psi)
-                inv = RF_ONE
-                for x in psi:
-                    inv = inv * gauss_factorial(x).inverse()
-                vec = mod.act_element(el.scale(inv), top_v)
-                lead = next((r for r, x in enumerate(vec) if not x.is_zero()), None)
-                if lead is None:
-                    continue
-                wt = mod.eps_weights[lead]
-                if spans[wt].add([vec[r] for r in spaces[wt]]) is not None:
-                    cols.append(vec)
-                    if len(cols) == mod.dim:
-                        break
-            if len(cols) == mod.dim:
-                break
+        for psi in itertools.product(range(deg + 1), repeat=n0):
+            if sum(psi) != deg:
+                continue
+            el = alg.monomial(fpsi=psi)
+            inv = RF_ONE
+            for x in psi:
+                inv = inv * gauss_factorial(x).inverse()
+            vec = mod.act_element(el.scale(inv), top_v)
+            lead = next((r for r, x in enumerate(vec) if not x.is_zero()), None)
+            if lead is None:
+                continue
+            wt = mod.eps_weights[lead]
+            if spans[wt].add([vec[r] for r in spaces[wt]]) is not None:
+                cols.append(vec)
+                psis.append(psi)
+                leads.append(lead)
+                if len(cols) == mod.dim:
+                    break
         deg += 1
     if len(cols) < mod.dim:
         raise DomainError("divided monomials do not span the module")
@@ -937,13 +969,9 @@ def rebase_to_divided_monomials(mod):
     new_mats = {}
     for key, m in mod.mats.items():
         new_mats[key] = mat_mul(p_inv, mat_mul(m, p, zero), zero)
-    weights = []
-    parities = []
-    for c in range(mod.dim):
-        idxs = [r for r in range(mod.dim) if not cols[c][r].is_zero()]
-        weights.append(mod.eps_weights[idxs[0]])
-        parities.append(mod.parities[idxs[0]])
-    return WeightModule(alg, GENERIC_FIELD, weights, parities, new_mats, top=0)
+    weights = [mod.eps_weights[r] for r in leads]
+    parities = [mod.parities[r] for r in leads]
+    return WeightModule(alg, GENERIC_FIELD, weights, parities, new_mats, top=0), psis
 
 
 # -- typicality through module structure ------------------------------------

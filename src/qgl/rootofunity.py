@@ -93,13 +93,13 @@ def specialize_module(mod, l):
 
 
 def specialize_kac(alg, lam, l):
-    """The Kac module at q = eta, with the divided powers X^{(l)} of the
+    """The Kac module at q = eta on the divided-monomial basis of
+    ``repmod.divided_kac_module``, with the divided powers X^{(l)} of the
     even simple root vectors carried along."""
     from . import repmod
 
     _check_order(l)
-    mod = repmod.kac_module(alg, lam)
-    mod = repmod.rebase_to_divided_monomials(mod)
+    mod = repmod.divided_kac_module(alg, lam)
     for i in range(1, alg.shape.rank):
         if i == alg.shape.m:
             continue

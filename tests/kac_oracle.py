@@ -1,4 +1,5 @@
-"""The straightened Kac induction: an independent model of K(lam).
+"""Reference models of K(lam): the straightened Kac induction, and K(lam)
+rebased as a whole onto divided lowering monomials.
 
 K(lam) has the basis F1^d (x) w, with d an ordered odd monomial and w a
 basis vector of L0(lam).  This model acts by a simple generator g on it by
@@ -6,14 +7,22 @@ straightening the whole product g * F1^d in the PBW algebra, dropping the
 terms that end in an odd raising operator (they kill 1 (x) L0) and applying
 the even part of every other term to w.  ``repmod.kac_module`` moves g past
 F1^d one odd root at a time instead, so comparing the two checks that
-shortcut against the full straightening.  The tests use this model; the
-engine does not.
+shortcut against the full straightening.
+
+``rebased_kac_module`` chooses the divided monomials F1^d F0^(psi) v0 over
+the whole of K(lam) and conjugates every matrix by the basis change.
+``repmod.divided_kac_module`` rebases L0(lam) alone and induces K(lam) from
+it, so comparing the two checks that K(lam) is free over the odd exterior
+algebra in the lattice basis too.  The tests use these models; the engine
+does not.
 """
 
 import itertools
 
-from qgl import repmod
-from qgl.scalars import GENERIC_FIELD
+from qgl import repmod, rootofunity
+from qgl.errors import DomainError
+from qgl.linalg import Echelon, mat_mul, rref
+from qgl.scalars import GENERIC_FIELD, RF_ONE, gauss_factorial
 
 
 def straightened_kac_module(alg, lam):
@@ -53,3 +62,56 @@ def straightened_kac_module(alg, lam):
             mats[(kind, i, i + 1, 1)] = m
     return repmod.WeightModule(alg, GENERIC_FIELD, weights, parities, mats,
                                top=index[(tuple([0] * n1), l0.top)])
+
+
+def rebased_kac_module(alg, lam):
+    """K(lam) re-coordinatized on divided lowering monomials F1^d F0^(psi) v0,
+    chosen greedily over the whole module in the order (|d| + |psi|, d, psi),
+    with every matrix conjugated by the basis change P."""
+    mod = repmod.kac_module(alg, lam)
+    zero = mod.field.zero
+    n1, n0 = len(alg.f1_list), len(alg.f0_list)
+    top_v = mod.unit_vector(mod.top)
+    spaces = mod.weight_spaces()
+    cols = []
+    spans = {wt: Echelon() for wt in spaces}
+    deg = 0
+    while len(cols) < mod.dim and deg <= mod.dim + 1:
+        for d in itertools.product((0, 1), repeat=n1):
+            for psi in itertools.product(range(deg + 1), repeat=n0):
+                if sum(d) + sum(psi) != deg:
+                    continue
+                inv = RF_ONE
+                for x in psi:
+                    inv = inv * gauss_factorial(x).inverse()
+                vec = mod.act_element(alg.monomial(fd=d, fpsi=psi).scale(inv), top_v)
+                lead = next((r for r, x in enumerate(vec) if not x.is_zero()), None)
+                if lead is None:
+                    continue
+                wt = mod.eps_weights[lead]
+                if spans[wt].add([vec[r] for r in spaces[wt]]) is not None:
+                    cols.append(vec)
+        deg += 1
+    if len(cols) < mod.dim:
+        raise DomainError("divided monomials do not span the module")
+    p = [[cols[c][r] for c in range(mod.dim)] for r in range(mod.dim)]
+    red, piv = rref([list(p[r]) + mod.unit_vector(r) for r in range(mod.dim)])
+    if piv != list(range(mod.dim)):
+        raise DomainError("basis change matrix is singular")
+    p_inv = [row[mod.dim:] for row in red]
+    mats = {key: mat_mul(p_inv, mat_mul(m, p, zero), zero) for key, m in mod.mats.items()}
+    leads = [next(r for r, x in enumerate(col) if not x.is_zero()) for col in cols]
+    return repmod.WeightModule(alg, GENERIC_FIELD, [mod.eps_weights[r] for r in leads],
+                               [mod.parities[r] for r in leads], mats, top=0)
+
+
+def specialized_kac_reference(alg, lam, l):
+    """The Kac module at q = eta from the whole-module rebase, with the
+    divided powers X^(l) of the even simple root vectors, as
+    ``rootofunity.specialize_kac`` stores them."""
+    mod = rebased_kac_module(alg, lam)
+    for i in range(1, alg.shape.rank):
+        if i != alg.shape.m:
+            mod.ensure_divided("E", i, i + 1, l)
+            mod.ensure_divided("F", i, i + 1, l)
+    return rootofunity.specialize_module(mod, l)

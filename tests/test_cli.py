@@ -129,6 +129,16 @@ def test_defaults_do_not_leak_between_runs():
     assert code == 0 and json.loads(out)["seed"] == 0
 
 
+def test_explicit_seed_zero_wins_over_the_config(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed = 7\n")
+    code, out, _ = capture(["selftest", "--shape", "1,1", "--seed", "0", "--trials", "2",
+                            "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["seed"] == 0
+    code, out, _ = capture(["selftest", "--shape", "1,1", "--trials", "2", "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["seed"] == 7
+
+
 def test_smallgroup_of_large_order_is_fast():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
@@ -157,6 +167,11 @@ OVER_BUDGET = [
     # Kac dimension 4 * 10^11: no pattern may be enumerated
     ["kac", "--shape", "2,1", "--lambda=99999999999,0,0"],
     ["simple", "--shape", "2,1", "--lambda=99999999999,0,0"],
+    # the same at q = eta, where L0 is rebased before K(lambda) is induced,
+    # and a Kac dimension of 2404 whose weight is under the q-degree budget,
+    # so that only the Kac budget stops it before 601 patterns
+    ["simple", "--shape", "2,1", "--lambda=99999999999,0,0", "--at-root", "3"],
+    ["simple", "--shape", "2,1", "--lambda=600,0,0", "--at-root", "3"],
     # a root order whose cyclotomic polynomial would not fit in memory
     ["simple", "--shape", "1,1", "--lambda=3,1", "--at-root", "99999999999"],
     # a rank m + n above rootdata._MAX_RANK, checked before any index list
@@ -174,7 +189,18 @@ OVER_BUDGET = [
 ]
 
 
-@pytest.mark.parametrize("argv", OVER_BUDGET, ids=lambda a: " ".join(a[:3]))
+def _argv_ids(argvs):
+    """The first three words of each argv, or all of it where they repeat
+    an earlier argv's."""
+    seen, ids = set(), []
+    for argv in argvs:
+        short = " ".join(argv[:3])
+        ids.append(" ".join(argv) if short in seen else short)
+        seen.add(short)
+    return ids
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET, ids=_argv_ids(OVER_BUDGET))
 def test_bad_sizes_exit_cleanly_and_fast(argv):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

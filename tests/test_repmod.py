@@ -2,6 +2,7 @@
 products, and the independent free-word Verma action oracle."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -499,6 +500,23 @@ def test_large_root_of_unity_head_is_fast():
         '{"character": [{"mult": 1, "z": [-5, 5, 0, 0]}, {"mult": 1, "z": [0, -5, 5, 0]}, '
         '{"mult": 1, "z": [5, 0, 0, 0]}], "dim": 3, "schema": 1}\n'
     )
+
+
+@pytest.mark.parametrize("argv", [["--shape", "2,1", "--lambda=30,0,0"],
+                                  ["--shape", "1,2", "--lambda=0,0,-30"]], ids=str)
+def test_high_weight_at_a_root_of_unity_is_fast(argv):
+    # an even part of height 30 at l = 5 (Kac dimension 124): the rebase
+    # onto divided monomials runs on L0(lambda), 31-dimensional, and K(lambda)
+    # is induced from it; rebasing K(lambda) as a whole took about 8 s
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "simple"] + argv + ["--at-root", "5"],
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["dim"] == 7 and [c["mult"] for c in doc["character"]] == [1] * 7
 
 
 def test_simple_head_of_atypical_kac_is_proper():

@@ -10,8 +10,10 @@ import pytest
 from qgl import repmod, rootofunity as ru
 from qgl.errors import BadRootOrder, DenominatorVanishes, OutOfRestrictedRange
 from qgl.pbwcore import Algebra
-from qgl.rootdata import Shape, frobenius_decompose, in_Xplus, z_to_weight
+from qgl.rootdata import Shape, frobenius_decompose, in_Xplus, is_typical, z_to_weight
 from qgl.scalars import CycloNum, RatFunc, evaluate_at_root, gauss_int
+
+from kac_oracle import rebased_kac_module, specialized_kac_reference
 
 
 # -- element specialization --------------------------------------------------
@@ -95,7 +97,7 @@ def test_specialized_kac_stores_only_simple_and_divided_matrices():
     alg, lam, l = Algebra((2, 1)), (2, 0, 0), 3
     simple = {(kind, i, i + 1, 1) for i in (1, 2) for kind in ("E", "F")}
     kac = repmod.kac_module(alg, lam)
-    generic = repmod.rebase_to_divided_monomials(kac)
+    generic = rebased_kac_module(alg, lam)
     assert set(kac.mats) == set(generic.mats) == simple
     spec = ru.specialize_kac(alg, lam, l)
     assert set(spec.mats) == simple | {("DE", 1, 2, l), ("DF", 1, 2, l)}
@@ -106,6 +108,36 @@ def test_specialized_kac_stores_only_simple_and_divided_matrices():
     assert set(spec.mats) == simple | {("DE", 1, 2, l), ("DF", 1, 2, l)}
 
 
+# per shape: a typical weight, an atypical one, one with a negative entry
+# and one whose even part reaches past l = 3 (Kac dimension at most 80)
+SPECIALIZE_WEIGHTS = {
+    (1, 1): [(2, 1), (1, -1), (-1, 2), (5, 0)],
+    (2, 1): [(2, 1, 0), (2, 0, 0), (0, -1, 2), (5, 0, 0)],
+    (1, 2): [(2, 1, 0), (0, 0, 0), (-1, 1, 1), (0, 0, -5)],
+    (2, 2): [(1, 0, 1, 0), (0, 0, 0, 0), (0, -1, 2, 1), (3, 0, 0, 0)],
+    (3, 1): [(1, 0, 0, 2), (0, 0, 0, 0), (1, 1, -1, 0), (3, 0, 0, 0)],
+    (1, 3): [(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, -3), (0, 3, 0, 0)],
+}
+
+
+def test_specialize_kac_matches_the_whole_module_rebase():
+    # K(lam) induced from the rebased L0(lam) is the whole-module rebase of
+    # K(lam), matrix for matrix, weight for weight, once both are at eta
+    start = time.perf_counter()
+    for shape, weights in sorted(SPECIALIZE_WEIGHTS.items()):
+        alg = Algebra(shape)
+        assert is_typical(alg.shape, weights[0]) and not is_typical(alg.shape, weights[1])
+        assert min(weights[2]) < 0
+        for lam, l in itertools.product(weights, (3, 5)):
+            mod = ru.specialize_kac(alg, lam, l)
+            ref = specialized_kac_reference(alg, lam, l)
+            assert (mod.eps_weights, mod.parities, mod.top) == (ref.eps_weights, ref.parities, ref.top)
+            assert sorted(mod.mats) == sorted(ref.mats), (shape, lam, l)
+            for key, m in ref.mats.items():
+                assert mod.mats[key] == m, (shape, lam, l, key)
+    assert time.perf_counter() - start < 10
+
+
 @pytest.mark.parametrize("z", [(1, 1, 1), (2, 1, 0), (1, 2, 2)])
 def test_restricted_structure_gl21(z):
     alg = Algebra((2, 1))
@@ -113,6 +145,29 @@ def test_restricted_structure_gl21(z):
     assert r["divided_f_kills_top"], z
     assert r["maximal_line_unique"], z
     assert r["small_group_generates"], z
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2)], ids=str)
+def test_restricted_structure_sweep(shape):
+    # every restricted z in [0,l)^3 at l = 3 and 5, 152 per shape, each with
+    # a dominant weight: F^(l) kills the top, the maximal line is unique and
+    # every basis vector generates the module under the small quantum group.
+    # About 3 s per shape on a 2-core host.  gl(2|2) and gl(3|1) at l = 3
+    # took 126 s and 396 s, mostly in the per-vector closures of
+    # small_group_generates, so they stay out.
+    alg = Algebra(shape)
+    start = time.perf_counter()
+    checked = 0
+    for l in (3, 5):
+        for z in itertools.product(range(l), repeat=3):
+            assert in_Xplus(alg.shape, z_to_weight(alg.shape, z)), z
+            r = ru.restricted_checks(alg, z, l)
+            assert r["divided_f_kills_top"], (l, z)
+            assert r["maximal_line_unique"], (l, z)
+            assert r["small_group_generates"], (l, z)
+            checked += 1
+    assert checked == 152
+    assert time.perf_counter() - start < 60
 
 
 # -- character factorization -------------------------------------------------
