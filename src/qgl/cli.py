@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, ExprSyntaxError
+from .errors import DomainError, ExprSyntaxError, ResourceLimit
 from .expr import ast_to_json, element_to_json, parse, parse_element, print_canonical
 from .rootdata import (
     Shape,
@@ -26,6 +26,10 @@ from .rootdata import (
     p_factor,
     weight_to_z,
 )
+
+# The most trials selftest runs: each is three random products and a print
+# and parse round trip, and a count over this exits 3 before any trial runs.
+_MAX_TRIALS = 10000
 
 
 def _parse_ints(text, what):
@@ -271,9 +275,13 @@ def _cmd_selftest(args, shape):
 
     from .relations import all_relations
 
+    trials = args.trials
+    if trials < 0:
+        raise ExprSyntaxError("--trials must be at least 0, got %d" % trials, 0)
+    if trials > _MAX_TRIALS:
+        raise ResourceLimit("--trials %d is over the budget of %d" % (trials, _MAX_TRIALS))
     alg = _algebra(shape)
     rng = random.Random(args.seed)
-    trials = args.trials
     passed, failed, details = 0, 0, []
 
     def record(name, ok):

@@ -75,6 +75,7 @@ class ResourceLimit(DomainError):
     (pbwcore._MAX_STEPS), the largest t of a torus bracket [K;c;t]
     (pbwcore._MAX_BRACKET), the largest n of a divided power X^(n)
     (pbwcore._MAX_DIVIDED), the Kac dimension of a module's highest weight
-    (repmod._MAX_KAC_DIM), a root order (scalars._MAX_ROOT_ORDER) or the
+    (repmod._MAX_KAC_DIM), a root order (scalars._MAX_ROOT_ORDER), the
     q-degree of a power, a torus bracket shift or a highest weight
-    (scalars._MAX_Q_DEGREE)."""
+    (scalars._MAX_Q_DEGREE) or the trial count of selftest
+    (cli._MAX_TRIALS)."""

@@ -1,39 +1,44 @@
-"""Dense exact linear algebra over any field with is_zero/inverse elements.
+"""Exact linear algebra over any field with is_zero/inverse elements.
 
-Matrices are lists of row lists.  Field elements must support +, -, *,
-inverse(), is_zero(), ==; both the rational-function field and the
-cyclotomic fields qualify.  Echelon, an incremental reduced row echelon
-basis, is the one elimination routine: every rref goes through it.
+A module action matrix is a list of sparse columns: column c lists the
+(row, value) pairs of its nonzero entries, rows ascending, and a square
+matrix has as many columns as rows.  mat_vec and mat_mul visit the stored
+entries only.  Vectors, and the rows that elimination works on, are dense
+lists.  Field elements must support +, -, *, inverse(), is_zero(), ==;
+both the rational-function field and the cyclotomic fields qualify.
+Echelon, an incremental reduced row echelon basis, is the one elimination
+routine: every rref goes through it.
 """
 
 
-def mat_mul(a, b, zero):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[zero for _ in range(cols)] for _ in range(rows)]
-    for r in range(rows):
-        ar = a[r]
-        orow = out[r]
-        for k in range(inner):
-            v = ar[k]
-            if v.is_zero():
-                continue
-            brow = b[k]
-            for c in range(cols):
-                if not brow[c].is_zero():
-                    orow[c] = orow[c] + v * brow[c]
-    return out
+def sparse(vec):
+    """The (index, value) pairs of the nonzero entries of a dense vector."""
+    return [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
+
+
+def columns(entries, n):
+    """The n sparse columns of the sum of the (row, column, value) entries."""
+    cols = [{} for _ in range(n)]
+    for r, c, x in entries:
+        col = cols[c]
+        col[r] = col[r] + x if r in col else x
+    return [[(r, col[r]) for r in sorted(col) if not col[r].is_zero()] for col in cols]
+
+
+def mat_mul(a, b):
+    """The product a b of two matrices of sparse columns."""
+    return columns(((r, c, x * y) for c, col in enumerate(b) for k, y in col for r, x in a[k]),
+                   len(b))
 
 
 def mat_vec(a, v, zero):
-    nonzero = [(k, y) for k, y in enumerate(v) if not y.is_zero()]
-    out = []
-    for row in a:
-        acc = zero
-        for k, y in nonzero:
-            x = row[k]
-            if not x.is_zero():
-                acc = acc + x * y
-        out.append(acc)
+    """a v for a square matrix a of sparse columns and a dense vector v."""
+    out = [zero] * len(a)
+    for col, y in zip(a, v):
+        if y.is_zero():
+            continue
+        for r, x in col:
+            out[r] = out[r] + x * y
     return out
 
 

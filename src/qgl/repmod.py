@@ -27,7 +27,7 @@ generic q and (raising with the divided powers E^(l) too) at q = eta.
 import itertools
 
 from .errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
-from .linalg import Echelon, mat_mul, mat_vec, nullspace, rref
+from .linalg import Echelon, columns, mat_mul, mat_vec, nullspace, rref, sparse
 from .pbwcore import LinearCombination, add_term
 from .rootdata import (
     bilinear_form,
@@ -56,10 +56,13 @@ class WeightModule:
 
     mats holds the stored action: ("E", i, i+1, 1) / ("F", i, i+1, 1) for
     the simple generators and ("DE", i, j, n) / ("DF", i, j, n) for divided
-    powers.  Every other atom acts on vectors: K diagonally, a composite
-    root vector through its expansion into simple generators, and a power
-    one factor at a time.  Such derived actions are never stored, so
-    rebasing, quotients and specialization touch only what is stored.
+    powers, each as ``linalg``'s dim sparse columns: column c lists the
+    (row, value) pairs of the nonzero entries of the image of basis vector
+    c, rows ascending.  Every other atom acts on vectors: K diagonally, a
+    composite root vector through its expansion into simple generators,
+    and a power one factor at a time.  Such derived actions are never
+    stored, so rebasing, quotients and specialization touch only what is
+    stored.
     """
 
     def __init__(self, alg, field, eps_weights, parities, mats, top=None):
@@ -124,8 +127,7 @@ class WeightModule:
         hit = self.mats.get(atom)
         if hit is not None:
             return hit
-        cols = [self._act_atom(atom, self.unit_vector(c)) for c in range(self.dim)]
-        return [list(row) for row in zip(*cols)]
+        return [sparse(self._act_atom(atom, self.unit_vector(c))) for c in range(self.dim)]
 
     def ensure_divided(self, kind, i, j, n):
         """Store the divided-power matrix X_{ij}^{(n)} (generic field only)."""
@@ -136,10 +138,9 @@ class WeightModule:
             raise DomainError(
                 "divided-power matrices must be built generically before specialization"
             )
-        base = self.matrix_of_atom((kind, i, j, n))
         inv = gauss_factorial(n).inverse()
-        m = [[x * inv for x in row] for row in base]
-        self.mats[key] = m
+        m = self.mats[key] = [[(r, x * inv) for r, x in col]
+                              for col in self.matrix_of_atom((kind, i, j, n))]
         return m
 
     def act_element(self, elt, vec):
@@ -186,8 +187,7 @@ class WeightModule:
             if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2])) for a in word):
                 return _ABSENT
         return _Matrix(self, {(r, c): x for c in range(self.dim)
-                              for r, x in enumerate(self._act_sum(pairs, self.unit_vector(c)))
-                              if not x.is_zero()})
+                              for r, x in sparse(self._act_sum(pairs, self.unit_vector(c)))})
 
     def verify(self):
         """Check the module against the relation catalog; returns defects.
@@ -209,11 +209,8 @@ class WeightModule:
             for kind in ("E", "F"):
                 key = (kind, i, i + 1, 1)
                 shift = _key_shift(key, sh.rank)
-                m = self.matrix_of_atom(key)
-                for r in range(self.dim):
-                    for c in range(self.dim):
-                        if m[r][c].is_zero():
-                            continue
+                for c, col in enumerate(self.matrix_of_atom(key)):
+                    for r, _ in col:
                         want = tuple(a + b for a, b in zip(self.eps_weights[c], shift))
                         if self.eps_weights[r] != want:
                             defects.append("weight:%s%d" % (kind, i))
@@ -297,10 +294,9 @@ def quotient_module(mod, span_rows):
         v = span.reduce(vec)
         return [v[c] for c in keep]
 
-    new_mats = {}
-    for key, m in mod.mats.items():
-        cols = [reduce_coords([m[r][c] for r in range(mod.dim)]) for c in keep]
-        new_mats[key] = [[cols[cc][r] for cc in range(len(keep))] for r in range(len(keep))]
+    zero = mod.field.zero
+    new_mats = {key: [sparse(reduce_coords(mat_vec(m, mod.unit_vector(c), zero))) for c in keep]
+                for key, m in mod.mats.items()}
     new_top = None
     if mod.top is not None:
         tv = reduce_coords(mod.unit_vector(mod.top))
@@ -334,10 +330,13 @@ def singular_vectors(mod, skip_top=True):
     for wt, idxs in sorted(mod.weight_spaces().items()):
         if top_wt is not None and wt == top_wt:
             continue
-        rows = []
+        rows = [[zero] * len(idxs)]  # sets the width when no raising map reaches idxs
         for m in mats:
-            for r in range(mod.dim):
-                rows.append([m[r][c] for c in idxs])
+            block = {}  # the nonzero rows of m restricted to the columns idxs
+            for pos, c in enumerate(idxs):
+                for r, x in m[c]:
+                    block.setdefault(r, [zero] * len(idxs))[pos] = x
+            rows += [block[r] for r in sorted(block)]
         kern = nullspace(rows, zero, one)
         for v in kern:
             full = [zero] * mod.dim
@@ -359,15 +358,15 @@ def _key_shift(key, rank):
 
 def _form_times(f, m, rows, cols, zero):
     """The row vector f * m[rows, cols], for f indexed like rows."""
-    out = [zero] * len(cols)
-    for x, r in zip(f, rows):
-        if x.is_zero():
-            continue
-        mr = m[r]
-        for t, c in enumerate(cols):
-            y = mr[c]
-            if not y.is_zero():
-                out[t] = out[t] + x * y
+    at = {r: x for x, r in zip(f, rows) if not x.is_zero()}
+    out = []
+    for c in cols:
+        acc = zero
+        for r, y in m[c]:
+            x = at.get(r)
+            if x is not None:
+                acc = acc + x * y
+        out.append(acc)
     return out
 
 
@@ -423,7 +422,7 @@ def simple_head(mod):
     new_mats = {}
     for key, m in mod.mats.items():
         shift = _key_shift(key, rank)
-        out = [[zero] * len(keep) for _ in keep]
+        out = [[] for _ in keep]  # rows ascend: pivots ascend within a weight space
         for wt, (_, piv) in forms.items():
             nu = tuple(a + b for a, b in zip(wt, shift))
             if not piv or nu not in forms:
@@ -431,9 +430,9 @@ def simple_head(mod):
             cols = [spaces[wt][p] for p in piv]
             tgt = spaces[nu]
             for f, p in zip(*forms[nu]):
-                row = out[pos[tgt[p]]]
                 for c, val in zip(cols, _form_times(f, m, tgt, cols, zero)):
-                    row[pos[c]] = val
+                    if not val.is_zero():
+                        out[pos[c]].append((pos[tgt[p]], val))
         new_mats[key] = out
     return WeightModule(
         mod.alg,
@@ -534,7 +533,6 @@ def simple_even_module(alg, lam):
             hit = ratios[key] = a / b
         return hit
 
-    zero = GENERIC_FIELD.zero
     n2 = len(blocks[1])  # basis vector (a, b) of the two blocks is a * n2 + b
     mats = {}
     for blk, offset in ((0, 0), (1, sh.m)):
@@ -543,11 +541,9 @@ def simple_even_module(alg, lam):
         cell = (lambda a, o: a * n2 + o) if blk == 0 else (lambda a, o: o * n2 + a)
         for k in range(1, len(pats[0])):
             for kind in ("E", "F"):
-                m = [[zero] * dim for _ in range(dim)]
-                for tgt, src, c in _gt_action(pats, k, kind, ratio):
-                    for o in others:
-                        m[cell(tgt, o)][cell(src, o)] = c
-                mats[(kind, offset + k, offset + k + 1, 1)] = m
+                mats[(kind, offset + k, offset + k + 1, 1)] = columns(
+                    ((cell(tgt, o), cell(src, o), c)
+                     for tgt, src, c in _gt_action(pats, k, kind, ratio) for o in others), dim)
     weights = [_gt_weight(a) + _gt_weight(b) for a in blocks[0] for b in blocks[1]]
     tops = [tuple(part[:k] for k in range(1, len(part) + 1))
             for part in (lam[:sh.m], lam[sh.m:])]
@@ -786,26 +782,25 @@ def _induced_module(l0, labels):
     shifts = {d: alg.monomial_weight(unit._replace(fd=d)) for d in {d for d, _ in labels}}
     weights = [tuple(a + b for a, b in zip(l0.eps_weights[w], shifts[d])) for d, w in labels]
     parities = [sum(d) % 2 for d, _ in labels]
-    zero = GENERIC_FIELD.zero
     induction = _KacInduction.of(alg)
+    images = {}  # ((fpsi, k, epsi), w) -> the nonzero entries of that even monomial on w
+
+    def image(even, w):
+        hit = images.get((even, w))
+        if hit is None:
+            y = alg.monomial(fpsi=even[0], k=even[1], epsi=even[2])
+            hit = images[(even, w)] = sparse(l0.act_element(y, l0.unit_vector(w)))
+        return hit
+
     mats = {}
-    images = {}  # ((fpsi, k, epsi), w) -> that even monomial applied to basis vector w
     for i in range(1, alg.shape.rank):
         for kind in ("E", "F"):
             atom = (kind, i, i + 1, 1)
-            m = [[zero] * len(labels) for _ in range(len(labels))]
-            for cidx, (d, w) in enumerate(labels):
-                for (fd, even), coeff in induction.induce(atom, d).items():
-                    img = images.get((even, w))
-                    if img is None:
-                        y = alg.monomial(fpsi=even[0], k=even[1], epsi=even[2])
-                        img = images[(even, w)] = l0.act_element(y, l0.unit_vector(w))
-                    for wp, val in enumerate(img):
-                        if val.is_zero():
-                            continue
-                        tgt = index[(fd, wp)]
-                        m[tgt][cidx] = m[tgt][cidx] + _times(coeff, val)
-            mats[atom] = m
+            mats[atom] = columns(
+                ((index[(fd, wp)], cidx, _times(coeff, val))
+                 for cidx, (d, w) in enumerate(labels)
+                 for (fd, even), coeff in induction.induce(atom, d).items()
+                 for wp, val in image(even, w)), len(labels))
     return WeightModule(alg, GENERIC_FIELD, weights, parities, mats,
                         top=index[(tuple([0] * len(alg.f1_list)), l0.top)])
 
@@ -847,20 +842,15 @@ def kac_dimension_oracle(alg, lam):
 
 
 def _factor_columns(mod, key):
-    """The nonzero entries of a coproduct factor on mod, [(row, value)] per
-    column; the unit is the identity, with None for its entries 1."""
+    """The sparse columns of a coproduct factor on mod; the unit is the
+    identity, with None for its entries 1."""
     word = mod.alg.mono_word(key)
     if not word:
         return [[(c, None)] for c in range(mod.dim)]
     (atom,) = word
     if atom[0] == "K":
         return [[(c, mod.q_weight(atom[1], wt))] for c, wt in enumerate(mod.eps_weights)]
-    cols = [[] for _ in range(mod.dim)]
-    for r, row in enumerate(mod.matrix_of_atom(atom)):
-        for c, x in enumerate(row):
-            if not x.is_zero():
-                cols[c].append((r, x))
-    return cols
+    return mod.matrix_of_atom(atom)
 
 
 def tensor_module(m1, m2):
@@ -873,7 +863,6 @@ def tensor_module(m1, m2):
     if m1.alg is not m2.alg or m1.l != m2.l:
         raise DomainError("tensor factors live over different bases")
     alg = m1.alg
-    zero = m1.field.zero
     labels = [(a, b) for a in range(m1.dim) for b in range(m2.dim)]
     index = {lab: t for t, lab in enumerate(labels)}
     weights = [
@@ -882,26 +871,28 @@ def tensor_module(m1, m2):
     ]
     parities = [(m1.parities[a] + m2.parities[b]) % 2 for a, b in labels]
     hopf = Hopf(alg)
+
+    def entries(key):
+        """The (row, column, value) entries of the coproduct terms of key."""
+        for (x, y), c in hopf.delta_atom(key).terms.items():
+            cx, cy = _factor_columns(m1, x), _factor_columns(m2, y)
+            cval = None if c == RF_ONE else m1.scal(c)
+            py = alg.monomial_parity(y)
+            for cidx, (a, b) in enumerate(labels):
+                for ap, u in cx[a]:
+                    for bp, v in cy[b]:
+                        val = v if u is None else u if v is None else u * v
+                        if cval is not None:
+                            val = val * cval
+                        if py and m1.parities[a]:
+                            val = -val
+                        yield index[(ap, bp)], cidx, val
+
     mats = {}
     for i in range(1, alg.shape.rank):
         for kind in ("E", "F"):
             key = (kind, i, i + 1, 1)
-            m = [[zero] * len(labels) for _ in range(len(labels))]
-            for (x, y), c in hopf.delta_atom(key).terms.items():
-                cx, cy = _factor_columns(m1, x), _factor_columns(m2, y)
-                cval = None if c == RF_ONE else m1.scal(c)
-                py = alg.monomial_parity(y)
-                for cidx, (a, b) in enumerate(labels):
-                    for ap, u in cx[a]:
-                        for bp, v in cy[b]:
-                            val = v if u is None else u if v is None else u * v
-                            if cval is not None:
-                                val = val * cval
-                            if py and m1.parities[a]:
-                                val = -val
-                            tgt = index[(ap, bp)]
-                            m[tgt][cidx] = m[tgt][cidx] + val
-            mats[key] = m
+            mats[key] = columns(entries(key), len(labels))
     top = None
     if m1.top is not None and m2.top is not None:
         top = index[(m1.top, m2.top)]
@@ -909,11 +900,10 @@ def tensor_module(m1, m2):
 
 
 def trivial_module(alg):
-    zero = GENERIC_FIELD.zero
     mats = {}
     for i in range(1, alg.shape.rank):
-        mats[("E", i, i + 1, 1)] = [[zero]]
-        mats[("F", i, i + 1, 1)] = [[zero]]
+        mats[("E", i, i + 1, 1)] = [[]]
+        mats[("F", i, i + 1, 1)] = [[]]
     return WeightModule(alg, GENERIC_FIELD, [tuple([0] * alg.shape.rank)], [0], mats, top=0)
 
 
@@ -930,7 +920,6 @@ def rebase_to_divided_monomials(mod):
     if mod.top is None:
         raise NotHighestWeight("rebasing needs a distinguished top vector")
     alg = mod.alg
-    zero = mod.field.zero
     n0 = len(alg.f0_list)
     top_v = mod.unit_vector(mod.top)
     spaces = mod.weight_spaces()
@@ -960,15 +949,11 @@ def rebase_to_divided_monomials(mod):
     if len(cols) < mod.dim:
         raise DomainError("divided monomials do not span the module")
     # P columns are the new basis vectors; conjugate every stored matrix
-    p = [[cols[c][r] for c in range(mod.dim)] for r in range(mod.dim)]
-    aug = [list(p[r]) + mod.unit_vector(r) for r in range(mod.dim)]
-    red, piv = rref(aug)
+    red, piv = rref([[col[r] for col in cols] + mod.unit_vector(r) for r in range(mod.dim)])
     if piv != list(range(mod.dim)):
         raise DomainError("basis change matrix is singular")
-    p_inv = [row[mod.dim:] for row in red]
-    new_mats = {}
-    for key, m in mod.mats.items():
-        new_mats[key] = mat_mul(p_inv, mat_mul(m, p, zero), zero)
+    p, p_inv = [sparse(col) for col in cols], [sparse(col) for col in list(zip(*red))[mod.dim:]]
+    new_mats = {key: mat_mul(p_inv, mat_mul(m, p)) for key, m in mod.mats.items()}
     weights = [mod.eps_weights[r] for r in leads]
     parities = [mod.parities[r] for r in leads]
     return WeightModule(alg, GENERIC_FIELD, weights, parities, new_mats, top=0), psis

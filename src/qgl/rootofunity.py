@@ -73,20 +73,20 @@ def small_group_counts(shape, l):
 def specialize_module(mod, l):
     """The weight module over Q(eta) on the same basis.
 
-    Every nonzero stored action-matrix entry is evaluated at eta; a pole
-    means the chosen lattice basis was not integral and is reported as an
-    error.
+    Every stored action-matrix entry is evaluated at eta, and those that
+    vanish there are dropped; a pole means the chosen lattice basis was not
+    integral and is reported as an error.
     """
     from . import repmod
 
     _check_order(l)
     if mod.l is not None:
         raise DomainError("module is already specialized")
-    field = cyclo_field(l)
-    zero = field.zero
+    field = cyclo_field(l)  # checks the root order before any entry is evaluated
     mats = {}
     for key, m in mod.mats.items():
-        mats[key] = [[zero if x.is_zero() else evaluate_at_root(x, l) for x in row] for row in m]
+        mats[key] = [[(r, y) for r, y in ((r, evaluate_at_root(x, l)) for r, x in col)
+                      if not y.is_zero()] for col in m]
     return repmod.WeightModule(
         mod.alg, field, mod.eps_weights, mod.parities, mats, top=mod.top
     )
@@ -155,14 +155,8 @@ def restricted_checks(alg, z, l):
 
     mod = restricted_simple(alg, z, l)
     out = {}
-    top = mod.unit_vector(mod.top)
-    ok = True
-    for key in mod.action_keys():
-        if key[0] == "DF":
-            col = [mod.mats[key][r][mod.top] for r in range(mod.dim)]
-            if any(not x.is_zero() for x in col):
-                ok = False
-    out["divided_f_kills_top"] = ok
+    out["divided_f_kills_top"] = not any(
+        mod.mats[key][mod.top] for key in mod.action_keys() if key[0] == "DF")
     sing = repmod.singular_vectors(mod, skip_top=False)
     out["maximal_line_unique"] = len(sing) == 1
     simple_keys = [k for k in mod.action_keys() if k[0] in ("E", "F") and k[3] == 1]
@@ -217,12 +211,8 @@ def frobenius_vanishing_check(alg, zpp, l):
     acts as the identity (the Frobenius-twist degeneracy)."""
     _check_order(l)
     mod = simple_at_root(alg, tuple(l * int(x) for x in zpp), l)
-    ok_ef = True
-    for i in range(1, alg.shape.rank):
-        for kind in ("E", "F"):
-            m = mod.matrix_of_atom((kind, i, i + 1, 1))
-            if any(not x.is_zero() for row in m for x in row):
-                ok_ef = False
+    ok_ef = not any(any(mod.matrix_of_atom((kind, i, i + 1, 1)))
+                    for i in range(1, alg.shape.rank) for kind in ("E", "F"))
     one = mod.field.one
     ok_k = all(
         mod.q_weight(alg.shape.k_alpha_vector(i), wt) == one

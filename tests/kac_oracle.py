@@ -21,7 +21,7 @@ import itertools
 
 from qgl import repmod, rootofunity
 from qgl.errors import DomainError
-from qgl.linalg import Echelon, mat_mul, rref
+from qgl.linalg import Echelon, columns, mat_mul, rref, sparse
 from qgl.scalars import GENERIC_FIELD, RF_ONE, gauss_factorial
 
 
@@ -42,12 +42,11 @@ def straightened_kac_module(alg, lam):
                 wt[j - 1] += 1
         weights.append(tuple(wt))
         parities.append(sum(d) % 2)
-    zero = GENERIC_FIELD.zero
     mats = {}
     for i in range(1, sh.rank):
         for kind in ("E", "F"):
             g = alg.gen(kind, i, i + 1)
-            m = [[zero] * len(labels) for _ in range(len(labels))]
+            entries = []
             prods = {d: g * alg.monomial(fd=d) for d in dvecs}
             for cidx, (d, w) in enumerate(labels):
                 for key, coeff in prods[d].terms.items():
@@ -57,9 +56,8 @@ def straightened_kac_module(alg, lam):
                     img = l0.act_element(even, l0.unit_vector(w))
                     for wp, val in enumerate(img):
                         if not val.is_zero():
-                            tgt = index[(key.fd, wp)]
-                            m[tgt][cidx] = m[tgt][cidx] + coeff * val
-            mats[(kind, i, i + 1, 1)] = m
+                            entries.append((index[(key.fd, wp)], cidx, coeff * val))
+            mats[(kind, i, i + 1, 1)] = columns(entries, len(labels))
     return repmod.WeightModule(alg, GENERIC_FIELD, weights, parities, mats,
                                top=index[(tuple([0] * n1), l0.top)])
 
@@ -69,7 +67,6 @@ def rebased_kac_module(alg, lam):
     chosen greedily over the whole module in the order (|d| + |psi|, d, psi),
     with every matrix conjugated by the basis change P."""
     mod = repmod.kac_module(alg, lam)
-    zero = mod.field.zero
     n1, n0 = len(alg.f1_list), len(alg.f0_list)
     top_v = mod.unit_vector(mod.top)
     spaces = mod.weight_spaces()
@@ -94,12 +91,12 @@ def rebased_kac_module(alg, lam):
         deg += 1
     if len(cols) < mod.dim:
         raise DomainError("divided monomials do not span the module")
-    p = [[cols[c][r] for c in range(mod.dim)] for r in range(mod.dim)]
-    red, piv = rref([list(p[r]) + mod.unit_vector(r) for r in range(mod.dim)])
+    red, piv = rref([[col[r] for col in cols] + mod.unit_vector(r) for r in range(mod.dim)])
     if piv != list(range(mod.dim)):
         raise DomainError("basis change matrix is singular")
-    p_inv = [row[mod.dim:] for row in red]
-    mats = {key: mat_mul(p_inv, mat_mul(m, p, zero), zero) for key, m in mod.mats.items()}
+    p = [sparse(col) for col in cols]
+    p_inv = [sparse([row[mod.dim + c] for row in red]) for c in range(mod.dim)]
+    mats = {key: mat_mul(p_inv, mat_mul(m, p)) for key, m in mod.mats.items()}
     leads = [next(r for r, x in enumerate(col) if not x.is_zero()) for col in cols]
     return repmod.WeightModule(alg, GENERIC_FIELD, [mod.eps_weights[r] for r in leads],
                                [mod.parities[r] for r in leads], mats, top=0)

@@ -56,6 +56,8 @@ def test_exit_code_usage_error():
     assert code == 2
     code, _, _ = capture(["nf", "E[1,2]"])  # missing --shape
     assert code == 2
+    code, out, err = capture(["selftest", "--shape", "1,1", "--trials", "-3"])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 
 def test_selftest_passes():
@@ -186,6 +188,8 @@ OVER_BUDGET = [
     ["nf", "Kb[1;0;30]", "--shape", "1,1"],
     ["specialize", "K[1]^10", "--shape", "1,1", "-l", "3"],
     ["specialize", "K[1]^20", "--shape", "1,1", "-l", "3"],
+    # a selftest trial count above cli._MAX_TRIALS, checked before any trial
+    ["selftest", "--shape", "2,1", "--trials", "100000000"],
 ]
 
 

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgl.linalg import mat_vec
-from qgl.linalg import Echelon, in_span, nullspace, rank, rref
+from qgl.linalg import Echelon, columns, in_span, mat_mul, mat_vec, nullspace, rank, rref, sparse
 from qgl.scalars import CycloNum, RatFunc
 
 
@@ -27,21 +26,53 @@ def _cyclo(rng):
 def test_mat_vec_matches_the_dense_formula(draw, zero):
     rng = random.Random(7)
     for _ in range(60):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        n = rng.randint(1, 6)
         density = rng.choice((0.0, 0.2, 0.5, 1.0))
 
         def entry():
             return draw(rng) if rng.random() < density else zero
 
-        a = [[entry() for _ in range(cols)] for _ in range(rows)]
-        v = [entry() for _ in range(cols)]
+        a = [[entry() for _ in range(n)] for _ in range(n)]
+        v = [entry() for _ in range(n)]
         dense = []
         for row in a:
             acc = zero
             for x, y in zip(row, v):
                 acc = acc + x * y
             dense.append(acc)
-        assert mat_vec(a, v, zero) == dense
+        assert mat_vec([sparse(col) for col in zip(*a)], v, zero) == dense
+
+
+@pytest.mark.parametrize(
+    "draw,zero", [(_ratfunc, RatFunc.from_int(0)), (_cyclo, CycloNum.from_int(0, 5))]
+)
+def test_mat_mul_and_columns_match_the_dense_formula(draw, zero):
+    rng = random.Random(8)
+    for _ in range(40):
+        rows, inner, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.choice((0.0, 0.3, 1.0))
+
+        def entry():
+            return draw(rng) if rng.random() < density else zero
+
+        a = [[entry() for _ in range(inner)] for _ in range(rows)]
+        b = [[entry() for _ in range(cols)] for _ in range(inner)]
+        dense = [[zero] * cols for _ in range(rows)]
+        for r in range(rows):
+            for c in range(cols):
+                for k in range(inner):
+                    dense[r][c] = dense[r][c] + a[r][k] * b[k][c]
+        want = [sparse(col) for col in zip(*dense)]
+        assert mat_mul([sparse(col) for col in zip(*a)], [sparse(col) for col in zip(*b)]) == want
+        # the same sum as entries, each split in two parts that cancel or add up
+        entries = []
+        for r in range(rows):
+            for c in range(cols):
+                for k in range(inner):
+                    x = a[r][k] * b[k][c]
+                    entries += [(r, c, x + x), (r, c, -x)]
+        rng.shuffle(entries)
+        assert columns(entries, cols) == want
 
 
 # -- elimination against the column sweep ------------------------------------
@@ -130,7 +161,11 @@ def test_nullspace_matches_the_column_sweep(draw, zero, one):
         ncols = len(rows[0])
         assert len(kern) == ncols - len(pivots)
         for v in kern:
-            assert all(x.is_zero() for x in mat_vec(rows, v, zero))
+            for row in rows:
+                acc = zero
+                for x, y in zip(row, v):
+                    acc = acc + x * y
+                assert acc.is_zero()
         free = [c for c in range(ncols) if c not in pivots]
         assert [[v[c] for c in free] for v in kern] == [
             [one if c == fc else zero for c in free] for fc in free

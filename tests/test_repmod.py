@@ -13,7 +13,7 @@ import pytest
 from qgl import repmod
 from qgl import rootofunity as ru
 from qgl.errors import DomainError, NonDominant, NotHighestWeight
-from qgl.linalg import mat_mul, mat_vec, rank, rref
+from qgl.linalg import columns, mat_mul, mat_vec, rank, rref, sparse
 from qgl.pbwcore import Algebra, Element
 from qgl.rootdata import (
     Shape, bilinear_form, frobenius_decompose, in_Xplus, is_typical, weight_to_z, weyl_dim_even,
@@ -83,7 +83,7 @@ def _verma_head_l0(alg, lam):
             continue
         for kind in ("E", "F"):
             g = alg.gen(kind, i, i + 1)
-            m = [[RF_ZERO] * len(labels) for _ in labels]
+            entries = []
             for c, lab in enumerate(labels):
                 for key, coeff in (g * alg.monomial(fpsi=lab)).terms.items():
                     if any(key.epsi) or any(key.ed) or any(key.fd):
@@ -91,8 +91,8 @@ def _verma_head_l0(alg, lam):
                     r = index.get(key.fpsi)
                     if r is not None:
                         val = coeff * RatFunc.q_power(bilinear_form(sh, key.k, lam))
-                        m[r][c] = m[r][c] + val
-            mats[(kind, i, i + 1, 1)] = m
+                        entries.append((r, c, val))
+            mats[(kind, i, i + 1, 1)] = columns(entries, len(labels))
     verma = repmod.WeightModule(alg, GENERIC_FIELD, weights, [0] * len(labels), mats,
                                 top=index[(0,) * len(heights)])
     return repmod.simple_head(verma)
@@ -267,7 +267,7 @@ def test_verify_flags_a_scaled_generator(which, node):
     key = ("E", node, node + 1, 1)
     two = mod.scal(RatFunc.from_int(2))
     mats = dict(mod.mats)
-    mats[key] = [[x * two for x in row] for row in mats[key]]
+    mats[key] = [[(r, x * two) for r, x in col] for col in mats[key]]
     assert "d1:E%d-F%d" % (node, node) in _copy(mod, mats=mats).verify()
 
 
@@ -378,9 +378,7 @@ def test_simple_head_at_root_with_an_even_gap_of_l(shape, lam, l):
 
 def test_simple_head_needs_a_one_dimensional_top():
     alg = Algebra((2, 1))
-    zero = GENERIC_FIELD.zero
-    mats = {(kind, i, i + 1, 1): [[zero, zero], [zero, zero]]
-            for kind in ("E", "F") for i in (1, 2)}
+    mats = {(kind, i, i + 1, 1): [[], []] for kind in ("E", "F") for i in (1, 2)}
     mod = repmod.WeightModule(alg, GENERIC_FIELD, [(1, 0, 0)] * 2, [0, 0], mats, top=0)
     with pytest.raises(NotHighestWeight):
         repmod.simple_head(mod)
@@ -450,15 +448,14 @@ def _product_matrix(mod, atom):
     """Reference matrix of a derived atom: the sum over its expansion into
     simple-generator words of the products of the stored matrices."""
     alg = mod.alg
-    zero, one = mod.field.zero, mod.field.one
-    acc = [[zero] * mod.dim for _ in range(mod.dim)]
+    entries = []
     for coeff, word in alg.expand_monomial(alg.word_to_monomial((atom,))):
-        m = [[one if r == c else zero for c in range(mod.dim)] for r in range(mod.dim)]
+        m = [[(c, mod.field.one)] for c in range(mod.dim)]
         for a in word:
-            m = mat_mul(m, mod.mats[a], zero)
+            m = mat_mul(m, mod.mats[a])
         cval = mod.scal(coeff)
-        acc = [[x + y * cval for x, y in zip(r1, r2)] for r1, r2 in zip(acc, m)]
-    return acc
+        entries += [(r, c, x * cval) for c, col in enumerate(m) for r, x in col]
+    return columns(entries, mod.dim)
 
 
 DERIVED_ATOMS = [
@@ -477,29 +474,55 @@ def test_derived_atoms_act_like_matrix_products(shape, lam, atoms, l):
     for atom in atoms:
         kind, i, j, n = atom
         want = _product_matrix(mod, atom)
-        assert any(not x.is_zero() for row in want for x in row), atom
+        assert any(want), atom
         assert mod.matrix_of_atom(atom) == want, atom
         elt = alg.gen(kind, i, j) ** n
-        cols = [mod.act_element(elt, mod.unit_vector(c)) for c in range(mod.dim)]
-        assert [list(row) for row in zip(*cols)] == want, atom
+        assert [sparse(mod.act_element(elt, mod.unit_vector(c)))
+                for c in range(mod.dim)] == want, atom
     assert set(mod.mats) == keys
 
 
-def test_large_root_of_unity_head_is_fast():
+LARGE_AT_ROOT = {
     # gl(3|1), lambda = (5,0,0,0), l = 5: a Kac module of dimension 168
     # whose rebase applies many composite root vectors
+    ("3,1", "5,0,0,0", "5"): (
+        '{"character": [{"mult": 1, "z": [-5, 5, 0, 0]}, {"mult": 1, "z": [0, -5, 5, 0]}, '
+        '{"mult": 1, "z": [5, 0, 0, 0]}], "dim": 3, "schema": 1}\n'),
+    # gl(3|2), lambda = (2,0,0,0,0), l = 3: Kac dimension 384
+    ("3,2", "2,0,0,0,0", "3"): (
+        '{"character": [{"mult": 1, "z": [-2, 2, 0, 0, 0]}, '
+        '{"mult": 1, "z": [-1, 0, 1, 0, 0]}, {"mult": 1, "z": [-1, 1, 0, -1, 1]}, '
+        '{"mult": 1, "z": [-1, 1, 1, 1, 0]}, {"mult": 1, "z": [0, -2, 2, 0, 0]}, '
+        '{"mult": 1, "z": [0, -1, 1, -1, 1]}, {"mult": 1, "z": [0, -1, 2, 1, 0]}, '
+        '{"mult": 1, "z": [0, 0, 1, 0, 1]}, {"mult": 1, "z": [0, 1, 0, 0, 0]}, '
+        '{"mult": 1, "z": [1, -1, 1, 0, 0]}, {"mult": 1, "z": [1, 0, 0, -1, 1]}, '
+        '{"mult": 1, "z": [1, 0, 1, 1, 0]}, '
+        '{"mult": 1, "z": [2, 0, 0, 0, 0]}], "dim": 13, "schema": 1}\n'),
+    # gl(5|1), lambda = (1,1,0,0,0,0), l = 3: Kac dimension 320
+    ("5,1", "1,1,0,0,0,0", "3"): (
+        '{"character": [{"mult": 1, "z": [-1, 0, 1, 0, 0, 0]}, '
+        '{"mult": 1, "z": [-1, 1, -1, 1, 0, 0]}, {"mult": 1, "z": [-1, 1, 0, -1, 1, 0]}, '
+        '{"mult": 1, "z": [-1, 1, 0, 0, 1, 1]}, {"mult": 1, "z": [0, -1, 0, 1, 0, 0]}, '
+        '{"mult": 1, "z": [0, -1, 1, -1, 1, 0]}, {"mult": 1, "z": [0, -1, 1, 0, 1, 1]}, '
+        '{"mult": 1, "z": [0, 0, -1, 0, 1, 0]}, {"mult": 1, "z": [0, 0, -1, 1, 1, 1]}, '
+        '{"mult": 1, "z": [0, 0, 0, -1, 2, 1]}, {"mult": 1, "z": [0, 0, 0, 0, 2, 2]}, '
+        '{"mult": 1, "z": [0, 1, 0, 0, 0, 0]}, {"mult": 1, "z": [1, -1, 1, 0, 0, 0]}, '
+        '{"mult": 1, "z": [1, 0, -1, 1, 0, 0]}, {"mult": 1, "z": [1, 0, 0, -1, 1, 0]}, '
+        '{"mult": 1, "z": [1, 0, 0, 0, 1, 1]}], "dim": 16, "schema": 1}\n'),
+}
+
+
+def test_large_root_of_unity_head_is_fast():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qgl.cli", "simple", "--shape", "3,1",
-         "--lambda=5,0,0,0", "--at-root", "5"],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == (
-        '{"character": [{"mult": 1, "z": [-5, 5, 0, 0]}, {"mult": 1, "z": [0, -5, 5, 0]}, '
-        '{"mult": 1, "z": [5, 0, 0, 0]}], "dim": 3, "schema": 1}\n'
-    )
+    for (shape, lam, l), want in LARGE_AT_ROOT.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "qgl.cli", "simple", "--shape", shape,
+             "--lambda=" + lam, "--at-root", l],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 0, shape
+        assert proc.stdout == want, shape
 
 
 @pytest.mark.parametrize("argv", [["--shape", "2,1", "--lambda=30,0,0"],
@@ -582,7 +605,7 @@ def _coproduct_matrices(m1, m2):
     F_i (x) 1 + K_alpha_i^-1 (x) F_i, where the second term carries the
     sign (-1)^{p_i p(a)}."""
     sh = m1.alg.shape
-    one, zero = m1.field.one, m1.field.zero
+    one = m1.field.one
     n2 = m2.dim
     out = {}
     for i in range(1, sh.rank):
@@ -591,7 +614,7 @@ def _coproduct_matrices(m1, m2):
         for kind in ("E", "F"):
             key = (kind, i, i + 1, 1)
             x1, x2 = m1.mats[key], m2.mats[key]
-            m = [[zero] * (m1.dim * n2) for _ in range(m1.dim * n2)]
+            entries = []
             for a in range(m1.dim):
                 for b in range(n2):
                     if kind == "E":
@@ -600,11 +623,9 @@ def _coproduct_matrices(m1, m2):
                         k1, k2 = one, m1.q_weight(tuple(-x for x in al), m1.eps_weights[a])
                     if odd and m1.parities[a]:
                         k2 = -k2
-                    for ap in range(m1.dim):
-                        m[ap * n2 + b][a * n2 + b] += x1[ap][a] * k1
-                    for bp in range(n2):
-                        m[a * n2 + bp][a * n2 + b] += k2 * x2[bp][b]
-            out[key] = m
+                    entries += [(ap * n2 + b, a * n2 + b, x * k1) for ap, x in x1[a]]
+                    entries += [(a * n2 + bp, a * n2 + b, k2 * x) for bp, x in x2[b]]
+            out[key] = columns(entries, m1.dim * n2)
     return out
 
 
@@ -626,7 +647,7 @@ def test_tensor_matrices_match_the_coproduct(case):
     want = _coproduct_matrices(m1, m2)
     assert set(t.mats) == set(want)
     for key, m in want.items():
-        assert any(not x.is_zero() for row in m for x in row), key
+        assert any(m), key
         assert t.mats[key] == m, key
 
 
@@ -650,6 +671,60 @@ def test_tensor_over_q_eta_realizes_the_frobenius_splitting(shape, z):
     assert t.verify() == []
     assert t.dim == whole.dim
     assert t.character() == whole.character()
+
+
+# -- the sparse-column format ------------------------------------------------
+
+
+def _quotient_by_singular_vectors():
+    mod = repmod.kac_module(Algebra((2, 1)), (0, 0, 0))
+    sing = [v for _, v in repmod.singular_vectors(mod)]
+    return repmod.quotient_module(mod, repmod.submodule_closure(mod, sing))
+
+
+def _tensor_of_two_kac_modules():
+    alg = Algebra((2, 1))
+    return repmod.tensor_module(repmod.kac_module(alg, (1, 0, 0)),
+                                repmod.kac_module(alg, (0, 0, 1)))
+
+
+def _divided_kac_with_divided_power():
+    mod = repmod.divided_kac_module(Algebra((2, 1)), (2, 0, 0))
+    mod.ensure_divided("E", 1, 2, 3)
+    return mod
+
+
+FORMAT_CASES = {
+    "even": lambda: repmod.simple_even_module(Algebra((2, 1)), (3, 1, -2)),
+    "rebased-even": lambda: repmod.rebase_to_divided_monomials(
+        repmod.simple_even_module(Algebra((2, 1)), (2, 0, 0)))[0],
+    "kac": lambda: repmod.kac_module(Algebra((2, 1)), (2, 1, 0)),
+    "divided-kac": _divided_kac_with_divided_power,
+    # heads on gl(2|2) whose forms meet the raising matrices in zeros
+    "head": lambda: repmod.simple_head(repmod.kac_module(Algebra((2, 2)), (1, 0, 1, 1))),
+    "head-at-root": lambda: ru.simple_at_root(Algebra((2, 2)), (0, 1, 1, 0), 3),
+    "tensor": _tensor_of_two_kac_modules,
+    "quotient": _quotient_by_singular_vectors,
+    "trivial": lambda: repmod.trivial_module(Algebra((2, 1))),
+    "specialized-kac": lambda: ru.specialize_kac(Algebra((2, 1)), (2, 0, 0), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_every_builder_stores_sparse_columns(case):
+    # dim columns, each listing (row, value) for its nonzero entries with
+    # the rows strictly ascending
+    mod = FORMAT_CASES[case]()
+    mats = dict(mod.mats)
+    if {1, 2} <= set(mod.nodes()):
+        mats["built F13"] = mod.matrix_of_atom(("F", 1, 3, 1))
+    assert mats
+    for key, m in mats.items():
+        assert len(m) == mod.dim, key
+        for col in m:
+            rows = [r for r, _ in col]
+            assert rows == sorted(set(rows)) and all(0 <= r < mod.dim for r in rows), key
+            assert not any(x.is_zero() for _, x in col), key
 
 
 # -- the free-word action oracle ---------------------------------------------
