@@ -1,13 +1,13 @@
 """Exact linear algebra over any field with is_zero/inverse elements.
 
-A module action matrix is a list of sparse columns: column c lists the
-(row, value) pairs of its nonzero entries, rows ascending, and a square
-matrix has as many columns as rows.  mat_vec and mat_mul visit the stored
-entries only.  Vectors, and the rows that elimination works on, are dense
-lists.  Field elements must support +, -, *, inverse(), is_zero(), ==;
-both the rational-function field and the cyclotomic fields qualify.
-Echelon, an incremental reduced row echelon basis, is the one elimination
-routine: every rref goes through it.
+A matrix is a list of sparse columns: column c lists the (row, value)
+pairs of its nonzero entries, rows ascending.  A vector is a one-column
+matrix, so mat_mul's right factor may have any number of columns; dense
+lists are only the rows elimination works on, which mat_vec also takes.
+Both products visit the stored entries only.  Field elements must support
++, -, *, inverse(), is_zero(), ==; both the rational-function field and
+the cyclotomic fields qualify.  Echelon, an incremental reduced row
+echelon basis, is the one elimination routine: every rref goes through it.
 """
 
 
@@ -32,7 +32,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v, zero):
-    """a v for a square matrix a of sparse columns and a dense vector v."""
+    """a v for a square matrix a of sparse columns and a dense row v."""
     out = [zero] * len(a)
     for col, y in zip(a, v):
         if y.is_zero():

@@ -41,7 +41,6 @@ from .scalars import (
     RF_Q,
     RatFunc,
     check_q_degree,
-    evaluate_at_root,
     gauss_factorial,
     gauss_int,
 )
@@ -58,11 +57,12 @@ class WeightModule:
     the simple generators and ("DE", i, j, n) / ("DF", i, j, n) for divided
     powers, each as ``linalg``'s dim sparse columns: column c lists the
     (row, value) pairs of the nonzero entries of the image of basis vector
-    c, rows ascending.  Every other atom acts on vectors: K diagonally, a
-    composite root vector through its expansion into simple generators,
-    and a power one factor at a time.  Such derived actions are never
-    stored, so rebasing, quotients and specialization touch only what is
-    stored.
+    c, rows ascending.  Actions run on the same format, a vector being a
+    one-column matrix: every other atom acts on a list of columns, K by
+    scaling entries, a composite root vector through its expansion into
+    simple generators, and a power one factor at a time.  Such derived
+    actions are never stored, so rebasing, quotients and specialization
+    touch only what is stored.  Dense lists are only Echelon rows.
     """
 
     def __init__(self, alg, field, eps_weights, parities, mats, top=None):
@@ -82,52 +82,43 @@ class WeightModule:
         """The order of eta for a module over Q(eta), None over Q(q)."""
         return self.field.l
 
-    def scal(self, c):
-        """Map a RatFunc coefficient into the module's field."""
-        if self.l is None:
-            return c
-        return evaluate_at_root(c, self.l)
-
     def q_weight(self, mu, wt):
         """The eigenvalue q^{(mu, wt)} of K_mu on a vector of weight wt."""
-        return self.scal(RatFunc.q_power(bilinear_form(self.alg.shape, mu, wt)))
+        return self.field.of(RatFunc.q_power(bilinear_form(self.alg.shape, mu, wt)))
 
-    def _act_atom(self, atom, vec):
-        """Apply one atom of a monomial word to a coordinate vector."""
-        if atom[0] == "K":
-            mu = atom[1]
-            return [x if x.is_zero() else x * self.q_weight(mu, wt)
-                    for x, wt in zip(vec, self.eps_weights)]
+    def _act_atom(self, atom, cols):
+        """Apply one atom of a monomial word to sparse columns."""
         m = self.mats.get(atom)
         if m is not None:
-            return mat_vec(m, vec, self.field.zero)
+            return mat_mul(m, cols)
+        if atom[0] == "K":
+            mu, wts = atom[1], self.eps_weights
+            return [[(r, x * self.q_weight(mu, wts[r])) for r, x in col] for col in cols]
         kind, i, j, n = atom
         if n == 1 and j == i + 1:
             raise DomainError("missing action matrix for simple generator %r" % (atom,))
         if n == 1:
-            return self._act_sum(self.alg.expand_composite(kind, i, j), vec)
+            return self._act_sum(self.alg.expand_composite(kind, i, j), cols)
         for _ in range(n):
-            vec = self._act_atom((kind, i, j, 1), vec)
-        return vec
+            cols = self._act_atom((kind, i, j, 1), cols)
+        return cols
 
-    def _act_sum(self, pairs, vec):
-        """Apply sum(coeff * word) over (coeff, atom word) pairs to a vector."""
-        out = [self.field.zero] * self.dim
+    def _act_sum(self, pairs, cols):
+        """Apply sum(coeff * word) over (coeff, atom word) pairs to sparse columns."""
+        entries = []
         for coeff, word in pairs:
-            cur = vec
+            cur = cols
             for atom in reversed(word):
                 cur = self._act_atom(atom, cur)
-            cval = self.scal(coeff)
-            out = [o if c.is_zero() else o + c * cval for o, c in zip(out, cur)]
-        return out
+            cval = self.field.of(coeff)
+            entries += [(r, c, x * cval) for c, col in enumerate(cur) for r, x in col]
+        return columns(entries, len(cols))
 
     def matrix_of_atom(self, atom):
-        """The stored matrix of an atom, or else one built from its action
-        on the unit vectors; built matrices are not kept."""
+        """The stored matrix of an atom, or else its action on the identity;
+        built matrices are not kept."""
         hit = self.mats.get(atom)
-        if hit is not None:
-            return hit
-        return [sparse(self._act_atom(atom, self.unit_vector(c))) for c in range(self.dim)]
+        return hit if hit is not None else self._act_atom(atom, self.identity())
 
     def ensure_divided(self, kind, i, j, n):
         """Store the divided-power matrix X_{ij}^{(n)} (generic field only)."""
@@ -143,16 +134,19 @@ class WeightModule:
                               for col in self.matrix_of_atom((kind, i, j, n))]
         return m
 
-    def act_element(self, elt, vec):
-        """Apply an algebra element to a coordinate vector."""
+    def act_element(self, elt, cols):
+        """Apply an algebra element to sparse columns."""
         pairs = [(coeff, self.alg.mono_word(mono)) for mono, coeff in elt.terms.items()]
-        return self._act_sum(pairs, vec)
+        return self._act_sum(pairs, cols)
 
     # -- structure ----------------------------------------------------------
 
     def unit_vector(self, idx):
         zero, one = self.field.zero, self.field.one
         return [one if t == idx else zero for t in range(self.dim)]
+
+    def identity(self):
+        return [[(c, self.field.one)] for c in range(self.dim)]
 
     def character(self):
         """Multiplicities of z-weights."""
@@ -186,8 +180,8 @@ class WeightModule:
         for _, word in pairs:
             if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2])) for a in word):
                 return _ABSENT
-        return _Matrix(self, {(r, c): x for c in range(self.dim)
-                              for r, x in sparse(self._act_sum(pairs, self.unit_vector(c)))})
+        cols = self._act_sum(pairs, self.identity())
+        return _Matrix(self, {(r, c): x for c, col in enumerate(cols) for r, x in col})
 
     def verify(self):
         """Check the module against the relation catalog; returns defects.
@@ -244,7 +238,7 @@ class _Matrix(LinearCombination):
         return _Matrix(self.alg, out)
 
     def scale(self, c):
-        return super().scale(self.alg.scal(c))
+        return super().scale(self.alg.field.of(c))
 
 
 class _Absent:
@@ -783,13 +777,13 @@ def _induced_module(l0, labels):
     weights = [tuple(a + b for a, b in zip(l0.eps_weights[w], shifts[d])) for d, w in labels]
     parities = [sum(d) % 2 for d, _ in labels]
     induction = _KacInduction.of(alg)
-    images = {}  # ((fpsi, k, epsi), w) -> the nonzero entries of that even monomial on w
+    images = {}  # (fpsi, k, epsi) -> the matrix of that even monomial on l0
 
-    def image(even, w):
-        hit = images.get((even, w))
+    def image(even):
+        hit = images.get(even)
         if hit is None:
             y = alg.monomial(fpsi=even[0], k=even[1], epsi=even[2])
-            hit = images[(even, w)] = sparse(l0.act_element(y, l0.unit_vector(w)))
+            hit = images[even] = l0.act_element(y, l0.identity())
         return hit
 
     mats = {}
@@ -800,7 +794,7 @@ def _induced_module(l0, labels):
                 ((index[(fd, wp)], cidx, _times(coeff, val))
                  for cidx, (d, w) in enumerate(labels)
                  for (fd, even), coeff in induction.induce(atom, d).items()
-                 for wp, val in image(even, w)), len(labels))
+                 for wp, val in image(even)[w]), len(labels))
     return WeightModule(alg, GENERIC_FIELD, weights, parities, mats,
                         top=index[(tuple([0] * len(alg.f1_list)), l0.top)])
 
@@ -847,10 +841,7 @@ def _factor_columns(mod, key):
     word = mod.alg.mono_word(key)
     if not word:
         return [[(c, None)] for c in range(mod.dim)]
-    (atom,) = word
-    if atom[0] == "K":
-        return [[(c, mod.q_weight(atom[1], wt))] for c, wt in enumerate(mod.eps_weights)]
-    return mod.matrix_of_atom(atom)
+    return mod.matrix_of_atom(word[0])
 
 
 def tensor_module(m1, m2):
@@ -876,7 +867,7 @@ def tensor_module(m1, m2):
         """The (row, column, value) entries of the coproduct terms of key."""
         for (x, y), c in hopf.delta_atom(key).terms.items():
             cx, cy = _factor_columns(m1, x), _factor_columns(m2, y)
-            cval = None if c == RF_ONE else m1.scal(c)
+            cval = None if c == RF_ONE else m1.field.of(c)
             py = alg.monomial_parity(y)
             for cidx, (a, b) in enumerate(labels):
                 for ap, u in cx[a]:
@@ -921,9 +912,10 @@ def rebase_to_divided_monomials(mod):
         raise NotHighestWeight("rebasing needs a distinguished top vector")
     alg = mod.alg
     n0 = len(alg.f0_list)
-    top_v = mod.unit_vector(mod.top)
+    zero = mod.field.zero
+    top = [[(mod.top, mod.field.one)]]
     spaces = mod.weight_spaces()
-    cols, psis, leads = [], [], []
+    cols, psis = [], []
     spans = {wt: Echelon() for wt in spaces}  # the chosen vectors, per weight space
     deg = 0
     while len(cols) < mod.dim and deg <= mod.dim + 1:
@@ -934,28 +926,31 @@ def rebase_to_divided_monomials(mod):
             inv = RF_ONE
             for x in psi:
                 inv = inv * gauss_factorial(x).inverse()
-            vec = mod.act_element(el.scale(inv), top_v)
-            lead = next((r for r, x in enumerate(vec) if not x.is_zero()), None)
-            if lead is None:
+            (col,) = mod.act_element(el.scale(inv), top)
+            if not col:
                 continue
-            wt = mod.eps_weights[lead]
-            if spans[wt].add([vec[r] for r in spaces[wt]]) is not None:
-                cols.append(vec)
+            wt = mod.eps_weights[col[0][0]]
+            at = dict(col)
+            if spans[wt].add([at.get(r, zero) for r in spaces[wt]]) is not None:
+                cols.append(col)
                 psis.append(psi)
-                leads.append(lead)
                 if len(cols) == mod.dim:
                     break
         deg += 1
     if len(cols) < mod.dim:
         raise DomainError("divided monomials do not span the module")
     # P columns are the new basis vectors; conjugate every stored matrix
-    red, piv = rref([[col[r] for col in cols] + mod.unit_vector(r) for r in range(mod.dim)])
+    rows = [[zero] * mod.dim + mod.unit_vector(r) for r in range(mod.dim)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            rows[r][c] = x
+    red, piv = rref(rows)
     if piv != list(range(mod.dim)):
         raise DomainError("basis change matrix is singular")
-    p, p_inv = [sparse(col) for col in cols], [sparse(col) for col in list(zip(*red))[mod.dim:]]
-    new_mats = {key: mat_mul(p_inv, mat_mul(m, p)) for key, m in mod.mats.items()}
-    weights = [mod.eps_weights[r] for r in leads]
-    parities = [mod.parities[r] for r in leads]
+    p_inv = [sparse(col) for col in list(zip(*red))[mod.dim:]]
+    new_mats = {key: mat_mul(p_inv, mat_mul(m, cols)) for key, m in mod.mats.items()}
+    weights = [mod.eps_weights[col[0][0]] for col in cols]
+    parities = [mod.parities[col[0][0]] for col in cols]
     return WeightModule(alg, GENERIC_FIELD, weights, parities, new_mats, top=0), psis
 
 

@@ -85,7 +85,7 @@ def specialize_module(mod, l):
     field = cyclo_field(l)  # checks the root order before any entry is evaluated
     mats = {}
     for key, m in mod.mats.items():
-        mats[key] = [[(r, y) for r, y in ((r, evaluate_at_root(x, l)) for r, x in col)
+        mats[key] = [[(r, y) for r, y in ((r, field.of(x)) for r, x in col)
                       if not y.is_zero()] for col in m]
     return repmod.WeightModule(
         mod.alg, field, mod.eps_weights, mod.parities, mats, top=mod.top

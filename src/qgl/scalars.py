@@ -770,6 +770,10 @@ class FieldOps:
         self.one = one
         self.l = l
 
+    def of(self, c):
+        """The image of a RatFunc in the field: c itself over Q(q)."""
+        return c if self.l is None else evaluate_at_root(c, self.l)
+
 
 GENERIC_FIELD = FieldOps(RF_ZERO, RF_ONE, None)
 

@@ -53,10 +53,9 @@ def straightened_kac_module(alg, lam):
                     if any(key.ed):
                         continue  # odd raising operators kill 1 (x) L0
                     even = alg.monomial(fpsi=key.fpsi, k=key.k, epsi=key.epsi)
-                    img = l0.act_element(even, l0.unit_vector(w))
-                    for wp, val in enumerate(img):
-                        if not val.is_zero():
-                            entries.append((index[(key.fd, wp)], cidx, coeff * val))
+                    (img,) = l0.act_element(even, [[(w, l0.field.one)]])
+                    for wp, val in img:
+                        entries.append((index[(key.fd, wp)], cidx, coeff * val))
             mats[(kind, i, i + 1, 1)] = columns(entries, len(labels))
     return repmod.WeightModule(alg, GENERIC_FIELD, weights, parities, mats,
                                top=index[(tuple([0] * n1), l0.top)])
@@ -68,7 +67,7 @@ def rebased_kac_module(alg, lam):
     with every matrix conjugated by the basis change P."""
     mod = repmod.kac_module(alg, lam)
     n1, n0 = len(alg.f1_list), len(alg.f0_list)
-    top_v = mod.unit_vector(mod.top)
+    zero, top = mod.field.zero, [[(mod.top, mod.field.one)]]
     spaces = mod.weight_spaces()
     cols = []
     spans = {wt: Echelon() for wt in spaces}
@@ -81,23 +80,26 @@ def rebased_kac_module(alg, lam):
                 inv = RF_ONE
                 for x in psi:
                     inv = inv * gauss_factorial(x).inverse()
-                vec = mod.act_element(alg.monomial(fd=d, fpsi=psi).scale(inv), top_v)
-                lead = next((r for r, x in enumerate(vec) if not x.is_zero()), None)
-                if lead is None:
+                (col,) = mod.act_element(alg.monomial(fd=d, fpsi=psi).scale(inv), top)
+                if not col:
                     continue
-                wt = mod.eps_weights[lead]
-                if spans[wt].add([vec[r] for r in spaces[wt]]) is not None:
-                    cols.append(vec)
+                at = dict(col)
+                wt = mod.eps_weights[col[0][0]]
+                if spans[wt].add([at.get(r, zero) for r in spaces[wt]]) is not None:
+                    cols.append(col)
         deg += 1
     if len(cols) < mod.dim:
         raise DomainError("divided monomials do not span the module")
-    red, piv = rref([[col[r] for col in cols] + mod.unit_vector(r) for r in range(mod.dim)])
+    rows = [[zero] * mod.dim + mod.unit_vector(r) for r in range(mod.dim)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            rows[r][c] = x
+    red, piv = rref(rows)
     if piv != list(range(mod.dim)):
         raise DomainError("basis change matrix is singular")
-    p = [sparse(col) for col in cols]
     p_inv = [sparse([row[mod.dim + c] for row in red]) for c in range(mod.dim)]
-    mats = {key: mat_mul(p_inv, mat_mul(m, p)) for key, m in mod.mats.items()}
-    leads = [next(r for r, x in enumerate(col) if not x.is_zero()) for col in cols]
+    mats = {key: mat_mul(p_inv, mat_mul(m, cols)) for key, m in mod.mats.items()}
+    leads = [col[0][0] for col in cols]
     return repmod.WeightModule(alg, GENERIC_FIELD, [mod.eps_weights[r] for r in leads],
                                [mod.parities[r] for r in leads], mats, top=0)
 

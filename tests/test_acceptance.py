@@ -325,7 +325,11 @@ def test_criterion_07_pbw_independence():
                 if sum(psi) > 2:
                     continue
                 el = alg.monomial(fd=d, fpsi=psi)
-                vecs.append(mod.act_element(el, mod.unit_vector(mod.top)))
+                (col,) = mod.act_element(el, [[(mod.top, mod.field.one)]])
+                vec = [mod.field.zero] * mod.dim
+                for r, x in col:
+                    vec[r] = x
+                vecs.append(vec)
         assert rank(vecs) == len(vecs), shape
 
 

@@ -13,7 +13,7 @@ import pytest
 from qgl import repmod
 from qgl import rootofunity as ru
 from qgl.errors import DomainError, NonDominant, NotHighestWeight
-from qgl.linalg import columns, mat_mul, mat_vec, rank, rref, sparse
+from qgl.linalg import columns, mat_mul, mat_vec, rank, rref
 from qgl.pbwcore import Algebra, Element
 from qgl.rootdata import (
     Shape, bilinear_form, frobenius_decompose, in_Xplus, is_typical, weight_to_z, weyl_dim_even,
@@ -153,10 +153,9 @@ def test_kac_highest_vector():
     alg = Algebra((2, 1))
     lam = (2, 1, 0)
     mod = repmod.kac_module(alg, lam)
-    v = mod.unit_vector(mod.top)
+    top = [[(mod.top, mod.field.one)]]
     for i in (1, 2):
-        img = mod.act_element(alg.gen("E", i, i + 1), v)
-        assert all(x.is_zero() for x in img)
+        assert mod.act_element(alg.gen("E", i, i + 1), top) == [[]]
     assert mod.eps_weights[mod.top] == lam
     assert mod.parities[mod.top] == 0
 
@@ -265,7 +264,7 @@ def test_verify_flags_a_scaled_generator(which, node):
     mod = _verified_modules()[which]
     assert mod.verify() == []
     key = ("E", node, node + 1, 1)
-    two = mod.scal(RatFunc.from_int(2))
+    two = mod.field.of(RatFunc.from_int(2))
     mats = dict(mod.mats)
     mats[key] = [[(r, x * two) for r, x in col] for col in mats[key]]
     assert "d1:E%d-F%d" % (node, node) in _copy(mod, mats=mats).verify()
@@ -434,7 +433,7 @@ def test_submodule_closure_matches_fixed_point(l):
         for _ in range(rng.choice([1, 1, 2])):
             vec = [mod.field.zero] * mod.dim
             for idx in rng.sample(range(mod.dim), rng.choice([1, 2, 3])):
-                vec[idx] = mod.scal(RatFunc.from_int(rng.randint(-3, 3)))
+                vec[idx] = mod.field.of(RatFunc.from_int(rng.randint(-3, 3)))
             vecs.append(vec)
         keys = simple_keys if trial % 2 else None
         got = repmod.submodule_closure(mod, vecs, keys=keys)
@@ -453,7 +452,7 @@ def _product_matrix(mod, atom):
         m = [[(c, mod.field.one)] for c in range(mod.dim)]
         for a in word:
             m = mat_mul(m, mod.mats[a])
-        cval = mod.scal(coeff)
+        cval = mod.field.of(coeff)
         entries += [(r, c, x * cval) for c, col in enumerate(m) for r, x in col]
     return columns(entries, mod.dim)
 
@@ -477,8 +476,7 @@ def test_derived_atoms_act_like_matrix_products(shape, lam, atoms, l):
         assert any(want), atom
         assert mod.matrix_of_atom(atom) == want, atom
         elt = alg.gen(kind, i, j) ** n
-        assert [sparse(mod.act_element(elt, mod.unit_vector(c)))
-                for c in range(mod.dim)] == want, atom
+        assert mod.act_element(elt, mod.identity()) == want, atom
     assert set(mod.mats) == keys
 
 
@@ -509,6 +507,39 @@ LARGE_AT_ROOT = {
         '{"mult": 1, "z": [0, 1, 0, 0, 0, 0]}, {"mult": 1, "z": [1, -1, 1, 0, 0, 0]}, '
         '{"mult": 1, "z": [1, 0, -1, 1, 0, 0]}, {"mult": 1, "z": [1, 0, 0, -1, 1, 0]}, '
         '{"mult": 1, "z": [1, 0, 0, 0, 1, 1]}], "dim": 16, "schema": 1}\n'),
+    # gl(5|1), lambda = (2,0,0,0,0,0), l = 3: Kac dimension 480, on which
+    # ensure_divided builds E^(3) and F^(3) of four even simple roots
+    ("5,1", "2,0,0,0,0,0", "3"): (
+        '{"character": [{"mult": 1, "z": [-2, 2, 0, 0, 0, 0]}, '
+        '{"mult": 1, "z": [-1, 0, 1, 0, 0, 0]}, {"mult": 1, "z": [-1, 1, -1, 1, 0, 0]}, '
+        '{"mult": 1, "z": [-1, 1, 0, -1, 1, 0]}, {"mult": 1, "z": [-1, 1, 0, 0, 1, 1]}, '
+        '{"mult": 1, "z": [0, -2, 2, 0, 0, 0]}, {"mult": 1, "z": [0, -1, 0, 1, 0, 0]}, '
+        '{"mult": 1, "z": [0, -1, 1, -1, 1, 0]}, {"mult": 1, "z": [0, -1, 1, 0, 1, 1]}, '
+        '{"mult": 1, "z": [0, 0, -2, 2, 0, 0]}, {"mult": 1, "z": [0, 0, -1, 0, 1, 0]}, '
+        '{"mult": 1, "z": [0, 0, -1, 1, 1, 1]}, {"mult": 1, "z": [0, 0, 0, -2, 2, 0]}, '
+        '{"mult": 1, "z": [0, 0, 0, -1, 2, 1]}, {"mult": 1, "z": [0, 1, 0, 0, 0, 0]}, '
+        '{"mult": 1, "z": [1, -1, 1, 0, 0, 0]}, {"mult": 1, "z": [1, 0, -1, 1, 0, 0]}, '
+        '{"mult": 1, "z": [1, 0, 0, -1, 1, 0]}, {"mult": 1, "z": [1, 0, 0, 0, 1, 1]}, '
+        '{"mult": 1, "z": [2, 0, 0, 0, 0, 0]}], "dim": 20, "schema": 1}\n'),
+    # gl(4|1), lambda = (3,0,0,0,0), l = 5: Kac dimension 320, with E^(5)
+    # and F^(5) of the three even simple roots of the gl(4) block
+    ("4,1", "3,0,0,0,0", "5"): (
+        '{"character": [{"mult": 1, "z": [-3, 3, 0, 0, 0]}, '
+        '{"mult": 1, "z": [-2, 1, 1, 0, 0]}, {"mult": 1, "z": [-2, 2, -1, 1, 0]}, '
+        '{"mult": 1, "z": [-2, 2, 0, 1, 1]}, {"mult": 1, "z": [-1, -1, 2, 0, 0]}, '
+        '{"mult": 1, "z": [-1, 0, 0, 1, 0]}, {"mult": 1, "z": [-1, 0, 1, 1, 1]}, '
+        '{"mult": 1, "z": [-1, 1, -2, 2, 0]}, {"mult": 1, "z": [-1, 1, -1, 2, 1]}, '
+        '{"mult": 1, "z": [-1, 2, 0, 0, 0]}, {"mult": 1, "z": [0, -3, 3, 0, 0]}, '
+        '{"mult": 1, "z": [0, -2, 1, 1, 0]}, {"mult": 1, "z": [0, -2, 2, 1, 1]}, '
+        '{"mult": 1, "z": [0, -1, -1, 2, 0]}, {"mult": 1, "z": [0, -1, 0, 2, 1]}, '
+        '{"mult": 1, "z": [0, 0, -3, 3, 0]}, {"mult": 1, "z": [0, 0, -2, 3, 1]}, '
+        '{"mult": 1, "z": [0, 0, 1, 0, 0]}, {"mult": 1, "z": [0, 1, -1, 1, 0]}, '
+        '{"mult": 1, "z": [0, 1, 0, 1, 1]}, {"mult": 1, "z": [1, -2, 2, 0, 0]}, '
+        '{"mult": 1, "z": [1, -1, 0, 1, 0]}, {"mult": 1, "z": [1, -1, 1, 1, 1]}, '
+        '{"mult": 1, "z": [1, 0, -2, 2, 0]}, {"mult": 1, "z": [1, 0, -1, 2, 1]}, '
+        '{"mult": 1, "z": [1, 1, 0, 0, 0]}, {"mult": 1, "z": [2, -1, 1, 0, 0]}, '
+        '{"mult": 1, "z": [2, 0, -1, 1, 0]}, {"mult": 1, "z": [2, 0, 0, 1, 1]}, '
+        '{"mult": 1, "z": [3, 0, 0, 0, 0]}], "dim": 30, "schema": 1}\n'),
 }
 
 
@@ -567,8 +598,11 @@ def test_pbw_monomials_independent_in_typical_kac(shape, lam):
         for psi in itertools.product(range(3), repeat=n0):
             if sum(psi) > 2:
                 continue
-            el = alg.monomial(fd=d, fpsi=psi)
-            vecs.append(mod.act_element(el, mod.unit_vector(mod.top)))
+            (col,) = mod.act_element(alg.monomial(fd=d, fpsi=psi), [[(mod.top, mod.field.one)]])
+            vec = [mod.field.zero] * mod.dim
+            for r, x in col:
+                vec[r] = x
+            vecs.append(vec)
     assert rank(vecs) == len(vecs)
 
 
@@ -715,10 +749,21 @@ def test_every_builder_stores_sparse_columns(case):
     # dim columns, each listing (row, value) for its nonzero entries with
     # the rows strictly ascending
     mod = FORMAT_CASES[case]()
+    alg, one, nodes = mod.alg, mod.field.one, mod.nodes()
+    i, k = nodes[0], (1,) + (0,) * (alg.shape.rank - 1)
+    # derived atoms, and an element whose straightened form has torus terms
+    derived = {("K", k): alg.k_mono(k), ("F", i, i + 1, 2): alg.gen("F", i, i + 1) ** 2,
+               "E F": alg.gen("E", i, i + 1) * alg.gen("F", i, i + 1)}
+    if {1, 2} <= set(nodes):
+        derived[("F", 1, 3, 1)] = alg.gen("F", 1, 3)
     mats = dict(mod.mats)
-    if {1, 2} <= set(mod.nodes()):
-        mats["built F13"] = mod.matrix_of_atom(("F", 1, 3, 1))
-    assert mats
+    for key, elt in derived.items():
+        whole = mats[key] = mod.act_element(elt, mod.identity())
+        if key != "E F":
+            assert mod.matrix_of_atom(key) == whole, key
+        for c in range(mod.dim):
+            assert mod.act_element(elt, [[(c, one)]]) == [whole[c]], (key, c)
+    assert all(mats[("K", k)])
     for key, m in mats.items():
         assert len(m) == mod.dim, key
         for col in m:
