@@ -1,19 +1,15 @@
 """Exact linear algebra over any field with is_zero/inverse elements.
 
-A matrix is a list of sparse columns: column c lists the (row, value)
-pairs of its nonzero entries, rows ascending.  A vector is a one-column
-matrix, so mat_mul's right factor may have any number of columns; dense
-lists are only the rows elimination works on, which mat_vec also takes.
-Both products visit the stored entries only.  Field elements must support
-+, -, *, inverse(), is_zero(), ==; both the rational-function field and
-the cyclotomic fields qualify.  Echelon, an incremental reduced row
-echelon basis, is the one elimination routine: every rref goes through it.
+A vector is sparse: the (index, value) pairs of its nonzero entries,
+indices ascending.  A matrix is a list of such columns, and a vector is a
+one-column matrix, so mat_mul's right factor may have any number of
+columns.  Echelon rows are the same vectors: a row, a column and a vector
+are one thing, and every routine visits the stored entries only.  Field
+elements must support +, -, unary -, *, inverse(), is_zero(), ==; both the
+rational-function field and the cyclotomic fields qualify.  Echelon, an
+incremental reduced row echelon basis, is the one elimination routine:
+every rref goes through it.
 """
-
-
-def sparse(vec):
-    """The (index, value) pairs of the nonzero entries of a dense vector."""
-    return [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
 
 
 def columns(entries, n):
@@ -31,57 +27,64 @@ def mat_mul(a, b):
                    len(b))
 
 
-def mat_vec(a, v, zero):
-    """a v for a square matrix a of sparse columns and a dense row v."""
-    out = [zero] * len(a)
-    for col, y in zip(a, v):
-        if y.is_zero():
-            continue
-        for r, x in col:
-            out[r] = out[r] + x * y
-    return out
+def _subtract(vec, terms):
+    """vec minus the sum of f row over the (f, row) pairs."""
+    out = dict(vec)
+    for f, row in terms:
+        for c, x in row:
+            y = out.get(c)
+            out[c] = -(f * x) if y is None else y - f * x
+    return [(c, out[c]) for c in sorted(out) if not out[c].is_zero()]
+
+
+def _entry(vec, k):
+    """The value of vec at index k, or None when it is zero."""
+    for c, x in vec:
+        if c >= k:
+            return x if c == k else None
+    return None
 
 
 class Echelon:
     """A row span in reduced row echelon form, grown one vector at a time.
 
-    rows[r] is one at column pivots[r] and zero at the other pivots, and
-    pivots ascend; the rows are unique to the span, whatever the order of
-    the vectors added.
+    rows[r] is one at column pivots[r], its first entry, and zero at the
+    other pivots, and pivots ascend; the rows are unique to the span,
+    whatever the order of the vectors added.
     """
 
     def __init__(self, rows=()):
-        self.rows = []
-        self.pivots = []
+        self._rows = {}  # pivot column -> row
         for row in rows:
             self.add(row)
 
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    @property
+    def rows(self):
+        return [self._rows[pc] for pc in self.pivots]
+
     def reduce(self, vec):
         """vec minus the combination of rows that matches it on the pivot
-        columns; all zero iff vec lies in the span."""
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            f = v[pc]
-            if not f.is_zero():
-                v = [a if b.is_zero() else a - f * b for a, b in zip(v, row)]
-        return v
+        columns; empty iff vec lies in the span."""
+        return _subtract(vec, [(f, self._rows[c]) for c, f in vec if c in self._rows])
 
     def add(self, vec):
         """Add vec to the span; returns its normalized row, or None when vec
         already lies in the span."""
         v = self.reduce(vec)
-        pc = next((c for c, x in enumerate(v) if not x.is_zero()), None)
-        if pc is None:
+        if not v:
             return None
-        inv = v[pc].inverse()
-        v = [x if x.is_zero() else x * inv for x in v]
-        for r, row in enumerate(self.rows):
-            f = row[pc]
-            if not f.is_zero():
-                self.rows[r] = [a if b.is_zero() else a - f * b for a, b in zip(row, v)]
-        at = sum(1 for p in self.pivots if p < pc)
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pc)
+        pc, lead = v[0]
+        inv = lead.inverse()
+        v = [(c, x * inv) for c, x in v]
+        for p, row in self._rows.items():
+            f = _entry(row, pc) if p < pc else None  # a row starts at its pivot
+            if f is not None:
+                self._rows[p] = _subtract(row, [(f, v)])
+        self._rows[pc] = v
         return v
 
 
@@ -92,26 +95,22 @@ def rref(rows):
 
 
 def rank(rows):
-    return len(Echelon(rows).rows)
+    return len(Echelon(rows).pivots)
 
 
-def nullspace(rows, zero, one):
-    """Basis of the right kernel of the matrix, as a list of vectors."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def nullspace(rows, ncols, one):
+    """Basis of the right kernel of the matrix with ncols columns, one
+    vector per free column."""
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    at = [dict(row) for row in red]
     basis = []
-    for fc in free:
-        v = [zero] * ncols
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = {pc: -row[fc] for pc, row in zip(pivots, at) if fc in row}
         v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = zero - red[r][fc]
-        basis.append(v)
+        basis.append([(c, v[c]) for c in sorted(v)])
     return basis
 
 
 def in_span(rows, vec):
     """True iff vec lies in the row span of rows."""
-    return all(x.is_zero() for x in Echelon(rows).reduce(vec))
+    return not Echelon(rows).reduce(vec)

@@ -737,15 +737,11 @@ class Algebra:
 
     def psi(self, elt):
         """Graded anti-automorphism fixing E, F, K with q -> q^-1."""
-        imgs = {
-            "E": lambda i, j: self.gen("E", i, j),
-            "F": lambda i, j: self.gen("F", i, j),
-        }
 
         def image(atom):
             if atom[0] == "K":
                 return self.k_mono(atom[1])
-            return imgs[atom[0]](atom[1], atom[2])
+            return self.gen(atom[0], atom[1], atom[2])
 
         return self.apply_hom(
             elt,
@@ -810,12 +806,6 @@ class Algebra:
         self._expand_cache[key] = words
         return words
 
-    @staticmethod
-    def atom_parity_of(shape, atom):
-        if atom[0] == "K":
-            return 0
-        return shape.parity(atom[1], atom[2])
-
     def apply_hom(self, elt, image, anti=False, scalar_map=None):
         """Extend a map on simple generators to the whole algebra.
 
@@ -830,7 +820,7 @@ class Algebra:
             for c, word in self.expand_monomial(key):
                 sign = 1
                 if anti:
-                    odd = sum(self.atom_parity_of(self.shape, a) for a in word)
+                    odd = sum(self.shape.parity(a[1], a[2]) for a in word if a[0] != "K")
                     if (odd * (odd - 1) // 2) % 2:
                         sign = -1
                     word = tuple(reversed(word))

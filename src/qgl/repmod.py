@@ -27,7 +27,7 @@ generic q and (raising with the divided powers E^(l) too) at q = eta.
 import itertools
 
 from .errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
-from .linalg import Echelon, columns, mat_mul, mat_vec, nullspace, rref, sparse
+from .linalg import Echelon, columns, mat_mul, nullspace, rref
 from .pbwcore import LinearCombination, add_term
 from .rootdata import (
     bilinear_form,
@@ -62,7 +62,8 @@ class WeightModule:
     scaling entries, a composite root vector through its expansion into
     simple generators, and a power one factor at a time.  Such derived
     actions are never stored, so rebasing, quotients and specialization
-    touch only what is stored.  Dense lists are only Echelon rows.
+    touch only what is stored.  Echelon rows, closures and singular vectors
+    are the same sparse vectors.
     """
 
     def __init__(self, alg, field, eps_weights, parities, mats, top=None):
@@ -140,10 +141,6 @@ class WeightModule:
         return self._act_sum(pairs, cols)
 
     # -- structure ----------------------------------------------------------
-
-    def unit_vector(self, idx):
-        zero, one = self.field.zero, self.field.one
-        return [one if t == idx else zero for t in range(self.dim)]
 
     def identity(self):
         return [[(c, self.field.one)] for c in range(self.dim)]
@@ -264,7 +261,6 @@ def submodule_closure(mod, vectors, keys=None):
     A worklist: every generator is applied once to each vector that joined
     the span.
     """
-    zero = mod.field.zero
     if keys is None:
         keys = mod.action_keys()
     mats = [mod.mats[k] for k in keys]
@@ -273,7 +269,8 @@ def submodule_closure(mod, vectors, keys=None):
     while todo:
         v = todo.pop()
         for m in mats:
-            row = span.add(mat_vec(m, v, zero))
+            (col,) = mat_mul(m, [v])
+            row = span.add(col)
             if row is not None:
                 todo.append(row)
     return span.rows
@@ -282,21 +279,19 @@ def submodule_closure(mod, vectors, keys=None):
 def quotient_module(mod, span_rows):
     """The quotient by the submodule spanned by the given (closed) rows."""
     span = Echelon(span_rows)
-    keep = [c for c in range(mod.dim) if c not in span.pivots]
+    pivots = set(span.pivots)
+    keep = [c for c in range(mod.dim) if c not in pivots]
+    pos = {c: t for t, c in enumerate(keep)}  # reduced vectors vanish on the pivots
 
     def reduce_coords(vec):
-        v = span.reduce(vec)
-        return [v[c] for c in keep]
+        return [(pos[c], x) for c, x in span.reduce(vec)]
 
-    zero = mod.field.zero
-    new_mats = {key: [sparse(reduce_coords(mat_vec(m, mod.unit_vector(c), zero))) for c in keep]
-                for key, m in mod.mats.items()}
+    new_mats = {key: [reduce_coords(m[c]) for c in keep] for key, m in mod.mats.items()}
     new_top = None
     if mod.top is not None:
-        tv = reduce_coords(mod.unit_vector(mod.top))
-        nz = [t for t, x in enumerate(tv) if not x.is_zero()]
-        if nz:
-            new_top = nz[0]
+        tv = reduce_coords([(mod.top, mod.field.one)])
+        if tv:
+            new_top = tv[0][0]
     return WeightModule(
         mod.alg,
         mod.field,
@@ -317,26 +312,21 @@ def _raising_keys(mod):
 def singular_vectors(mod, skip_top=True):
     """Weight vectors killed by every stored raising operator: at q = eta
     the divided powers E^(n) too (the root-of-unity maximal condition)."""
-    zero, one = mod.field.zero, mod.field.one
     mats = [mod.mats[k] for k in _raising_keys(mod)]
     out = []
     top_wt = mod.eps_weights[mod.top] if (skip_top and mod.top is not None) else None
     for wt, idxs in sorted(mod.weight_spaces().items()):
         if top_wt is not None and wt == top_wt:
             continue
-        rows = [[zero] * len(idxs)]  # sets the width when no raising map reaches idxs
+        rows = []
         for m in mats:
-            block = {}  # the nonzero rows of m restricted to the columns idxs
+            block = {}  # the rows of m restricted to the columns idxs, by position
             for pos, c in enumerate(idxs):
                 for r, x in m[c]:
-                    block.setdefault(r, [zero] * len(idxs))[pos] = x
+                    block.setdefault(r, []).append((pos, x))
             rows += [block[r] for r in sorted(block)]
-        kern = nullspace(rows, zero, one)
-        for v in kern:
-            full = [zero] * mod.dim
-            for pos, c in enumerate(idxs):
-                full[c] = v[pos]
-            out.append((wt, full))
+        for v in nullspace(rows, len(idxs), mod.field.one):
+            out.append((wt, [(idxs[pos], x) for pos, x in v]))
     return out
 
 
@@ -350,17 +340,18 @@ def _key_shift(key, rank):
     return tuple(out)
 
 
-def _form_times(f, m, rows, cols, zero):
-    """The row vector f * m[rows, cols], for f indexed like rows."""
-    at = {r: x for x, r in zip(f, rows) if not x.is_zero()}
+def _form_times(f, m, rows, cols):
+    """The sparse row vector f * m[rows, cols], for f indexed like rows."""
+    at = {rows[k]: x for k, x in f}
     out = []
-    for c in cols:
-        acc = zero
+    for t, c in enumerate(cols):
+        acc = None
         for r, y in m[c]:
             x = at.get(r)
             if x is not None:
-                acc = acc + x * y
-        out.append(acc)
+                acc = x * y if acc is None else acc + x * y
+        if acc is not None and not acc.is_zero():
+            out.append((t, acc))
     return out
 
 
@@ -382,7 +373,6 @@ def simple_head(mod):
     """
     if mod.top is None:
         raise NotHighestWeight("simple head needs a distinguished top vector")
-    zero = mod.field.zero
     rank = mod.alg.shape.rank
     spaces = mod.weight_spaces()
     top_wt = mod.eps_weights[mod.top]
@@ -395,7 +385,7 @@ def simple_head(mod):
     def height(wt):
         return sum((rank - k) * x for k, x in enumerate(wt, 1))
 
-    forms = {top_wt: ([[mod.field.one]], [0])}  # weight -> rref (rows, pivots)
+    forms = {top_wt: ([[(0, mod.field.one)]], [0])}  # weight -> rref (rows, pivots)
     for wt in sorted(spaces, key=lambda w: (-height(w), w)):
         if wt == top_wt:
             continue
@@ -405,8 +395,8 @@ def simple_head(mod):
             if nu not in forms:
                 continue
             for f in forms[nu][0]:
-                row = _form_times(f, m, spaces[nu], spaces[wt], zero)
-                if any(not y.is_zero() for y in row):
+                row = _form_times(f, m, spaces[nu], spaces[wt])
+                if row:
                     rows.append(row)
         forms[wt] = rref(rows)
     keep = sorted(spaces[wt][p] for wt, (_, piv) in forms.items() for p in piv)
@@ -424,9 +414,8 @@ def simple_head(mod):
             cols = [spaces[wt][p] for p in piv]
             tgt = spaces[nu]
             for f, p in zip(*forms[nu]):
-                for c, val in zip(cols, _form_times(f, m, tgt, cols, zero)):
-                    if not val.is_zero():
-                        out[pos[c]].append((pos[tgt[p]], val))
+                for t, val in _form_times(f, m, tgt, cols):
+                    out[pos[cols[t]]].append((pos[tgt[p]], val))
         new_mats[key] = out
     return WeightModule(
         mod.alg,
@@ -912,11 +901,10 @@ def rebase_to_divided_monomials(mod):
         raise NotHighestWeight("rebasing needs a distinguished top vector")
     alg = mod.alg
     n0 = len(alg.f0_list)
-    zero = mod.field.zero
-    top = [[(mod.top, mod.field.one)]]
-    spaces = mod.weight_spaces()
+    one = mod.field.one
+    top = [[(mod.top, one)]]
     cols, psis = [], []
-    spans = {wt: Echelon() for wt in spaces}  # the chosen vectors, per weight space
+    spans = {wt: Echelon() for wt in mod.weight_spaces()}  # the chosen vectors, per weight space
     deg = 0
     while len(cols) < mod.dim and deg <= mod.dim + 1:
         for psi in itertools.product(range(deg + 1), repeat=n0):
@@ -929,9 +917,7 @@ def rebase_to_divided_monomials(mod):
             (col,) = mod.act_element(el.scale(inv), top)
             if not col:
                 continue
-            wt = mod.eps_weights[col[0][0]]
-            at = dict(col)
-            if spans[wt].add([at.get(r, zero) for r in spaces[wt]]) is not None:
+            if spans[mod.eps_weights[col[0][0]]].add(col) is not None:
                 cols.append(col)
                 psis.append(psi)
                 if len(cols) == mod.dim:
@@ -939,15 +925,17 @@ def rebase_to_divided_monomials(mod):
         deg += 1
     if len(cols) < mod.dim:
         raise DomainError("divided monomials do not span the module")
-    # P columns are the new basis vectors; conjugate every stored matrix
-    rows = [[zero] * mod.dim + mod.unit_vector(r) for r in range(mod.dim)]
+    # P columns are the new basis vectors; rref [P | 1] = [1 | P^-1], and
+    # every stored matrix is conjugated by P
+    rows = [[] for _ in range(mod.dim)]
     for c, col in enumerate(cols):
         for r, x in col:
-            rows[r][c] = x
-    red, piv = rref(rows)
+            rows[r].append((c, x))
+    red, piv = rref([row + [(mod.dim + r, one)] for r, row in enumerate(rows)])
     if piv != list(range(mod.dim)):
         raise DomainError("basis change matrix is singular")
-    p_inv = [sparse(col) for col in list(zip(*red))[mod.dim:]]
+    p_inv = columns(((r, c - mod.dim, x) for r, row in enumerate(red) for c, x in row
+                     if c >= mod.dim), mod.dim)
     new_mats = {key: mat_mul(p_inv, mat_mul(m, cols)) for key, m in mod.mats.items()}
     weights = [mod.eps_weights[col[0][0]] for col in cols]
     parities = [mod.parities[col[0][0]] for col in cols]

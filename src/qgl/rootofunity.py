@@ -162,7 +162,7 @@ def restricted_checks(alg, z, l):
     simple_keys = [k for k in mod.action_keys() if k[0] in ("E", "F") and k[3] == 1]
     gen_ok = True
     for idx in range(mod.dim):
-        span = repmod.submodule_closure(mod, [mod.unit_vector(idx)], keys=simple_keys)
+        span = repmod.submodule_closure(mod, [[(idx, mod.field.one)]], keys=simple_keys)
         if len(span) != mod.dim:
             gen_ok = False
             break

@@ -21,7 +21,7 @@ import itertools
 
 from qgl import repmod, rootofunity
 from qgl.errors import DomainError
-from qgl.linalg import Echelon, columns, mat_mul, rref, sparse
+from qgl.linalg import Echelon, columns, mat_mul, rref
 from qgl.scalars import GENERIC_FIELD, RF_ONE, gauss_factorial
 
 
@@ -67,10 +67,10 @@ def rebased_kac_module(alg, lam):
     with every matrix conjugated by the basis change P."""
     mod = repmod.kac_module(alg, lam)
     n1, n0 = len(alg.f1_list), len(alg.f0_list)
-    zero, top = mod.field.zero, [[(mod.top, mod.field.one)]]
-    spaces = mod.weight_spaces()
+    one = mod.field.one
+    top = [[(mod.top, one)]]
     cols = []
-    spans = {wt: Echelon() for wt in spaces}
+    spans = {wt: Echelon() for wt in mod.weight_spaces()}
     deg = 0
     while len(cols) < mod.dim and deg <= mod.dim + 1:
         for d in itertools.product((0, 1), repeat=n1):
@@ -83,21 +83,21 @@ def rebased_kac_module(alg, lam):
                 (col,) = mod.act_element(alg.monomial(fd=d, fpsi=psi).scale(inv), top)
                 if not col:
                     continue
-                at = dict(col)
-                wt = mod.eps_weights[col[0][0]]
-                if spans[wt].add([at.get(r, zero) for r in spaces[wt]]) is not None:
+                if spans[mod.eps_weights[col[0][0]]].add(col) is not None:
                     cols.append(col)
         deg += 1
     if len(cols) < mod.dim:
         raise DomainError("divided monomials do not span the module")
-    rows = [[zero] * mod.dim + mod.unit_vector(r) for r in range(mod.dim)]
+    # rref [P | 1] = [1 | P^-1]: the rows of P, then the identity to the right
+    rows = [[] for _ in range(mod.dim)]
     for c, col in enumerate(cols):
         for r, x in col:
-            rows[r][c] = x
-    red, piv = rref(rows)
+            rows[r].append((c, x))
+    red, piv = rref([row + [(mod.dim + r, one)] for r, row in enumerate(rows)])
     if piv != list(range(mod.dim)):
         raise DomainError("basis change matrix is singular")
-    p_inv = [sparse([row[mod.dim + c] for row in red]) for c in range(mod.dim)]
+    p_inv = columns(((r, c - mod.dim, x) for r, row in enumerate(red) for c, x in row
+                     if c >= mod.dim), mod.dim)
     mats = {key: mat_mul(p_inv, mat_mul(m, cols)) for key, m in mod.mats.items()}
     leads = [col[0][0] for col in cols]
     return repmod.WeightModule(alg, GENERIC_FIELD, [mod.eps_weights[r] for r in leads],

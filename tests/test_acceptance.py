@@ -326,10 +326,7 @@ def test_criterion_07_pbw_independence():
                     continue
                 el = alg.monomial(fd=d, fpsi=psi)
                 (col,) = mod.act_element(el, [[(mod.top, mod.field.one)]])
-                vec = [mod.field.zero] * mod.dim
-                for r, x in col:
-                    vec[r] = x
-                vecs.append(vec)
+                vecs.append(col)
         assert rank(vecs) == len(vecs), shape
 
 

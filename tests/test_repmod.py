@@ -13,7 +13,7 @@ import pytest
 from qgl import repmod
 from qgl import rootofunity as ru
 from qgl.errors import DomainError, NonDominant, NotHighestWeight
-from qgl.linalg import columns, mat_mul, mat_vec, rank, rref
+from qgl.linalg import Echelon, columns, mat_mul, nullspace, rank, rref
 from qgl.pbwcore import Algebra, Element
 from qgl.rootdata import (
     Shape, bilinear_form, frobenius_decompose, in_Xplus, is_typical, weight_to_z, weyl_dim_even,
@@ -409,13 +409,12 @@ def test_even_module_needs_no_straightening(monkeypatch):
 def _fixed_point_closure(mod, vectors, keys=None):
     """Reference closure: apply every generator to the whole basis until
     the rank stops growing."""
-    zero = mod.field.zero
     mats = [mod.mats[k] for k in (keys if keys is not None else mod.action_keys())]
-    basis = rref([list(v) for v in vectors])[0]
+    basis = rref(vectors)[0]
     while True:
         new = list(basis)
         for m in mats:
-            new += [mat_vec(m, v, zero) for v in basis]
+            new += mat_mul(m, basis)
         red = rref(new)[0]
         if len(red) == len(basis):
             return red
@@ -431,10 +430,9 @@ def test_submodule_closure_matches_fixed_point(l):
     for trial in range(12):
         vecs = []
         for _ in range(rng.choice([1, 1, 2])):
-            vec = [mod.field.zero] * mod.dim
-            for idx in rng.sample(range(mod.dim), rng.choice([1, 2, 3])):
-                vec[idx] = mod.field.of(RatFunc.from_int(rng.randint(-3, 3)))
-            vecs.append(vec)
+            idxs = sorted(rng.sample(range(mod.dim), rng.choice([1, 2, 3])))
+            vec = [(idx, mod.field.of(RatFunc.from_int(rng.randint(-3, 3)))) for idx in idxs]
+            vecs.append([(idx, x) for idx, x in vec if not x.is_zero()])
         keys = simple_keys if trial % 2 else None
         got = repmod.submodule_closure(mod, vecs, keys=keys)
         assert got == _fixed_point_closure(mod, vecs, keys=keys)
@@ -599,10 +597,7 @@ def test_pbw_monomials_independent_in_typical_kac(shape, lam):
             if sum(psi) > 2:
                 continue
             (col,) = mod.act_element(alg.monomial(fd=d, fpsi=psi), [[(mod.top, mod.field.one)]])
-            vec = [mod.field.zero] * mod.dim
-            for r, x in col:
-                vec[r] = x
-            vecs.append(vec)
+            vecs.append(col)
     assert rank(vecs) == len(vecs)
 
 
@@ -767,9 +762,35 @@ def test_every_builder_stores_sparse_columns(case):
     for key, m in mats.items():
         assert len(m) == mod.dim, key
         for col in m:
-            rows = [r for r, _ in col]
-            assert rows == sorted(set(rows)) and all(0 <= r < mod.dim for r in rows), key
-            assert not any(x.is_zero() for _, x in col), key
+            _assert_sparse(col, mod.dim, key)
+
+
+def _assert_sparse(vec, dim, what):
+    # the (index, value) pairs of the nonzero entries, indices strictly ascending
+    idx = [r for r, _ in vec]
+    assert idx == sorted(set(idx)) and all(0 <= r < dim for r in idx), what
+    assert not any(x.is_zero() for _, x in vec), what
+
+
+@pytest.mark.parametrize("l", [None, 3])
+def test_vectors_are_sparse(l):
+    # singular vectors, closures, kernels and Echelon rows share the columns' format
+    alg = Algebra((2, 1))
+    mod = repmod.kac_module(alg, (0, 0, 0)) if l is None else ru.specialize_kac(alg, (2, 0, 0), l)
+    sing = repmod.singular_vectors(mod, skip_top=False)
+    vecs = [v for _, v in sing if v != [(mod.top, mod.field.one)]]  # the proper ones
+    assert len(vecs) == len(sing) - 1 >= 1
+    for _, v in sing:
+        _assert_sparse(v, mod.dim, "singular")
+    span = repmod.submodule_closure(mod, vecs)
+    assert 1 <= len(span) < mod.dim
+    for v in span + Echelon(vecs + span).rows:
+        _assert_sparse(v, mod.dim, "closure")
+    for key, m in mod.mats.items():  # the left kernel: the columns as rows
+        kern = nullspace(m, mod.dim, mod.field.one)
+        assert len(kern) == mod.dim - rank(m), key
+        for v in kern:
+            _assert_sparse(v, mod.dim, key)
 
 
 # -- the free-word action oracle ---------------------------------------------

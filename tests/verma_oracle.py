@@ -156,10 +156,7 @@ class VermaOracle:
                     rights = [w + (a,) for w in rights for a in letters]
                 for lw in lefts:
                     for rw in rights:
-                        row = [RF_ZERO] * len(slice_words)
-                        for rword, c in rel.items():
-                            row[pos[lw + rword + rw]] = c
-                        rows.append(row)
+                        rows.append(sorted((pos[lw + rword + rw], c) for rword, c in rel.items()))
         hit = (slice_words, Echelon(rows))
         self._rel_spans[degree] = hit
         return hit
@@ -172,9 +169,6 @@ class VermaOracle:
         for deg, comp in by_deg.items():
             slice_words, span = self.relation_span(deg)
             pos = {w: t for t, w in enumerate(slice_words)}
-            row = [RF_ZERO] * len(slice_words)
-            for w, c in comp.items():
-                row[pos[w]] = c
-            if any(not x.is_zero() for x in span.reduce(row)):
+            if span.reduce(sorted((pos[w], c) for w, c in comp.items())):
                 return False
         return True
