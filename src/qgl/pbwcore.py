@@ -115,8 +115,7 @@ class LinearCombination:
     The one term-map type: sums, negation, scaling and equality are defined
     here, and accept only an operand of the same concrete type (or a scalar,
     where a subclass's ``_coerce`` allows one).  Each subclass defines its
-    own product.  ``repmod``'s action matrices are term maps too, with a
-    module in the alg slot and scalars in its field.
+    own product.
     """
 
     __slots__ = ("alg", "terms")
@@ -310,7 +309,6 @@ class Algebra:
         )
         self._pair_cache = {}
         self._prod_cache = {}
-        self._expand_cache = {}
         self._comp_cache = {}
         self._kconv_cache = {}
         self._bracket_cache = {}
@@ -737,17 +735,11 @@ class Algebra:
 
     def psi(self, elt):
         """Graded anti-automorphism fixing E, F, K with q -> q^-1."""
-
-        def image(atom):
-            if atom[0] == "K":
-                return self.k_mono(atom[1])
-            return self.gen(atom[0], atom[1], atom[2])
-
         return self.apply_hom(
             elt,
-            image,
+            lambda atom: Element(self, {self.word_to_monomial((atom,)): RF_ONE}),
             anti=True,
-            scalar_map=lambda c: c.bar(),
+            scalar_map=RatFunc.bar,
         )
 
     # -- expansion into simple generators ------------------------------------
@@ -782,11 +774,10 @@ class Algebra:
         """Expansion of a PBW monomial into simple-generator words.
 
         Returns a list of (coeff, word) with every E/F atom simple of
-        power one; a torus atom may appear once in the middle.
+        power one; a torus atom may appear once in the middle.  A power
+        X^n of a composite root vector has 2^n words per word of X, so
+        this is a reference expansion, not the path of ``apply_hom``.
         """
-        hit = self._expand_cache.get(key)
-        if hit is not None:
-            return hit
         words = [(RF_ONE, ())]
         for atom in self.mono_word(key):
             if atom[0] == "K":
@@ -803,38 +794,54 @@ class Algebra:
                             (c1 * c2, w1 + w2) for c1, w1 in pieces for c2, w2 in one
                         ]
             words = [(c1 * c2, w1 + w2) for c1, w1 in words for c2, w2 in pieces]
-        self._expand_cache[key] = words
         return words
 
-    def apply_hom(self, elt, image, anti=False, scalar_map=None):
-        """Extend a map on simple generators to the whole algebra.
+    def apply_hom(self, elt, image, anti=False, scalar_map=None, on=None):
+        """Extend a map on simple generators and torus atoms to the whole
+        algebra, and apply the image of elt to on.
 
-        image(atom) must return a value in the target, a ring whose values
-        multiply with each other and by a RatFunc; image(K^0) is its unit.
-        With anti=True the map is a graded anti-homomorphism: the word is
-        reversed with the sign (-1)^{number of transposed odd pairs}.
+        image(atom) returns a value in the target, a ring whose values
+        multiply with each other and by a RatFunc; image(K^0) is its unit,
+        and on defaults to it.  Each atom of a monomial acts once from the
+        left: a composite root vector through ``expand_composite``, a power
+        X^n as n factors.  With anti=True the map is a graded
+        anti-homomorphism: the atoms act in the opposite order, with the
+        sign (-1)^{N(N-1)/2} for the monomial's N odd atoms.  scalar_map
+        maps every coefficient, the expansions' included.
         """
-        one = image(("K", (0,) * self.shape.rank))
-        acc = None
+        if on is None:
+            on = image(("K", (0,) * self.shape.rank))
+
+        def total(pairs, val):
+            """The sum of c * (word acting on val) over (c, word) pairs."""
+            acc = None
+            for c, word in pairs:
+                x = act(word, val)
+                if c != RF_ONE:
+                    x = x * (c if scalar_map is None else scalar_map(c))
+                acc = x if acc is None else acc + x
+            return val * RF_ZERO if acc is None else acc
+
+        def act(word, val):
+            for atom in word if anti else reversed(word):
+                if atom[0] == "K":
+                    val = image(atom) * val
+                    continue
+                kind, i, j, n = atom
+                for _ in range(n):
+                    if j == i + 1:
+                        val = image((kind, i, j, 1)) * val
+                    else:
+                        val = total(self.expand_composite(kind, i, j), val)
+            return val
+
+        pairs = []
         for key, coeff in elt.terms.items():
-            for c, word in self.expand_monomial(key):
-                sign = 1
-                if anti:
-                    odd = sum(self.shape.parity(a[1], a[2]) for a in word if a[0] != "K")
-                    if (odd * (odd - 1) // 2) % 2:
-                        sign = -1
-                    word = tuple(reversed(word))
-                total = coeff * c * sign
-                if scalar_map is not None:
-                    total = scalar_map(total)
-                val = one
-                for atom in word:
-                    val = val * image(atom)
-                val = val * total
-                acc = val if acc is None else acc + val
-        if acc is None:
-            return one * RF_ZERO
-        return acc
+            odd = sum(key.fd) + sum(key.ed)
+            if anti and (odd * (odd - 1) // 2) % 2:
+                coeff = -coeff
+            pairs.append((coeff, self.mono_word(key)))
+        return total(pairs, on)
 
     # -- integral form ------------------------------------------------------
 

@@ -11,8 +11,8 @@ catalog is used four ways:
 * through the coproduct (``hopf.TensorSquareView``);
 * through a braid operator T_i or T_i^-1 (``braid.BraidView``);
 * through a module's action map, as matrix identities
-  (``repmod.WeightModule.verify``), which adds and multiplies sparse
-  action matrices: ``pbwcore.LinearCombination``s keyed by (row, column).
+  (``repmod.WeightModule.verify``), which adds and multiplies the
+  module's operators on ``linalg``'s sparse columns (``repmod._Matrix``).
 
 Sign conventions: the super bracket is [x, y] = xy - (-1)^{par x par y} yx,
 and the mixed E/F bracket relation uses this reading (the only case where
@@ -161,39 +161,27 @@ def scalar_swap_relations(alg):
             if s2 != s or not (s < i < j):
                 continue
             sgn = -1 if sh.parity(s, i) else 1
-            e1, e2 = alg.gen("E", s, i), alg.gen("E", s, j)
-            out.append(
-                (
-                    "a3:E[%d,%d]E[%d,%d]" % (s, i, s, j),
-                    e1 * e2 - (e2 * e1).scale(alg.qi(s, 1) * sgn),
+            for kind, name in (("E", "a3"), ("F", "b3")):
+                x, y = alg.gen(kind, s, i), alg.gen(kind, s, j)
+                out.append(
+                    (
+                        "%s:%s[%d,%d]%s[%d,%d]" % (name, kind, s, i, kind, s, j),
+                        x * y - (y * x).scale(alg.qi(s, 1) * sgn),
+                    )
                 )
-            )
-            f1, f2 = alg.gen("F", s, i), alg.gen("F", s, j)
-            out.append(
-                (
-                    "b3:F[%d,%d]F[%d,%d]" % (s, i, s, j),
-                    f1 * f2 - (f2 * f1).scale(alg.qi(s, 1) * sgn),
-                )
-            )
     for (j, s) in allp:
         for (i, s2) in allp:
             if s2 != s or not (i < j < s):
                 continue
             sgn = -1 if sh.parity(j, s) else 1
-            e1, e2 = alg.gen("E", j, s), alg.gen("E", i, s)
-            out.append(
-                (
-                    "a4:E[%d,%d]E[%d,%d]" % (j, s, i, s),
-                    e1 * e2 - (e2 * e1).scale(alg.qi(s, -1) * sgn),
+            for kind, name in (("E", "a4"), ("F", "b4")):
+                x, y = alg.gen(kind, j, s), alg.gen(kind, i, s)
+                out.append(
+                    (
+                        "%s:%s[%d,%d]%s[%d,%d]" % (name, kind, j, s, kind, i, s),
+                        x * y - (y * x).scale(alg.qi(s, -1) * sgn),
+                    )
                 )
-            )
-            f1, f2 = alg.gen("F", j, s), alg.gen("F", i, s)
-            out.append(
-                (
-                    "b4:F[%d,%d]F[%d,%d]" % (j, s, i, s),
-                    f1 * f2 - (f2 * f1).scale(alg.qi(s, -1) * sgn),
-                )
-            )
     return out
 
 

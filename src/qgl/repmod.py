@@ -4,8 +4,8 @@ simple heads, tensor products and characters.
 All modules are finite dimensional with an integral weight grading kept in
 eps-coordinates; the torus acts diagonally by q^{(mu, weight)}.  Action
 matrices are stored for the simple generators (and, when needed, divided
-powers); every other root vector acts through its expansion into simple
-generators.
+powers); every other element acts through ``Algebra.apply_hom``, the
+extension of a map on generators that the Hopf, braid and psi maps use too.
 
 L0(lam), the simple module of the even part gl(m) + gl(n), is built in
 closed form on pairs of Gelfand-Tsetlin patterns, one per block: the
@@ -28,7 +28,7 @@ import itertools
 
 from .errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
 from .linalg import Echelon, columns, mat_mul, nullspace, rref
-from .pbwcore import LinearCombination, add_term
+from .pbwcore import Element, add_term
 from .rootdata import (
     bilinear_form,
     in_Xplus,
@@ -58,12 +58,11 @@ class WeightModule:
     powers, each as ``linalg``'s dim sparse columns: column c lists the
     (row, value) pairs of the nonzero entries of the image of basis vector
     c, rows ascending.  Actions run on the same format, a vector being a
-    one-column matrix: every other atom acts on a list of columns, K by
-    scaling entries, a composite root vector through its expansion into
-    simple generators, and a power one factor at a time.  Such derived
-    actions are never stored, so rebasing, quotients and specialization
-    touch only what is stored.  Echelon rows, closures and singular vectors
-    are the same sparse vectors.
+    one-column matrix: an element acts through ``Algebra.apply_hom``, with
+    a stored simple generator or a diagonal K as the image of each atom
+    (``_image``).  Such derived actions are never stored, so rebasing,
+    quotients and specialization touch only what is stored.  Echelon rows,
+    closures and singular vectors are the same sparse vectors.
     """
 
     def __init__(self, alg, field, eps_weights, parities, mats, top=None):
@@ -87,39 +86,25 @@ class WeightModule:
         """The eigenvalue q^{(mu, wt)} of K_mu on a vector of weight wt."""
         return self.field.of(RatFunc.q_power(bilinear_form(self.alg.shape, mu, wt)))
 
-    def _act_atom(self, atom, cols):
-        """Apply one atom of a monomial word to sparse columns."""
-        m = self.mats.get(atom)
-        if m is not None:
-            return mat_mul(m, cols)
+    def _image(self, atom):
+        """The operator of a simple generator or a torus atom, as ``apply_hom``
+        asks for it."""
         if atom[0] == "K":
             mu, wts = atom[1], self.eps_weights
-            return [[(r, x * self.q_weight(mu, wts[r])) for r, x in col] for col in cols]
-        kind, i, j, n = atom
-        if n == 1 and j == i + 1:
+            return _Matrix(self, [[(r, self.q_weight(mu, wt))] for r, wt in enumerate(wts)])
+        m = self.mats.get(atom)
+        if m is None:
             raise DomainError("missing action matrix for simple generator %r" % (atom,))
-        if n == 1:
-            return self._act_sum(self.alg.expand_composite(kind, i, j), cols)
-        for _ in range(n):
-            cols = self._act_atom((kind, i, j, 1), cols)
-        return cols
-
-    def _act_sum(self, pairs, cols):
-        """Apply sum(coeff * word) over (coeff, atom word) pairs to sparse columns."""
-        entries = []
-        for coeff, word in pairs:
-            cur = cols
-            for atom in reversed(word):
-                cur = self._act_atom(atom, cur)
-            cval = self.field.of(coeff)
-            entries += [(r, c, x * cval) for c, col in enumerate(cur) for r, x in col]
-        return columns(entries, len(cols))
+        return _Matrix(self, m)
 
     def matrix_of_atom(self, atom):
         """The stored matrix of an atom, or else its action on the identity;
         built matrices are not kept."""
         hit = self.mats.get(atom)
-        return hit if hit is not None else self._act_atom(atom, self.identity())
+        if hit is None:
+            elt = Element(self.alg, {self.alg.word_to_monomial((atom,)): RF_ONE})
+            hit = self.alg.apply_hom(elt, self._image, on=_Matrix(self, self.identity())).cols
+        return hit
 
     def ensure_divided(self, kind, i, j, n):
         """Store the divided-power matrix X_{ij}^{(n)} (generic field only)."""
@@ -137,8 +122,7 @@ class WeightModule:
 
     def act_element(self, elt, cols):
         """Apply an algebra element to sparse columns."""
-        pairs = [(coeff, self.alg.mono_word(mono)) for mono, coeff in elt.terms.items()]
-        return self._act_sum(pairs, cols)
+        return self.alg.apply_hom(elt, self._image, on=_Matrix(self, cols)).cols
 
     # -- structure ----------------------------------------------------------
 
@@ -173,12 +157,11 @@ class WeightModule:
         """The action matrix of an element as a ring value, or _ABSENT when
         it needs a simple generator the module stores no matrix for."""
         nodes = set(self.nodes())
-        pairs = [(coeff, self.alg.mono_word(mono)) for mono, coeff in elt.terms.items()]
-        for _, word in pairs:
-            if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2])) for a in word):
+        for mono in elt.terms:
+            if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2]))
+                   for a in self.alg.mono_word(mono)):
                 return _ABSENT
-        cols = self._act_sum(pairs, self.identity())
-        return _Matrix(self, {(r, c): x for c, col in enumerate(cols) for r, x in col})
+        return self.alg.apply_hom(elt, self._image, on=_Matrix(self, self.identity()))
 
     def verify(self):
         """Check the module against the relation catalog; returns defects.
@@ -213,29 +196,45 @@ class WeightModule:
         return defects
 
 
-class _Matrix(LinearCombination):
-    """A module's action matrix for the relation catalog: the term map
-    {(row, column): value}, with the module in the alg slot.  Sums and the
-    zero test are the term map's; scale maps a RatFunc through the
-    module's field."""
+class _Matrix:
+    """A module operator on ``linalg``'s sparse columns, the value that
+    ``apply_hom`` and the relation catalog compute with: the product is
+    ``mat_mul``, sums go through ``columns``, and a RatFunc scales through
+    the module's field."""
 
-    __slots__ = ()
+    __slots__ = ("mod", "cols")
+
+    def __init__(self, mod, cols):
+        self.mod = mod
+        self.cols = cols
+
+    def __add__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return _Matrix(self.mod, columns(
+            [(r, c, x) for m in (self, other) for c, col in enumerate(m.cols) for r, x in col],
+            len(self.cols)))
+
+    def __sub__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return self + other.scale(-RF_ONE)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        rows = {}  # other's terms by row
-        for (k, c), y in other.terms.items():
-            rows.setdefault(k, []).append((c, y))
-        out = {}
-        for (r, k), x in self.terms.items():
-            for c, y in rows.get(k, ()):
-                add_term(out, (r, c), x * y)
-        return _Matrix(self.alg, out)
+        if isinstance(other, _Matrix):
+            return _Matrix(self.mod, mat_mul(self.cols, other.cols))
+        if isinstance(other, RatFunc):
+            return self.scale(other)
+        return NotImplemented
 
     def scale(self, c):
-        return super().scale(self.alg.field.of(c))
+        x = self.mod.field.of(c)
+        if x.is_zero():
+            return _Matrix(self.mod, [[] for _ in self.cols])
+        return _Matrix(self.mod, [[(r, y * x) for r, y in col] for col in self.cols])
+
+    def is_zero(self):
+        return not any(self.cols)
 
 
 class _Absent:

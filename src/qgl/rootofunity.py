@@ -148,8 +148,14 @@ def restricted_checks(alg, z, l):
                             highest vector
       maximal_line_unique   the joint kernel of all raising operators and
                             even divided powers E^{(l)} is one line
-      small_group_generates every nonzero basis vector generates the whole
-                            module under the simple (non-divided) action
+      small_group_generates the module is simple under the simple
+                            (non-divided) generators, among the submodules
+                            spanned by weight vectors: the top generates it,
+                            and the simple head of its simple action keeps
+                            every dimension, so a simple E-word takes every
+                            nonzero weight vector to the top.  At eta the K's
+                            need not separate weights, so this says nothing
+                            of submodules not spanned by weight vectors.
     """
     from . import repmod
 
@@ -159,14 +165,12 @@ def restricted_checks(alg, z, l):
         mod.mats[key][mod.top] for key in mod.action_keys() if key[0] == "DF")
     sing = repmod.singular_vectors(mod, skip_top=False)
     out["maximal_line_unique"] = len(sing) == 1
-    simple_keys = [k for k in mod.action_keys() if k[0] in ("E", "F") and k[3] == 1]
-    gen_ok = True
-    for idx in range(mod.dim):
-        span = repmod.submodule_closure(mod, [[(idx, mod.field.one)]], keys=simple_keys)
-        if len(span) != mod.dim:
-            gen_ok = False
-            break
-    out["small_group_generates"] = gen_ok
+    simple = {k: m for k, m in mod.mats.items() if k[0] in ("E", "F") and k[3] == 1}
+    small = repmod.WeightModule(alg, mod.field, mod.eps_weights, mod.parities, simple,
+                                top=mod.top)
+    out["small_group_generates"] = (
+        len(repmod.submodule_closure(small, [[(mod.top, mod.field.one)]])) == mod.dim
+        and repmod.simple_head(small).dim == mod.dim)
     out["dim"] = mod.dim
     return out
 

@@ -151,6 +151,18 @@ def test_smallgroup_of_large_order_is_fast():
     assert json.loads(proc.stdout)["counts"]["upper"] == 99 ** 6 * 2 ** 9
 
 
+def test_antipode_of_a_composite_power_is_fast():
+    # S acts on E[1,3]^14 one factor E[1,3] at a time; through the 2^14
+    # simple-generator words of the power it took 148 s
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "antipode", "--shape", "3,1", "E[1,3]^14"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["element"]["terms"]) == 15
+
+
 def test_high_divided_power_is_fast():
     # E^(100) divides by [100]!, a Laurent polynomial of 4951 coefficients
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

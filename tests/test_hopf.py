@@ -4,10 +4,12 @@ triangularity of coproducts of raising-operator words."""
 import itertools
 import operator
 import random
+import time
 
 import pytest
 
 from qgl import relations
+from qgl.braid import braid_t, braid_t_inv
 from qgl.hopf import Hopf, TensorElement, TensorSquareView
 from qgl.pbwcore import Algebra, Element
 from qgl.scalars import RF_ONE, RF_ZERO, RatFunc
@@ -170,6 +172,32 @@ def test_antipode_graded_anti_homomorphism():
     for x, y in pairs:
         sgn = -1 if (x.parity() and y.parity()) else 1
         assert h.antipode(x * y) == (h.antipode(y) * h.antipode(x)).scale(RF_ONE * sgn)
+
+
+def test_composite_powers_under_every_generator_map():
+    # X^14 of the even composite root vector X = E[1,3] of gl(3|1) goes
+    # through every generator map as 14 factors X: expanded into words of
+    # simple generators first, it would be 2^14 words (S took 148 s).  The
+    # right-hand sides are 14 repeated products: ** squares, which costs far
+    # more on these many-term images.
+    alg = Algebra((3, 1))
+    h = Hopf(alg)
+    x = alg.gen("E", 1, 3)
+    start = time.perf_counter()
+
+    def fourteenth(value, one):
+        out = one
+        for _ in range(14):
+            out = out * value
+        return out
+
+    power = fourteenth(x, alg.one())
+    assert h.antipode(power) == fourteenth(h.antipode(x), alg.one())
+    assert h.delta(power) == fourteenth(h.delta(x), TensorElement.one(alg))
+    for op in (braid_t, braid_t_inv):
+        assert op(alg, 1, power) == fourteenth(op(alg, 1, x), alg.one()), op.__name__
+    assert power.psi() == fourteenth(x.psi(), alg.one())
+    assert time.perf_counter() - start < 10
 
 
 # -- divided-power coproducts -----------------------------------------------

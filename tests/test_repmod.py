@@ -475,6 +475,9 @@ def test_derived_atoms_act_like_matrix_products(shape, lam, atoms, l):
         assert mod.matrix_of_atom(atom) == want, atom
         elt = alg.gen(kind, i, j) ** n
         assert mod.act_element(elt, mod.identity()) == want, atom
+        # one column at a time, as the rebase and the Kac oracle act
+        for c in range(mod.dim):
+            assert mod.act_element(elt, [[(c, mod.field.one)]]) == [want[c]], (atom, c)
     assert set(mod.mats) == keys
 
 
