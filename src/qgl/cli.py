@@ -17,8 +17,8 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, ExprSyntaxError, ResourceLimit
-from .expr import ast_to_json, element_to_json, parse, parse_element, print_canonical
+from .errors import DomainError, ExprSyntaxError, ResourceLimit, check_int_size
+from .expr import element_to_json, parse, parse_element, print_canonical, term_to_json
 from .rootdata import (
     Shape,
     frobenius_decompose,
@@ -91,21 +91,10 @@ def _character_json(char):
 
 
 def _tensor_json(te):
-    from .pbwcore import Element
-    from .scalars import RF_ONE
-
-    out = []
-    for (a, b), coeff in te.sorted_terms():
-        ea = element_to_json(Element(te.alg, {a: RF_ONE}))
-        eb = element_to_json(Element(te.alg, {b: RF_ONE}))
-        out.append(
-            {
-                "coeff": coeff.render(),
-                "left": ea["terms"][0],
-                "right": eb["terms"][0],
-            }
-        )
-    return out
+    return [
+        {"coeff": coeff.render(), "left": term_to_json(a, "1"), "right": term_to_json(b, "1")}
+        for (a, b), coeff in te.sorted_terms()
+    ]
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -113,7 +102,7 @@ def _tensor_json(te):
 
 def _cmd_nf(args, shape):
     if args.emit_ast:
-        return _emit(args, {"ast": ast_to_json(parse(args.expr, shape))})
+        return _emit(args, {"ast": parse(args.expr, shape)})
     return _emit_element(args, parse_element(args.expr, _algebra(shape)))
 
 
@@ -161,7 +150,9 @@ def _cmd_braid(args, shape):
 
 def _cmd_typical(args, shape):
     lam = _parse_ints(args.lam, "--lambda")
-    return _emit(args, {"typical": is_typical(shape, lam), "P": p_factor(shape, lam)})
+    p = p_factor(shape, lam)
+    check_int_size(p, "P")
+    return _emit(args, {"typical": is_typical(shape, lam), "P": p})
 
 
 def _cmd_kac(args, shape):
@@ -245,6 +236,7 @@ def _cmd_smallgroup(args, shape):
     from .rootofunity import small_group_counts
 
     counts = small_group_counts(shape, args.l)
+    check_int_size(counts["full"], "the count full")  # the largest count
     return _emit(args, {"l": args.l, "counts": counts})
 
 

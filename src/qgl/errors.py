@@ -1,4 +1,4 @@
-"""Shared error types of the engine.
+"""Shared error types of the engine, and the digit budget of its integers.
 
 Every failure that a caller can sensibly handle is a subclass of
 DomainError; the CLI maps DomainError to exit code 3 and syntax
@@ -77,5 +77,23 @@ class ResourceLimit(DomainError):
     (pbwcore._MAX_DIVIDED), the Kac dimension of a module's highest weight
     (repmod._MAX_KAC_DIM), a root order (scalars._MAX_ROOT_ORDER), the
     q-degree of a power, a torus bracket shift or a highest weight
-    (scalars._MAX_Q_DEGREE) or the trial count of selftest
-    (cli._MAX_TRIALS)."""
+    (scalars._MAX_Q_DEGREE), the trial count of selftest (cli._MAX_TRIALS)
+    or the digits of an integer an answer prints (_MAX_INT_DIGITS: a
+    coefficient, the exponent a power gives a monomial, a count or P, and
+    c^n for a rational c != +-1 before it is built); a longer integer
+    literal is a syntax error."""
+
+
+# The most decimal digits of an integer read or printed, under the 4300 that
+# Python's int() and str() accept by default.  A literal is measured in
+# digits; a result by its bit length, since 2^13288 > 10^4000.
+_MAX_INT_DIGITS = 4000
+_MAX_INT_BITS = 13288
+
+
+def check_int_size(x, what):
+    """Raise ResourceLimit when the int or Fraction x has a numerator or
+    denominator of more than _MAX_INT_BITS bits (over 4000 digits)."""
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > _MAX_INT_BITS:
+        raise ResourceLimit("%s has an integer of more than %d digits, over the budget"
+                            % (what, _MAX_INT_DIGITS))

@@ -16,11 +16,7 @@ that every canonical rendering parses back; division requires a scalar
 divisor.
 """
 
-from .errors import (
-    DomainError,
-    ExprSyntaxError,
-    NegativeDividedPower,
-)
+from .errors import _MAX_INT_DIGITS, DomainError, ExprSyntaxError
 
 _NAMES = ("Kinv", "Kb", "Ka", "K", "E", "F", "q")
 _MAX_NESTING = 100  # parenthesis depth; keeps the recursive descent off the stack limit
@@ -39,6 +35,8 @@ def tokenize(src):
             j = i
             while j < n and src[j].isdigit():
                 j += 1
+            if j - i > _MAX_INT_DIGITS:
+                raise ExprSyntaxError("integer literal of more than %d digits" % _MAX_INT_DIGITS, i)
             toks.append(("int", int(src[i:j]), i))
             i = j
             continue
@@ -65,6 +63,11 @@ def tokenize(src):
 
 
 class _Parser:
+    """Recursive descent to the JSON-ready parse tree that --emit-ast prints:
+    {"sum": [{"sign", "term"}]}, {"product": [{"op", "factor"}]},
+    {"power" | "divided_power": node, "n"}, {"scalar": int | "q"} and
+    {"gen": name, "indices": [...]}."""
+
     def __init__(self, src, shape):
         self.toks = tokenize(src)
         self.pos = 0
@@ -98,24 +101,24 @@ class _Parser:
         if self.peek()[0] == "-":
             self.next()
             sign = -1
-        items.append((sign, self.term()))
+        items.append({"sign": sign, "term": self.term()})
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            items.append((1 if op == "+" else -1, self.term()))
-        return ("sum", items)
+            items.append({"sign": 1 if op == "+" else -1, "term": self.term()})
+        return {"sum": items}
 
     def term(self):
-        items = [("*", self.factor())]
+        items = [{"op": "*", "factor": self.factor()}]
         while True:
             t = self.peek()
             if t[0] in ("*", "/"):
                 op = self.next()[0]
-                items.append((op, self.factor()))
+                items.append({"op": op, "factor": self.factor()})
             elif t[0] in ("name", "int", "("):
-                items.append(("*", self.factor()))
+                items.append({"op": "*", "factor": self.factor()})
             else:
                 break
-        return ("prod", items)
+        return {"product": items}
 
     def factor(self):
         base = self.atom()
@@ -127,22 +130,22 @@ class _Parser:
             self.next()
             v = self.expect("int")
             self.expect(")")
-            if base[0] != "gen" or base[1] not in ("E", "F"):
+            if base.get("gen") not in ("E", "F"):
                 raise ExprSyntaxError(
                     "divided power requires a root-vector generator", t[2]
                 )
-            return ("dpow", base, v[1])
+            return {"divided_power": base, "n": v[1]}
         sign = 1
         if t[0] == "-":
             self.next()
             sign = -1
         v = self.expect("int")
-        return ("pow", base, sign * v[1])
+        return {"power": base, "n": sign * v[1]}
 
     def atom(self):
         t = self.next()
         if t[0] == "int":
-            return ("int", t[1])
+            return {"scalar": t[1]}
         if t[0] == "(":
             if self.nesting == _MAX_NESTING:
                 raise ExprSyntaxError(
@@ -157,7 +160,7 @@ class _Parser:
             raise ExprSyntaxError("expected a generator, scalar or '('", t[2])
         name = t[1]
         if name == "q":
-            return ("q",)
+            return {"scalar": "q"}
         self.expect("[")
         if name in ("E", "F"):
             i = self.expect("int")[1]
@@ -165,12 +168,12 @@ class _Parser:
             j = self.expect("int")[1]
             self.expect("]")
             self.shape.check_pair(i, j)
-            return ("gen", name, (i, j))
+            return {"gen": name, "indices": [i, j]}
         if name in ("K", "Kinv", "Ka"):
             i = self.expect("int")[1]
             self.expect("]")
             self.shape.check_node(i)
-            return ("gen", name, (i,))
+            return {"gen": name, "indices": [i]}
         # Kb[i; c; t]
         i = self.expect("int")[1]
         self.expect(";")
@@ -183,11 +186,12 @@ class _Parser:
         tt = self.expect("int")[1]
         self.expect("]")
         self.shape.check_node(i)
-        return ("gen", "Kb", (i, c, tt))
+        return {"gen": "Kb", "indices": [i, c, tt]}
 
 
 def parse(src, shape):
-    """Parse source text to an AST, validating indices against the shape."""
+    """Parse source text to its JSON-ready parse tree (see _Parser),
+    validating indices against the shape."""
     if not src or not src.strip():
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(src, shape).parse()
@@ -205,34 +209,19 @@ def _as_scalar(elt):
     return None
 
 
-def _elt_pow(alg, elt, n):
-    if n >= 0:
-        return elt ** n
-    # negative powers: only invertible elements (scalar multiples of K-monomials)
-    if len(elt.terms) != 1:
-        raise DomainError("negative power of a non-invertible element")
-    ((key, coeff),) = elt.terms.items()
-    u = alg.unit_monomial()
-    if key._replace(k=u.k) != u:
-        raise DomainError("negative power of a non-invertible element")
-    inv = alg.k_mono(tuple(-x for x in key.k)).scale(coeff.inverse())
-    return _elt_pow(alg, inv, -n) if n < -1 else inv
-
-
 def evaluate(ast, alg):
-    """Evaluate an AST to a normal-form element of the given algebra."""
-    kind = ast[0]
-    if kind == "sum":
+    """Evaluate a parse tree to a normal-form element of the given algebra."""
+    if "sum" in ast:
         out = alg.zero()
-        for sign, node in ast[1]:
-            v = evaluate(node, alg)
-            out = out + (v if sign > 0 else -v)
+        for item in ast["sum"]:
+            v = evaluate(item["term"], alg)
+            out = out + (v if item["sign"] > 0 else -v)
         return out
-    if kind == "prod":
+    if "product" in ast:
         out = alg.one()
-        for op, node in ast[1]:
-            v = evaluate(node, alg)
-            if op == "*":
+        for item in ast["product"]:
+            v = evaluate(item["factor"], alg)
+            if item["op"] == "*":
                 out = out * v
             else:
                 if v.is_zero():
@@ -242,35 +231,29 @@ def evaluate(ast, alg):
                     raise DomainError("division requires a scalar divisor")
                 out = out.scale(s.inverse())
         return out
-    if kind == "pow":
-        return _elt_pow(alg, evaluate(ast[1], alg), ast[2])
-    if kind == "dpow":
-        _, base, n = ast
-        if n < 0:
-            raise NegativeDividedPower("divided power with n=%d" % n)
-        _, gk, (i, j) = base
-        return alg.divided_power(gk, i, j, n)
-    if kind == "int":
-        return alg.scalar(ast[1])
-    if kind == "q":
-        return alg.scalar(alg.qi(1))  # q_1 = q: index 1 is in the first block
-    if kind == "gen":
-        _, name, idx = ast
+    if "power" in ast:
+        return evaluate(ast["power"], alg) ** ast["n"]
+    if "divided_power" in ast:
+        base = ast["divided_power"]
+        i, j = base["indices"]
+        return alg.divided_power(base["gen"], i, j, ast["n"])
+    if "scalar" in ast:
+        v = ast["scalar"]
+        # q_1 = q: index 1 is in the first block
+        return alg.scalar(alg.qi(1) if v == "q" else v)
+    if "gen" in ast:
+        name, idx = ast["gen"], ast["indices"]
         if name in ("E", "F"):
             return alg.gen(name, idx[0], idx[1])
-        if name == "K":
+        if name in ("K", "Kinv"):
             mu = [0] * alg.shape.rank
-            mu[idx[0] - 1] = 1
-            return alg.k_mono(tuple(mu))
-        if name == "Kinv":
-            mu = [0] * alg.shape.rank
-            mu[idx[0] - 1] = -1
+            mu[idx[0] - 1] = 1 if name == "K" else -1
             return alg.k_mono(tuple(mu))
         if name == "Ka":
             return alg.k_alpha(idx[0])
         if name == "Kb":
-            return alg.kbracket_element(idx[0], idx[1], idx[2])
-    raise DomainError("unknown AST node %r" % (kind,))
+            return alg.kbracket_element(*idx)
+    raise DomainError("unknown parse tree node %r" % (ast,))
 
 
 def parse_element(src, alg):
@@ -281,22 +264,13 @@ def parse_element(src, alg):
 
 
 def _coeff_parts(coeff):
-    """Render a coefficient as parseable text plus a separable sign."""
-    li = coeff.as_laurent_int()
-    if li is not None and len(li.coeffs) == 1:
-        ((e, c),) = li.coeffs.items()
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if e == 0:
-            body = str(c)
-        else:
-            qp = "q" if e == 1 else "q^%d" % e
-            body = qp if c == 1 else "%d*%s" % (c, qp)
-        return sign, body
-    lau = coeff.as_laurent_rational()
-    if lau is not None:
-        return "+", "(%s)" % coeff.render()
-    return "+", coeff.render()  # '(num)/(den)', parseable via scalar division
+    """A coefficient's rendering as a separable sign and a parseable body:
+    one term c*q^e loses its sign, any other Laurent value goes in
+    parentheses, and a quotient '(num)/(den)' parses as it is."""
+    text = coeff.render()
+    if " " in text or "/" in text:
+        return "+", text if text[0] == "(" else "(%s)" % text
+    return ("-", text[1:]) if text[0] == "-" else ("+", text)
 
 
 def _mono_factors(alg, key):
@@ -321,27 +295,31 @@ def print_canonical(elt):
     terms = elt.sorted_terms()
     if not terms:
         return "0"
-    chunks = []
+    out = []
     for key, coeff in terms:
         sign, body = _coeff_parts(coeff)
         factors = _mono_factors(alg, key)
-        if factors and body == "1":
-            text = "*".join(factors)
-        elif factors:
-            text = "*".join([body] + factors)
-        else:
-            text = body
-        chunks.append((sign, text))
-    out = []
-    for pos, (sign, text) in enumerate(chunks):
-        if pos == 0:
-            out.append(("-" if sign == "-" else "") + text)
-        else:
+        text = "*".join(factors if factors and body == "1" else [body] + factors)
+        if out:
             out.append(("- " if sign == "-" else "+ ") + text)
+        else:
+            out.append(("-" if sign == "-" else "") + text)
     return " ".join(out)
 
 
 # -- JSON -------------------------------------------------------------------
+
+
+def term_to_json(key, coeff_text):
+    """One PBW term as a JSON-ready dict: its coefficient text and blocks."""
+    return {
+        "coeff": coeff_text,
+        "fd": list(key.fd),
+        "fpsi": list(key.fpsi),
+        "k": list(key.k),
+        "epsi": list(key.epsi),
+        "ed": list(key.ed),
+    }
 
 
 def element_to_json(elt):
@@ -349,35 +327,5 @@ def element_to_json(elt):
     sh = elt.alg.shape
     return {
         "shape": [sh.m, sh.n],
-        "terms": [
-            {
-                "coeff": coeff.render(),
-                "fd": list(key.fd),
-                "fpsi": list(key.fpsi),
-                "k": list(key.k),
-                "epsi": list(key.epsi),
-                "ed": list(key.ed),
-            }
-            for key, coeff in elt.sorted_terms()
-        ],
+        "terms": [term_to_json(key, coeff.render()) for key, coeff in elt.sorted_terms()],
     }
-
-
-def ast_to_json(ast):
-    """The AST as nested JSON-ready lists/dicts."""
-    kind = ast[0]
-    if kind == "sum":
-        return {"sum": [{"sign": s, "term": ast_to_json(n)} for s, n in ast[1]]}
-    if kind == "prod":
-        return {"product": [{"op": op, "factor": ast_to_json(n)} for op, n in ast[1]]}
-    if kind == "pow":
-        return {"power": ast_to_json(ast[1]), "n": ast[2]}
-    if kind == "dpow":
-        return {"divided_power": ast_to_json(ast[1]), "n": ast[2]}
-    if kind == "int":
-        return {"scalar": ast[1]}
-    if kind == "q":
-        return {"scalar": "q"}
-    if kind == "gen":
-        return {"gen": ast[1], "indices": list(ast[2])}
-    raise DomainError("unknown AST node %r" % (kind,))

@@ -41,11 +41,14 @@ with the pair resolutions it opens.
 from collections import namedtuple
 
 from .errors import (
+    _MAX_INT_BITS,
+    _MAX_INT_DIGITS,
     DomainError,
     NegativeDividedPower,
     NotIntegral,
     OddPowerTooHigh,
     ResourceLimit,
+    check_int_size,
 )
 from .rootdata import Shape, bilinear_form
 from .scalars import (
@@ -210,19 +213,36 @@ class Element(LinearCombination):
         return self.alg.multiply(self, other)
 
     def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative powers only defined for torus monomials")
-        check_q_degree(n * max((c.q_degree() for c in self.terms.values()), default=0),
+        """x^n as n successive products, the rule apply_hom uses for X^n.  A
+        scalar, or a scalar times one PBW atom, has the closed form
+        (c X^a)^n = c^n X^(a n), zero for an odd root vector and n >= 2,
+        which is what straightening that word returns; only c K^mu has
+        negative powers."""
+        alg = self.alg
+        key = None
+        if len(self.terms) == 1:
+            ((key, c),) = self.terms.items()
+            if len(alg.mono_word(key)) > 1:
+                key = None
+        unit = alg.unit_monomial()
+        if n < 0 and (key is None or key._replace(k=unit.k) != unit):
+            raise DomainError("negative power of a non-invertible element")
+        check_q_degree(n * max((v.q_degree() for v in self.terms.values()), default=0),
                        "a power")
-        out = self.alg.one()
-        base = self
-        while n:  # square and multiply
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if key is None:
+            out = self if n else alg.one()
+            for _ in range(n - 1):
+                out = out * self
+            return out
+        if n >= 2 and alg.monomial_parity(key):
+            return alg.zero()
+        if abs(n) > _MAX_INT_BITS and c.as_int() not in (1, -1):
+            # c has q-degree 0 here, so c^n has an integer of at least 2^|n|
+            raise ResourceLimit("a power has an integer of more than %d digits, over the budget"
+                                % _MAX_INT_DIGITS)
+        blocks = [tuple(n * e for e in block) for block in key]
+        check_int_size(max(abs(e) for block in blocks for e in block), "a power")
+        return Element(alg, {PBWMonomial._make(blocks): c ** n})
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -32,7 +32,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import sub
 
-from .errors import DenominatorVanishes, ResourceLimit
+from .errors import DenominatorVanishes, ResourceLimit, check_int_size
 from .rootdata import _check_order
 
 # The largest q-degree built from an integer the user gives: the exponent n
@@ -159,6 +159,7 @@ def _render_poly(coeffs_by_exp):
         return "0"
     parts = []
     for pos, (e, c) in enumerate(items):
+        check_int_size(c, "a coefficient")
         neg = c < 0
         c = -c if neg else c
         if e == 0:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, exit codes, determinism,
 and byte-exact agreement with the golden corpus."""
 
+import hashlib
 import io
 import json
 import os
@@ -163,6 +164,20 @@ def test_antipode_of_a_composite_power_is_fast():
     assert len(json.loads(proc.stdout)["element"]["terms"]) == 15
 
 
+def test_power_of_a_many_term_element_is_fast():
+    # x^n is n repeated products: square and multiply took 19.4 s here, on
+    # products of two high-degree monomials a repeated product never meets
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "nf", "--shape", "3,1",
+         "(E[1,3]*K[1]^-1+E[1,2]*E[2,3])^14"],
+        capture_output=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "5f23ba1d8e3fc5a269f884ca94f84dcf0588d4062c44706d7cd9394cde26e787")
+
+
 def test_high_divided_power_is_fast():
     # E^(100) divides by [100]!, a Laurent polynomial of 4951 coefficients
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -262,6 +277,42 @@ def test_q_degree_at_the_budget_is_answered():
         code, out, err = capture(argv)
         assert code == 0 and err == "" and json.loads(out)["schema"] == 1, argv
 
+
+# integers over errors._MAX_INT_DIGITS, which ended in a traceback (exit 1)
+# at Python's 4300-digit str/int limit: a literal exits 2 at its offset, a
+# coefficient, a smallgroup count, P or a power's exponent exits 3, and a
+# power c^n of a rational c != +-1 with |n| over 13288 exits 3 before it is
+# built (9^99999999 ran past 30 s)
+INT_DIGIT_PROBES = {
+    "nf 9^99999999": (["nf", "--shape", "2,1", "9^99999999"], 3),
+    "nf exponent of 5000 digits":
+        (["nf", "--shape", "2,1", "(E[1,2]^%s)^%s" % ("9" * 2500, "9" * 2500)], 3),
+    "nf 9^9999": (["nf", "--shape", "2,1", "9^9999"], 3),
+    "nf 5000-digit literal": (["nf", "--shape", "2,1", "2*" + "7" * 5000 + "*E[1,2]"], 2),
+    "smallgroup 4000-digit l": (["smallgroup", "--shape", "1,1", "-l", "1" + "0" * 3998 + "1"], 3),
+    "typical 3000-digit weights":
+        (["typical", "--shape", "2,2", "--lambda=" + ",".join(d + "0" * 2999 for d in "1234")], 3),
+}
+
+
+@pytest.mark.parametrize("argv,code", INT_DIGIT_PROBES.values(), ids=INT_DIGIT_PROBES)
+def test_integers_over_the_digit_budget_exit_cleanly(argv, code):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli"] + argv,
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert proc.returncode == code and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("syntax error at offset 2" if code == 2 else "domain error")
+
+
+def test_integer_at_the_digit_budget_is_answered():
+    code, out, err = capture(["nf", "--shape", "2,1", "9^4000"])  # 3817 digits
+    assert code == 0 and err == "" and len(out) == 3957
+    assert json.loads(out)["element"]["terms"][0]["coeff"] == str(9 ** 4000)
+
+
 def test_large_shape_exits_cleanly_under_a_memory_limit():
     # the index lists of gl(1500|1500) alone outgrow a 2 GB address space
     resource = pytest.importorskip("resource")
@@ -343,6 +394,24 @@ def test_emit_ast_parses_without_evaluating():
     assert item["term"]["product"] == [
         {"op": "*", "factor": {"divided_power": {"gen": "E", "indices": [1, 2]}, "n": 400}}
     ]
+
+
+def test_emit_ast_pins_every_node_kind():
+    # both signs, '/', juxtaposition, ^-n, ^(n), an int, q and every generator
+    code, out, _ = capture(["nf", "--shape", "2,1", "--emit-ast",
+                            "-2*E[1,2]^(2) F[2,3]/3 + q^-2*K[1]*Kinv[2] - Ka[1]*Kb[2;-1;2]"])
+    assert code == 0
+    assert out == (
+        '{"ast": {"sum": [{"sign": -1, "term": {"product": [{"factor": {"scalar": 2}, "op": "*"}, '
+        '{"factor": {"divided_power": {"gen": "E", "indices": [1, 2]}, "n": 2}, "op": "*"}, '
+        '{"factor": {"gen": "F", "indices": [2, 3]}, "op": "*"}, '
+        '{"factor": {"scalar": 3}, "op": "/"}]}}, '
+        '{"sign": 1, "term": {"product": [{"factor": {"n": -2, "power": {"scalar": "q"}}, "op": "*"}, '
+        '{"factor": {"gen": "K", "indices": [1]}, "op": "*"}, '
+        '{"factor": {"gen": "Kinv", "indices": [2]}, "op": "*"}]}}, '
+        '{"sign": -1, "term": {"product": [{"factor": {"gen": "Ka", "indices": [1]}, "op": "*"}, '
+        '{"factor": {"gen": "Kb", "indices": [2, -1, 2]}, "op": "*"}]}}]}, "schema": 1}\n'
+    )
 
 
 def test_braid_and_omega_roundtrip():

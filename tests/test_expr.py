@@ -8,7 +8,6 @@ import pytest
 
 from qgl.errors import DomainError, ExprSyntaxError, IndexOutOfShape
 from qgl.expr import (
-    ast_to_json,
     element_to_json,
     evaluate,
     parse,
@@ -29,19 +28,21 @@ ALG22 = Algebra((2, 2))
 
 def test_parse_divided_power():
     ast = parse("E[1,2]^(2)", ALG21.shape)
-    assert ast == ("sum", [(1, ("prod", [("*", ("dpow", ("gen", "E", (1, 2)), 2))]))])
+    assert ast == {"sum": [{"sign": 1, "term": {"product": [
+        {"op": "*", "factor": {"divided_power": {"gen": "E", "indices": [1, 2]}, "n": 2}},
+    ]}}]}
 
 
 def test_parse_juxtaposition_product():
     ast = parse("q^-1 * F[2,3] E[1,2]", ALG21.shape)
-    ((sign, term),) = ast[1]
-    assert sign == 1
-    ops = [op for op, _ in term[1]]
-    nodes = [n for _, n in term[1]]
+    (item,) = ast["sum"]
+    assert item["sign"] == 1
+    ops = [f["op"] for f in item["term"]["product"]]
+    nodes = [f["factor"] for f in item["term"]["product"]]
     assert ops == ["*", "*", "*"]
-    assert nodes[0] == ("pow", ("q",), -1)
-    assert nodes[1] == ("gen", "F", (2, 3))
-    assert nodes[2] == ("gen", "E", (1, 2))
+    assert nodes[0] == {"power": {"scalar": "q"}, "n": -1}
+    assert nodes[1] == {"gen": "F", "indices": [2, 3]}
+    assert nodes[2] == {"gen": "E", "indices": [1, 2]}
 
 
 def test_parse_index_out_of_shape():
@@ -142,6 +143,20 @@ def test_print_coefficient_forms():
     assert print_canonical(e - e + two) == "-3*F[1,2]"
 
 
+def test_print_fraction_quotient_and_negative_sum_coefficients():
+    pins = [
+        ("E[1,2]/2", "(1/2)*E[1,2]"),
+        ("E[1,2]/(q + 1)", "(1)/(q + 1)*E[1,2]"),
+        ("-(q + q^-1)*E[1,2]", "(-q - q^-1)*E[1,2]"),
+        ("(1 - q^2)/(q + 2)*F[1,3]", "(-q^2 + 1)/(q + 2)*F[1,3]"),
+        ("E[1,2]/2*q - q^-3/5*F[1,2]", "(1/2*q)*E[1,2] + (-1/5*q^-3)*F[1,2]"),
+    ]
+    for src, text in pins:
+        x = parse_element(src, ALG21)
+        assert print_canonical(x) == text, src
+        assert parse_element(text, ALG21) == x, src
+
+
 def test_print_sum_ordering_deterministic():
     x = ALG21.gen("E", 1, 2) + ALG21.gen("F", 1, 2) - ALG21.one()
     s1 = print_canonical(x)
@@ -203,7 +218,10 @@ def test_element_json_schema():
 
 
 def test_ast_json():
-    doc = ast_to_json(parse("q^-1 * F[2,3]", ALG21.shape))
+    doc = parse("q^-1 * F[2,3]", ALG21.shape)
     assert "sum" in doc
     text = json.dumps(doc)
     assert "divided_power" not in text and "gen" in text
+    # the parse tree is its own JSON, and evaluates from it
+    assert json.loads(text) == doc
+    assert evaluate(json.loads(text), ALG21) == parse_element("q^-1 * F[2,3]", ALG21)

@@ -178,8 +178,7 @@ def test_composite_powers_under_every_generator_map():
     # X^14 of the even composite root vector X = E[1,3] of gl(3|1) goes
     # through every generator map as 14 factors X: expanded into words of
     # simple generators first, it would be 2^14 words (S took 148 s).  The
-    # right-hand sides are 14 repeated products: ** squares, which costs far
-    # more on these many-term images.
+    # right-hand sides are 14 repeated products of the many-term images.
     alg = Algebra((3, 1))
     h = Hopf(alg)
     x = alg.gen("E", 1, 3)

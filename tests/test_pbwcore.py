@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgl import pbwcore, relations
-from qgl.errors import NotIntegral, OddPowerTooHigh, ResourceLimit
+from qgl.errors import DomainError, NotIntegral, OddPowerTooHigh, ResourceLimit
+from qgl.expr import parse_element
 from qgl.pbwcore import Algebra, PBWMonomial
 from qgl.scalars import (
     RF_ONE,
@@ -157,16 +158,60 @@ def test_power_is_factorial_times_divided():
     assert cube == alg.divided_power("E", 1, 2, 3).scale(fact)
 
 
+# many-term bases: K factors, odd and composite root vectors, q-power and
+# integer coefficients
+POWER_BASES = {
+    (2, 1): ["E[1,3]*K[1]^-1 + E[1,2]*E[2,3]", "q*F[2,3] + K[2]*E[1,2] - 2*F[1,3]*K[3]",
+             "E[1,2] + F[1,2] + K[1]"],
+    (3, 1): ["E[1,3]*K[1]^-1 + E[1,2]*E[2,3]", "F[1,4]*K[2] + q^-1*E[2,4] + E[1,3]",
+             "F[1,3] + E[3,4]*K[4]^2 - q*E[1,2]"],
+    (2, 2): ["E[1,4] + F[2,3]*K[1] + q*E[3,4]", "F[1,3]*F[2,4] + K[2]*Kinv[3] + E[1,2]",
+             "E[2,3]*K[4]^-1 - F[3,4] + 2*E[1,4]"],
+}
+
+
 def test_power_matches_repeated_product():
     rng = random.Random(11)
     alg = Algebra((2, 1))
     gens = random_gens(alg)
-    for _ in range(4):
-        x = rng.choice(gens) + rng.choice(gens).scale(RatFunc.q_power(rng.randint(-2, 2)))
-        prod = alg.one()
+    bases = [rng.choice(gens) + rng.choice(gens).scale(RatFunc.q_power(rng.randint(-2, 2)))
+             for _ in range(4)]
+    for shape, sources in POWER_BASES.items():
+        bases += [parse_element(src, Algebra(shape)) for src in sources]
+    for x in bases:
+        prod = x.alg.one()
         for n in range(6):
-            assert x**n == prod, n
+            assert x**n == prod, (x, n)
             prod = prod * x
+
+
+def test_power_of_one_atom_in_closed_form():
+    alg = Algebra((3, 1))
+    e13 = alg.gen("E", 1, 3)  # even and composite
+    seventh = alg.one()
+    for _ in range(7):
+        seventh = seventh * e13
+    assert e13**7 == seventh == alg.monomial(epsi=(0, 7, 0))
+    q = RatFunc.q_power(1)
+    assert e13.scale(q) ** 7 == seventh.scale(q**7)
+    for kind in ("E", "F"):
+        odd = alg.gen(kind, 1, 4).scale(2)
+        assert odd**1 == odd and not (odd**2).terms and not (odd**5).terms
+    k = alg.k_mono((1, 0, -1, 0))
+    assert k**-3 == alg.k_mono((-3, 0, 3, 0))
+    assert alg.scalar(2) ** 10 == alg.scalar(1024) and alg.scalar(2) ** 0 == alg.one()
+
+
+def test_negative_powers_only_of_scaled_torus_monomials():
+    alg = Algebra((2, 2))
+    for x in (alg.k_mono((1, -2, 0, 3)).scale(RatFunc.q_power(1) + 1), alg.scalar(-3),
+              alg.k_alpha(2)):
+        for n in range(1, 5):
+            assert x ** -n * x**n == alg.one(), (x, n)
+    for x in (alg.gen("E", 1, 2), alg.gen("F", 1, 3), alg.k_mono((1, 0, 0, 0)) + alg.one(),
+              alg.zero(), alg.gen("E", 1, 2) * alg.gen("E", 3, 4)):
+        with pytest.raises(DomainError, match="negative power of a non-invertible element"):
+            x**-1
 
 
 def test_kac_ef_commutation_with_powers():
