@@ -156,58 +156,55 @@ def _cmd_typical(args, shape):
 
 
 def _cmd_kac(args, shape):
-    from .repmod import kac_module
-
     lam = _parse_ints(args.lam, "--lambda")
-    mod = kac_module(_algebra(shape), lam)
+    char = _character(_algebra(shape), lam, "kac")
+    dim = sum(char.values())
     return _emit(
         args,
         {
-            "dim": mod.dim,
-            "dim_even": mod.dim // (2 ** (shape.m * shape.n)),
-            "character": _character_json(mod.character()),
+            "dim": dim,
+            "dim_even": dim // (2 ** (shape.m * shape.n)),
+            "character": _character_json(char),
         },
     )
 
 
-def _module(alg, lam, kind, at_root=None):
-    """The Kac module, or the simple module, of highest weight lam; the
-    simple one over Q(q), or at q = eta for the root order at_root."""
-    if at_root is not None and kind != "kac":
+def _character(alg, lam, kind, at_root=None):
+    """The character of the Kac module of highest weight lam, read off its
+    weights, which do not depend on q; or of the simple module, over Q(q)
+    or at q = eta for the root order at_root."""
+    if kind == "kac":
+        from .repmod import kac_character
+
+        return kac_character(alg, lam)
+    if at_root is not None:
         from .rootofunity import simple_at_root
 
-        return simple_at_root(alg, weight_to_z(alg.shape, lam), at_root)
+        return simple_at_root(alg, weight_to_z(alg.shape, lam), at_root).character()
     from .repmod import kac_module, simple_head
 
-    if kind == "kac":
-        return kac_module(alg, lam)
-    return simple_head(kac_module(alg, lam))
+    return simple_head(kac_module(alg, lam)).character()
 
 
 def _cmd_simple(args, shape):
-    mod = _module(_algebra(shape), _parse_ints(args.lam, "--lambda"), "simple", args.at_root)
-    return _emit(
-        args,
-        {"dim": mod.dim, "character": _character_json(mod.character())},
-    )
+    char = _character(_algebra(shape), _parse_ints(args.lam, "--lambda"), "simple", args.at_root)
+    return _emit(args, {"dim": sum(char.values()), "character": _character_json(char)})
 
 
 def _cmd_char(args, shape):
-    mod = _module(_algebra(shape), _parse_ints(args.lam, "--lambda"), args.module, args.at_root)
-    return _emit(args, {"character": _character_json(mod.character())})
+    char = _character(_algebra(shape), _parse_ints(args.lam, "--lambda"), args.module, args.at_root)
+    return _emit(args, {"character": _character_json(char)})
 
 
 def _cmd_tensor(args, shape):
-    from .repmod import tensor_module
+    """The product of the factors' characters: no tensor module is built."""
+    from .repmod import character_product
 
     alg = _algebra(shape)
-    m1 = _module(alg, _parse_ints(args.lam1, "--lambda1"), args.module)
-    m2 = _module(alg, _parse_ints(args.lam2, "--lambda2"), args.module)
-    t = tensor_module(m1, m2)
-    return _emit(
-        args,
-        {"dim": t.dim, "character": _character_json(t.character())},
-    )
+    c1 = _character(alg, _parse_ints(args.lam1, "--lambda1"), args.module)
+    c2 = _character(alg, _parse_ints(args.lam2, "--lambda2"), args.module)
+    char = character_product(c1, c2)
+    return _emit(args, {"dim": sum(char.values()), "character": _character_json(char)})
 
 
 def _cmd_specialize(args, shape):

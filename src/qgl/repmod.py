@@ -16,7 +16,8 @@ from it (R. B. Zhang, J. Math. Phys. 34, 1993): a generator passes an
 ordered odd monomial one odd root at a time, by closed-form two-atom
 rules, and what is left of it acts on L0; no product is straightened
 there either.  For q = eta it is induced the same way from L0(lam) rebased
-onto divided lowering monomials, the integral lattice.
+onto divided lowering monomials, the integral lattice.  Its character needs
+none of this: ``kac_character`` reads it off the weights of the basis.
 
 The simple head of a highest-weight module is its quotient by the radical
 of the contravariant form: the vectors that no raising word takes to the
@@ -131,11 +132,7 @@ class WeightModule:
 
     def character(self):
         """Multiplicities of z-weights."""
-        out = {}
-        for wt in self.eps_weights:
-            z = weight_to_z(self.alg.shape, wt)
-            out[z] = out.get(z, 0) + 1
-        return out
+        return _character(self.alg.shape, self.eps_weights)
 
     def weight_spaces(self):
         out = {}
@@ -447,6 +444,24 @@ def _gt_weight(pattern):
     return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
+def _even_basis(sh, lam):
+    """The Gelfand-Tsetlin patterns of L0(lam), one list per block, and the
+    eps-weights of its basis, the pattern pairs (a, b) in the order of a,
+    then b.  Raises for a weight of the wrong length, one that is not
+    dominant for the even part or over the q-degree budget, and when the
+    patterns disagree with the Weyl formula."""
+    if len(lam) != sh.rank:
+        raise DomainError("weight length does not match shape")
+    if not in_Xplus(sh, lam):
+        raise NonDominant("weight %r is not dominant for the even part" % (lam,))
+    check_q_degree(max(abs(x) for x in lam), "the highest weight %r" % (lam,))
+    blocks = [_gt_patterns(lam[:sh.m]), _gt_patterns(lam[sh.m:])]
+    weights = [_gt_weight(a) + _gt_weight(b) for a in blocks[0] for b in blocks[1]]
+    if len(weights) != weyl_dim_even(sh, lam):
+        raise DomainError("Gelfand-Tsetlin basis disagrees with the Weyl formula")
+    return blocks, weights
+
+
 def _gt_action(patterns, k, kind, ratio):
     """The (target, source, coeff) entries of E_k or F_k of U_q(gl(N)) on
     GT patterns: the non-normalized Gelfand-Tsetlin formulas with every
@@ -492,15 +507,8 @@ def simple_even_module(alg, lam):
     """
     sh = alg.shape
     lam = tuple(lam)
-    if len(lam) != sh.rank:
-        raise DomainError("weight length does not match shape")
-    if not in_Xplus(sh, lam):
-        raise NonDominant("weight %r is not dominant for the even part" % (lam,))
-    check_q_degree(max(abs(x) for x in lam), "the highest weight %r" % (lam,))
-    blocks = [_gt_patterns(lam[:sh.m]), _gt_patterns(lam[sh.m:])]
-    dim = len(blocks[0]) * len(blocks[1])
-    if dim != weyl_dim_even(sh, lam):
-        raise DomainError("Gelfand-Tsetlin basis disagrees with the Weyl formula")
+    blocks, weights = _even_basis(sh, lam)
+    dim = len(weights)
     ratios = {}  # this call's prod [num] / prod [den], by sorted factors
 
     def ratio(num, den):
@@ -526,7 +534,6 @@ def simple_even_module(alg, lam):
                 mats[(kind, offset + k, offset + k + 1, 1)] = columns(
                     ((cell(tgt, o), cell(src, o), c)
                      for tgt, src, c in _gt_action(pats, k, kind, ratio) for o in others), dim)
-    weights = [_gt_weight(a) + _gt_weight(b) for a in blocks[0] for b in blocks[1]]
     tops = [tuple(part[:k] for k in range(1, len(part) + 1))
             for part in (lam[:sh.m], lam[sh.m:])]
     top = blocks[0].index(tops[0]) * n2 + blocks[1].index(tops[1])
@@ -745,7 +752,7 @@ class _KacInduction:
 def _check_kac_budget(alg, lam):
     """Raise ResourceLimit when the Kac dimension 2^(mn) * weyl_dim_even(lam)
     is over _MAX_KAC_DIM; a weight that is not dominant is left for
-    simple_even_module to reject."""
+    _even_basis to reject."""
     sh = alg.shape
     lam = tuple(lam)
     if len(lam) == sh.rank and in_Xplus(sh, lam):
@@ -754,15 +761,28 @@ def _check_kac_budget(alg, lam):
             raise ResourceLimit("Kac dimension %d is over the budget of %d" % (dim, _MAX_KAC_DIM))
 
 
+def _kac_labels(alg, dim0):
+    """The basis F1^d (x) w of K(lam) as pairs (d, w), in the order of d,
+    then w, for an L0(lam) of dimension dim0."""
+    dvecs = itertools.product((0, 1), repeat=len(alg.f1_list))
+    return [(d, w) for d in dvecs for w in range(dim0)]
+
+
+def _kac_weights(alg, l0_weights, labels):
+    """The eps-weight of each F1^d (x) w of labels: the weight of w in L0
+    plus the weight of F1^d."""
+    unit = alg.unit_monomial()
+    shifts = {d: alg.monomial_weight(unit._replace(fd=d)) for d in {d for d, _ in labels}}
+    return [tuple(a + b for a, b in zip(l0_weights[w], shifts[d])) for d, w in labels]
+
+
 def _induced_module(l0, labels):
     """K(lam) = Lambda_q(g_-1) (x) l0 on the basis F1^d (x) w, in the order of
     labels, a list of every (d, w).  A simple generator acts through
     ``_KacInduction``; its even parts act on l0, in whatever basis l0 has."""
     alg = l0.alg
     index = {lab: t for t, lab in enumerate(labels)}
-    unit = alg.unit_monomial()
-    shifts = {d: alg.monomial_weight(unit._replace(fd=d)) for d in {d for d, _ in labels}}
-    weights = [tuple(a + b for a, b in zip(l0.eps_weights[w], shifts[d])) for d, w in labels]
+    weights = _kac_weights(alg, l0.eps_weights, labels)
     parities = [sum(d) % 2 for d, _ in labels]
     induction = _KacInduction.of(alg)
     images = {}  # (fpsi, k, epsi) -> the matrix of that even monomial on l0
@@ -793,8 +813,18 @@ def kac_module(alg, lam):
     is built."""
     _check_kac_budget(alg, lam)
     l0 = simple_even_module(alg, lam)
-    dvecs = itertools.product((0, 1), repeat=len(alg.f1_list))
-    return _induced_module(l0, [(d, w) for d in dvecs for w in range(l0.dim)])
+    return _induced_module(l0, _kac_labels(alg, l0.dim))
+
+
+def kac_character(alg, lam):
+    """The character of K(lam), kac_module(alg, lam).character(), from the
+    weights of its basis alone: L0(lam)'s Gelfand-Tsetlin weights, each
+    shifted by the weight of every F1^d.  No action matrix is built; the
+    checks, and their order, are those of kac_module.  A Kac character does
+    not depend on q."""
+    _check_kac_budget(alg, lam)
+    _, weights = _even_basis(alg.shape, tuple(lam))
+    return _character(alg.shape, _kac_weights(alg, weights, _kac_labels(alg, len(weights))))
 
 
 def divided_kac_module(alg, lam):
@@ -809,8 +839,7 @@ def divided_kac_module(alg, lam):
     """
     _check_kac_budget(alg, lam)
     l0, psis = rebase_to_divided_monomials(simple_even_module(alg, lam))
-    dvecs = itertools.product((0, 1), repeat=len(alg.f1_list))
-    labels = [(d, w) for d in dvecs for w in range(l0.dim)]
+    labels = _kac_labels(alg, l0.dim)
     labels.sort(key=lambda dw: (sum(dw[0]) + sum(psis[dw[1]]), dw[0], psis[dw[1]]))
     return _induced_module(l0, labels)
 
@@ -820,7 +849,27 @@ def kac_dimension_oracle(alg, lam):
     return (2 ** (sh.m * sh.n)) * weyl_dim_even(sh, lam)
 
 
-# -- tensor products --------------------------------------------------------
+# -- characters and tensor products -----------------------------------------
+
+
+def _character(sh, eps_weights):
+    """Multiplicities of the z-weights of a basis with these eps-weights."""
+    out = {}
+    for wt in eps_weights:
+        z = weight_to_z(sh, wt)
+        out[z] = out.get(z, 0) + 1
+    return out
+
+
+def character_product(ca, cb):
+    """The character of a tensor product, from its factors' characters: z is
+    linear in the weight, so the multiplicities convolve."""
+    out = {}
+    for za, ma in ca.items():
+        for zb, mb in cb.items():
+            z = tuple(x + y for x, y in zip(za, zb))
+            out[z] = out.get(z, 0) + ma * mb
+    return out
 
 
 def _factor_columns(mod, key):

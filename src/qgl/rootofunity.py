@@ -178,20 +178,13 @@ def restricted_checks(alg, z, l):
 # -- character factorization at a root of unity ------------------------------
 
 
-def _char_convolve(ca, cb):
-    out = {}
-    for za, ma in ca.items():
-        for zb, mb in cb.items():
-            z = tuple(x + y for x, y in zip(za, zb))
-            out[z] = out.get(z, 0) + ma * mb
-    return out
-
-
 def frobenius_character_check(alg, z, l):
     """Does char L(z) = char(L(z') (x) L(l z'')) at q = eta?
 
     z' + l z'' is the restricted splitting of z.  Returns a report dict.
     """
+    from . import repmod
+
     _check_order(l)
     z = tuple(int(x) for x in z)
     zp, zpp = frobenius_decompose(alg.shape, z, l)
@@ -199,7 +192,7 @@ def frobenius_character_check(alg, z, l):
     part_r = simple_at_root(alg, zp, l)
     part_f = simple_at_root(alg, tuple(l * x for x in zpp), l)
     lhs = whole.character()
-    rhs = _char_convolve(part_r.character(), part_f.character())
+    rhs = repmod.character_product(part_r.character(), part_f.character())
     return {
         "z": z,
         "z_restricted": zp,

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from qgl import repmod
 from qgl.cli import run
+from qgl.pbwcore import Algebra
+from test_repmod import CHARACTER_BOXES, dominant_box
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -189,6 +193,20 @@ def test_high_divided_power_is_fast():
     assert json.loads(proc.stdout)["element"]["terms"]
 
 
+def test_kac_tensor_at_the_budget_is_fast():
+    # the product of two Kac characters of dimension 512; building the
+    # tensor module of dimension 262144 first took 14 s and 1 GB
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "tensor", "--shape", "2,2",
+         "--lambda1=31,0,0,0", "--lambda2=31,0,0,0", "--module", "kac"],
+        capture_output=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "74c0f4746e8459d5f4b82ca1665111004684909a538f9eec0c4875b26e35ef83")
+
+
 OVER_BUDGET = [
     # z of the wrong length for the shape
     ["decompose-z", "--shape", "2,1", "--z", "1,2", "--l", "3"],
@@ -356,7 +374,9 @@ LAYERS = [
     (["braid", "--shape", "2,1", "-i", "1", "E[2,3]"], _ELEMENTS | {"braid"}),
     (["selftest", "--shape", "1,1", "--trials", "2"], _ELEMENTS | {"relations"}),
     (["kac", "--shape", "2,1", "--lambda=1,0,0"], _MODULES),
-    (["tensor", "--shape", "1,1", "--lambda1", "1,0", "--lambda2", "0,0"], _MODULES | {"hopf"}),
+    (["tensor", "--shape", "1,1", "--lambda1", "1,0", "--lambda2", "0,0"], _MODULES),
+    (["tensor", "--shape", "2,1", "--lambda1=1,0,0", "--lambda2=0,0,0", "--module", "simple"],
+     _MODULES),
     (["simple", "--shape", "2,1", "--lambda=1,0,0", "--at-root", "3"],
      _MODULES | {"rootofunity"}),
     (["specialize", "--shape", "1,1", "-l", "3", "E[1,2]"], _ELEMENTS | {"rootofunity"}),
@@ -430,6 +450,80 @@ def test_decompose_z():
     assert code == 0
     doc = json.loads(out)
     assert doc["z_restricted"] == [1, 5, 2] and doc["z_frobenius"] == [2, 0, 0]
+
+
+# -- characters from weights ---------------------------------------------------
+
+
+def _csv(xs):
+    return ",".join(map(str, xs))
+
+
+def _char(doc):
+    return {tuple(c["z"]): c["mult"] for c in doc["character"]}
+
+
+def _tensor_pairs(shape):
+    """Six seeded pairs of the box's weights whose tensor module has
+    dimension at most 1024."""
+    alg = Algebra(shape)
+    lams = dominant_box(shape)
+    dims = {lam: repmod.kac_dimension_oracle(alg, lam) for lam in lams}
+    pairs = [(a, b) for a in lams for b in lams if dims[a] * dims[b] <= 1024]
+    return random.Random(str(shape)).sample(pairs, 6)
+
+
+@pytest.mark.parametrize("module", ["kac", "simple"])
+@pytest.mark.parametrize("shape", sorted(CHARACTER_BOXES), ids=str)
+def test_tensor_command_matches_the_tensor_module(shape, module):
+    # the command prints ch M * ch N; the tensor module is its reference
+    alg = Algebra(shape)
+
+    def factor(lam):
+        mod = repmod.kac_module(alg, lam)
+        return mod if module == "kac" else repmod.simple_head(mod)
+
+    for l1, l2 in _tensor_pairs(shape):
+        t = repmod.tensor_module(factor(l1), factor(l2))
+        code, out, err = capture(["tensor", "--shape", _csv(shape), "--lambda1=" + _csv(l1),
+                                  "--lambda2=" + _csv(l2), "--module", module])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["dim"], _char(doc)) == (t.dim, t.character()), (l1, l2)
+
+
+@pytest.mark.parametrize("shape", sorted(CHARACTER_BOXES), ids=str)
+def test_kac_character_at_a_root_is_the_generic_one(shape):
+    alg = Algebra(shape)
+    for lam in dominant_box(shape):
+        argv = ["char", "--shape", _csv(shape), "--lambda=" + _csv(lam), "--module", "kac"]
+        generic, at_root = capture(argv), capture(argv + ["--at-root", "3"])
+        assert generic == at_root, lam
+        code, out, _ = at_root
+        assert code == 0 and _char(json.loads(out)) == repmod.kac_character(alg, lam)
+
+
+# (weight on gl(2|1), the stderr line of kac_module): not dominant, the wrong
+# length, and a Kac dimension of 4 * 129 = 516 over repmod._MAX_KAC_DIM
+KAC_REFUSALS = [
+    ("0,1,0", "domain error: weight (0, 1, 0) is not dominant for the even part\n"),
+    ("0,0", "domain error: weight length does not match shape\n"),
+    ("128,0,0", "domain error: Kac dimension 516 is over the budget of 512\n"),
+]
+
+
+@pytest.mark.parametrize("lam,line", KAC_REFUSALS, ids=[lam for lam, _ in KAC_REFUSALS])
+def test_kac_refusals_keep_their_exit_and_message(lam, line):
+    sh = ["--shape", "2,1"]
+    argvs = [["kac"] + sh + ["--lambda=" + lam]]
+    argvs += [["char"] + sh + ["--lambda=" + lam, "--module", "kac"] + root
+              for root in ([], ["--at-root", "3"])]
+    argvs += [["tensor"] + sh + lams + ["--module", module]
+              for module in ("kac", "simple")
+              for lams in (["--lambda1=" + lam, "--lambda2=0,0,0"],
+                           ["--lambda1=1,0,0", "--lambda2=" + lam])]
+    for argv in argvs:
+        assert capture(argv) == (3, "", line), argv
 
 
 GOLDEN = {

@@ -12,7 +12,7 @@ import pytest
 
 from qgl import repmod
 from qgl import rootofunity as ru
-from qgl.errors import DomainError, NonDominant, NotHighestWeight
+from qgl.errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
 from qgl.linalg import Echelon, columns, mat_mul, nullspace, rank, rref
 from qgl.pbwcore import Algebra, Element
 from qgl.rootdata import (
@@ -147,6 +147,37 @@ def test_kac_dimension_grid():
     for lam in lams:
         mod = repmod.kac_module(alg, lam)
         assert mod.dim == 2 ** 2 * weyl_dim_even(alg.shape, lam), lam
+
+
+# dominant weights with every coordinate in [-b, b], b by shape: the sweep of
+# the characters read off weights alone
+CHARACTER_BOXES = {(1, 1): 3, (2, 1): 2, (1, 2): 2, (2, 2): 1, (3, 1): 1, (1, 3): 1}
+
+
+def dominant_box(shape):
+    sh, b = Shape(*shape), CHARACTER_BOXES[shape]
+    return [lam for lam in itertools.product(range(-b, b + 1), repeat=sh.rank)
+            if in_Xplus(sh, lam)]
+
+
+@pytest.mark.parametrize("shape", sorted(CHARACTER_BOXES), ids=str)
+def test_kac_character_matches_the_module(shape):
+    alg = Algebra(shape)
+    lams = dominant_box(shape)
+    assert len(lams) >= 30
+    for lam in lams:
+        char = repmod.kac_character(alg, lam)
+        assert char == repmod.kac_module(alg, lam).character(), lam
+        assert sum(char.values()) == repmod.kac_dimension_oracle(alg, lam), lam
+
+
+def test_kac_character_refuses_what_the_module_refuses():
+    alg = Algebra((2, 1))
+    for lam, err in (((0, 1, 0), NonDominant), ((0, 0), DomainError),
+                     ((128, 0, 0), ResourceLimit), ((-5000, -5000, 0), ResourceLimit)):
+        for build in (repmod.kac_character, repmod.kac_module):
+            with pytest.raises(err):
+                build(alg, lam)
 
 
 def test_kac_highest_vector():
@@ -614,12 +645,7 @@ def test_tensor_relations_and_character():
     t = repmod.tensor_module(a, b)
     assert t.dim == a.dim * b.dim
     assert t.verify() == []
-    conv = {}
-    for za, ma in a.character().items():
-        for zb, mb in b.character().items():
-            z = tuple(x + y for x, y in zip(za, zb))
-            conv[z] = conv.get(z, 0) + ma * mb
-    assert conv == t.character()
+    assert repmod.character_product(a.character(), b.character()) == t.character()
 
 
 def test_tensor_with_trivial_module():
