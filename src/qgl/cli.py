@@ -21,6 +21,7 @@ from .errors import DomainError, ExprSyntaxError, ResourceLimit, check_int_size
 from .expr import element_to_json, parse, parse_element, print_canonical, term_to_json
 from .rootdata import (
     Shape,
+    _check_order,
     frobenius_decompose,
     is_typical,
     p_factor,
@@ -171,19 +172,22 @@ def _cmd_kac(args, shape):
 
 def _character(alg, lam, kind, at_root=None):
     """The character of the Kac module of highest weight lam, read off its
-    weights, which do not depend on q; or of the simple module, over Q(q)
-    or at q = eta for the root order at_root."""
+    weights, which do not depend on q (a root order at_root is still
+    checked); or of the simple module, over Q(q) from the raising half of
+    the Kac module, or at q = eta for the root order at_root."""
     if kind == "kac":
         from .repmod import kac_character
 
+        if at_root is not None:
+            _check_order(at_root)
         return kac_character(alg, lam)
     if at_root is not None:
         from .rootofunity import simple_at_root
 
         return simple_at_root(alg, weight_to_z(alg.shape, lam), at_root).character()
-    from .repmod import kac_module, simple_head
+    from .repmod import simple_character
 
-    return simple_head(kac_module(alg, lam)).character()
+    return simple_character(alg, lam)
 
 
 def _cmd_simple(args, shape):

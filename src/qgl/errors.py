@@ -74,7 +74,8 @@ class ResourceLimit(DomainError):
     (rootdata._MAX_RANK), the rewrite-step ceiling of straightening
     (pbwcore._MAX_STEPS), the largest t of a torus bracket [K;c;t]
     (pbwcore._MAX_BRACKET), the largest n of a divided power X^(n)
-    (pbwcore._MAX_DIVIDED), the Kac dimension of a module's highest weight
+    (pbwcore._MAX_DIVIDED), the exponent of a power of a many-term element
+    (pbwcore._MAX_POWER), the Kac dimension of a module's highest weight
     (repmod._MAX_KAC_DIM), a root order (scalars._MAX_ROOT_ORDER), the
     q-degree of a power, a torus bracket shift or a highest weight
     (scalars._MAX_Q_DEGREE), the trial count of selftest (cli._MAX_TRIALS)

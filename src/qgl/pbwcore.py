@@ -70,6 +70,11 @@ _MAX_BRACKET = 8
 # integral coordinates of X^n: X^(200) prints 6.6 MB; the tests use
 # n <= 100 and the benchmark workloads n <= 3
 _MAX_DIVIDED = 200
+# largest n of a power x^n computed as n - 1 successive products, for an x
+# that is not a scalar times one atom: (E[1,2]+1)^200 takes 0.2 s and
+# (K[1]+K[2])^200 0.7 s; below the budget's own test the tests use n <= 14,
+# and the benchmark workloads take no such power
+_MAX_POWER = 200
 
 
 def _factorial(n):
@@ -213,11 +218,11 @@ class Element(LinearCombination):
         return self.alg.multiply(self, other)
 
     def __pow__(self, n):
-        """x^n as n successive products, the rule apply_hom uses for X^n.  A
-        scalar, or a scalar times one PBW atom, has the closed form
-        (c X^a)^n = c^n X^(a n), zero for an odd root vector and n >= 2,
-        which is what straightening that word returns; only c K^mu has
-        negative powers."""
+        """x^n as n successive products, the rule apply_hom uses for X^n, for
+        n up to _MAX_POWER.  A scalar, or a scalar times one PBW atom, has
+        the closed form (c X^a)^n = c^n X^(a n), zero for an odd root vector
+        and n >= 2, which is what straightening that word returns; only
+        c K^mu has negative powers."""
         alg = self.alg
         key = None
         if len(self.terms) == 1:
@@ -230,6 +235,9 @@ class Element(LinearCombination):
         check_q_degree(n * max((v.q_degree() for v in self.terms.values()), default=0),
                        "a power")
         if key is None:
+            if n > _MAX_POWER and self.terms:
+                raise ResourceLimit("power %d is over the budget of %d for an element that is "
+                                    "not a scalar times one atom" % (n, _MAX_POWER))
             out = self if n else alg.one()
             for _ in range(n - 1):
                 out = out * self

@@ -23,6 +23,8 @@ The simple head of a highest-weight module is its quotient by the radical
 of the contravariant form: the vectors that no raising word takes to the
 top.  ``simple_head`` finds it in one pass, one rref per weight space, for
 generic q and (raising with the divided powers E^(l) too) at q = eta.
+Over Q(q) that pass reads only the raising matrices, so
+``simple_character`` induces K(lam) with its E's alone.
 """
 
 import itertools
@@ -776,10 +778,13 @@ def _kac_weights(alg, l0_weights, labels):
     return [tuple(a + b for a, b in zip(l0_weights[w], shifts[d])) for d, w in labels]
 
 
-def _induced_module(l0, labels):
+def _induced_module(l0, labels, kinds):
     """K(lam) = Lambda_q(g_-1) (x) l0 on the basis F1^d (x) w, in the order of
-    labels, a list of every (d, w).  A simple generator acts through
-    ``_KacInduction``; its even parts act on l0, in whatever basis l0 has."""
+    labels, a list of every (d, w), storing the simple generators of the
+    given kinds: ("E", "F") for the whole module, ("E",) for the raising
+    half, all that a simple head over Q(q) reads.  A simple generator acts
+    through ``_KacInduction``; its even parts act on l0, in whatever basis
+    l0 has."""
     alg = l0.alg
     index = {lab: t for t, lab in enumerate(labels)}
     weights = _kac_weights(alg, l0.eps_weights, labels)
@@ -796,7 +801,7 @@ def _induced_module(l0, labels):
 
     mats = {}
     for i in range(1, alg.shape.rank):
-        for kind in ("E", "F"):
+        for kind in kinds:
             atom = (kind, i, i + 1, 1)
             mats[atom] = columns(
                 ((index[(fd, wp)], cidx, _times(coeff, val))
@@ -813,7 +818,7 @@ def kac_module(alg, lam):
     is built."""
     _check_kac_budget(alg, lam)
     l0 = simple_even_module(alg, lam)
-    return _induced_module(l0, _kac_labels(alg, l0.dim))
+    return _induced_module(l0, _kac_labels(alg, l0.dim), ("E", "F"))
 
 
 def kac_character(alg, lam):
@@ -825,6 +830,22 @@ def kac_character(alg, lam):
     _check_kac_budget(alg, lam)
     _, weights = _even_basis(alg.shape, tuple(lam))
     return _character(alg.shape, _kac_weights(alg, weights, _kac_labels(alg, len(weights))))
+
+
+def simple_character(alg, lam):
+    """The character of L(lam) over Q(q), simple_head(kac_module(alg,
+    lam)).character(), from the raising half of K(lam) alone.
+
+    The head's basis is the pivots of one forms pass that reads only the
+    raising matrices, and a character reads only the kept weights, so
+    K(lam) is induced with its simple E's and no F.  The checks, and their
+    order, are those of kac_module.  At q = eta both halves are still
+    built: ``rootofunity.specialize_kac`` evaluates the lowering matrices
+    at eta, where a pole shows that the basis is not integral.
+    """
+    _check_kac_budget(alg, lam)
+    l0 = simple_even_module(alg, lam)
+    return simple_head(_induced_module(l0, _kac_labels(alg, l0.dim), ("E",))).character()
 
 
 def divided_kac_module(alg, lam):
@@ -841,7 +862,7 @@ def divided_kac_module(alg, lam):
     l0, psis = rebase_to_divided_monomials(simple_even_module(alg, lam))
     labels = _kac_labels(alg, l0.dim)
     labels.sort(key=lambda dw: (sum(dw[0]) + sum(psis[dw[1]]), dw[0], psis[dw[1]]))
-    return _induced_module(l0, labels)
+    return _induced_module(l0, labels, ("E", "F"))
 
 
 def kac_dimension_oracle(alg, lam):

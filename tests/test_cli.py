@@ -182,6 +182,24 @@ def test_power_of_a_many_term_element_is_fast():
         "5f23ba1d8e3fc5a269f884ca94f84dcf0588d4062c44706d7cd9394cde26e787")
 
 
+def test_power_of_a_many_term_element_has_a_budget():
+    # (E[1,2]+1)^2000 took 20 s and ^3000 ran past 30 s; the exponent of a
+    # power computed as repeated products is checked before any product
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for expr in ("(E[1,2]+1)^3000", "(E[1,2]+1)^201", "(K[1]+K[2])^100000"):
+        proc = subprocess.run([sys.executable, "-m", "qgl.cli", "nf", "--shape", "2,1", expr],
+                              capture_output=True, text=True, timeout=10, env=env)
+        assert (proc.returncode, proc.stdout) == (3, ""), expr
+        assert proc.stderr.startswith("domain error: power ") and "budget of 200" in proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "qgl.cli", "nf", "--shape", "2,1",
+                           "(E[1,2]+1)^200"], capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0  # at the budget
+    assert len(json.loads(proc.stdout)["element"]["terms"]) == 201
+    # a scalar times one atom, and zero, have closed forms and no such budget
+    for expr in ("(2*K[1])^3000", "E[1,2]^3000", "(E[1,2]-E[1,2])^3000"):
+        assert capture(["nf", "--shape", "2,1", expr])[0] == 0, expr
+
+
 def test_high_divided_power_is_fast():
     # E^(100) divides by [100]!, a Laurent polynomial of 4951 coefficients
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -377,6 +395,8 @@ LAYERS = [
     (["tensor", "--shape", "1,1", "--lambda1", "1,0", "--lambda2", "0,0"], _MODULES),
     (["tensor", "--shape", "2,1", "--lambda1=1,0,0", "--lambda2=0,0,0", "--module", "simple"],
      _MODULES),
+    (["simple", "--shape", "2,1", "--lambda=1,0,0"], _MODULES),
+    (["char", "--shape", "2,1", "--lambda=1,0,0", "--module", "simple"], _MODULES),
     (["simple", "--shape", "2,1", "--lambda=1,0,0", "--at-root", "3"],
      _MODULES | {"rootofunity"}),
     (["specialize", "--shape", "1,1", "-l", "3", "E[1,2]"], _ELEMENTS | {"rootofunity"}),
@@ -522,8 +542,37 @@ def test_kac_refusals_keep_their_exit_and_message(lam, line):
               for module in ("kac", "simple")
               for lams in (["--lambda1=" + lam, "--lambda2=0,0,0"],
                            ["--lambda1=1,0,0", "--lambda2=" + lam])]
+    argvs += [["simple"] + sh + ["--lambda=" + lam],
+              ["char"] + sh + ["--lambda=" + lam, "--module", "simple"]]
     for argv in argvs:
         assert capture(argv) == (3, "", line), argv
+
+
+@pytest.mark.parametrize("shape", sorted(CHARACTER_BOXES), ids=str)
+def test_simple_commands_print_the_full_paths_bytes(shape, monkeypatch):
+    # simple characters over Q(q) induce only the raising half of K(lam); the
+    # whole module and its head must print the same bytes
+    argvs = []
+    for l1, l2 in _tensor_pairs(shape):
+        argvs += [["simple", "--shape", _csv(shape), "--lambda=" + _csv(l1)],
+                  ["char", "--shape", _csv(shape), "--lambda=" + _csv(l2), "--module", "simple"],
+                  ["tensor", "--shape", _csv(shape), "--lambda1=" + _csv(l1),
+                   "--lambda2=" + _csv(l2), "--module", "simple"]]
+    fast = [capture(argv) for argv in argvs]
+    monkeypatch.setattr(repmod, "simple_character",
+                        lambda alg, lam: repmod.simple_head(repmod.kac_module(alg, lam)).character())
+    for argv, got in zip(argvs, fast):
+        assert got[0] == 0 and got == capture(argv), argv
+
+
+@pytest.mark.parametrize("module", ["kac", "simple"])
+@pytest.mark.parametrize("order", ["4", "-7"])
+def test_char_checks_the_root_order_of_every_module(module, order):
+    # a Kac character does not depend on q, but its root order is still checked
+    code, out, err = capture(["char", "--shape", "2,1", "--lambda=1,0,0", "--module", module,
+                              "--at-root", order])
+    assert (code, out) == (3, "")
+    assert err == "domain error: root order must be an odd integer >= 3, got %s\n" % order
 
 
 GOLDEN = {

@@ -175,9 +175,73 @@ def test_kac_character_refuses_what_the_module_refuses():
     alg = Algebra((2, 1))
     for lam, err in (((0, 1, 0), NonDominant), ((0, 0), DomainError),
                      ((128, 0, 0), ResourceLimit), ((-5000, -5000, 0), ResourceLimit)):
-        for build in (repmod.kac_character, repmod.kac_module):
+        for build in (repmod.kac_character, repmod.simple_character, repmod.kac_module):
             with pytest.raises(err):
                 build(alg, lam)
+
+
+# -- simple characters from the raising half ----------------------------------
+
+
+def _typical_and_atypical_sample(shape, k):
+    """Up to k typical and k atypical dominant weights with every coordinate
+    in [-2, 2], each a fixed-seed sample of its kind."""
+    sh = Shape(*shape)
+    lams = [lam for lam in itertools.product(range(2, -3, -1), repeat=sh.rank)
+            if in_Xplus(sh, lam)]
+    rng = random.Random(7)
+    out = []
+    for typical in (True, False):
+        kind = [lam for lam in lams if is_typical(sh, lam) == typical]
+        assert kind, (shape, typical)
+        out += rng.sample(kind, min(k, len(kind)))
+    return out
+
+
+@pytest.mark.parametrize("shape", sorted(CHARACTER_BOXES), ids=str)
+def test_simple_character_matches_the_head(shape):
+    alg = Algebra(shape)
+    for lam in _typical_and_atypical_sample(shape, 20):
+        full = repmod.simple_head(repmod.kac_module(alg, lam)).character()
+        assert repmod.simple_character(alg, lam) == full, lam
+
+
+def test_simple_character_induces_no_lowering_matrix(monkeypatch):
+    # the kinds of the generators induced at the top level, not in the
+    # induction's own recursion, and the keys every induced module and
+    # simple head stores
+    seen = {"induced": set(), "stored": set()}
+    depth = [0]
+    induce = repmod._KacInduction.induce
+
+    def induce_recorded(self, atom, d):
+        if not depth[0]:
+            seen["induced"].add(atom[0])
+        depth[0] += 1
+        try:
+            return induce(self, atom, d)
+        finally:
+            depth[0] -= 1
+
+    def stored(build):
+        def recorded(*args):
+            mod = build(*args)
+            seen["stored"].update(key[0] for key in mod.mats)
+            return mod
+        return recorded
+
+    monkeypatch.setattr(repmod._KacInduction, "induce", induce_recorded)
+    monkeypatch.setattr(repmod, "_induced_module", stored(repmod._induced_module))
+    monkeypatch.setattr(repmod, "simple_head", stored(repmod.simple_head))
+    cases = [((2, 1), (2, 0, 0)), ((2, 2), (1, 0, 0, 0)), ((1, 3), (1, 1, 0, 0)),
+             ((3, 1), (2, 1, 0, 1))]
+    for shape, lam in cases:
+        repmod.simple_character(Algebra(shape), lam)
+    assert seen == {"induced": {"E"}, "stored": {"E"}}
+    # the full path would fail the same check
+    for shape, lam in cases:
+        repmod.simple_head(repmod.kac_module(Algebra(shape), lam))
+    assert seen == {"induced": {"E", "F"}, "stored": {"E", "F"}}
 
 
 def test_kac_highest_vector():
