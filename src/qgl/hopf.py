@@ -94,33 +94,20 @@ class Hopf:
 
     def __init__(self, alg):
         self.alg = alg
-        self._delta_gen = {}
 
     # -- generator images ----------------------------------------------------
 
     def delta_atom(self, atom):
-        """The coproduct of a simple generator or a torus atom, cached."""
-        alg = self.alg
-        hit = self._delta_gen.get(atom)
-        if hit is not None:
-            return hit
+        """The coproduct of a simple generator or a torus atom."""
+        alg, pair = self.alg, TensorElement.from_pair
         if atom[0] == "K":
             k = alg.k_mono(atom[1])
-            ((key, _),) = k.terms.items()
-            hit = TensorElement(alg, {(key, key): RF_ONE})
-        else:
-            kind, i, j, _ = atom
-            g = alg.gen(kind, i, j)
-            if kind == "E":
-                hit = TensorElement.from_pair(g, alg.k_alpha(i)) + TensorElement.from_pair(
-                    alg.one(), g
-                )
-            else:
-                hit = TensorElement.from_pair(g, alg.one()) + TensorElement.from_pair(
-                    alg.k_alpha(i, -1), g
-                )
-        self._delta_gen[atom] = hit
-        return hit
+            return pair(k, k)
+        kind, i, j, _ = atom
+        g = alg.gen(kind, i, j)
+        if kind == "E":
+            return pair(g, alg.k_alpha(i)) + pair(alg.one(), g)
+        return pair(g, alg.one()) + pair(alg.k_alpha(i, -1), g)
 
     def delta(self, elt):
         """The coproduct, a superalgebra map into the signed tensor square."""
@@ -128,10 +115,9 @@ class Hopf:
 
     def counit(self, elt):
         """The counit: kills E and F, sends every K-monomial to 1."""
-        u = self.alg.unit_monomial()
         acc = RF_ZERO
         for key, coeff in elt.terms.items():
-            if key._replace(k=u.k) == u:
+            if self.alg.is_torus(key):
                 acc = acc + coeff
         return acc
 

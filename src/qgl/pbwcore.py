@@ -77,6 +77,14 @@ _MAX_DIVIDED = 200
 _MAX_POWER = 200
 
 
+def _check_power(x, n):
+    """The budget of a power x^n computed as n products: n up to _MAX_POWER
+    unless x is zero, checked before any product."""
+    if n > _MAX_POWER and x:
+        raise ResourceLimit("power %d is over the budget of %d for an element that is "
+                            "not a scalar times one atom" % (n, _MAX_POWER))
+
+
 def _factorial(n):
     """[n]!, for n within the divided-power budget."""
     if n > _MAX_DIVIDED:
@@ -217,27 +225,29 @@ class Element(LinearCombination):
             return NotImplemented
         return self.alg.multiply(self, other)
 
-    def __pow__(self, n):
-        """x^n as n successive products, the rule apply_hom uses for X^n, for
-        n up to _MAX_POWER.  A scalar, or a scalar times one PBW atom, has
-        the closed form (c X^a)^n = c^n X^(a n), zero for an odd root vector
-        and n >= 2, which is what straightening that word returns; only
-        c K^mu has negative powers."""
-        alg = self.alg
-        key = None
+    def _one_atom(self):
+        """(c, key) when this is a scalar c times a monomial key of at most
+        one atom, else None."""
         if len(self.terms) == 1:
             ((key, c),) = self.terms.items()
-            if len(alg.mono_word(key)) > 1:
-                key = None
-        unit = alg.unit_monomial()
-        if n < 0 and (key is None or key._replace(k=unit.k) != unit):
+            if len(self.alg.mono_word(key)) <= 1:
+                return c, key
+        return None
+
+    def __pow__(self, n):
+        """x^n as n successive products, for n up to _MAX_POWER; apply_hom
+        takes the image of X^n by the same rule.  A scalar, or a scalar
+        times one PBW atom, has the closed form (c X^a)^n = c^n X^(a n),
+        zero for an odd root vector and n >= 2, which is what straightening
+        that word returns; only c K^mu has negative powers."""
+        alg = self.alg
+        c, key = self._one_atom() or (None, None)
+        if n < 0 and (key is None or not alg.is_torus(key)):
             raise DomainError("negative power of a non-invertible element")
         check_q_degree(n * max((v.q_degree() for v in self.terms.values()), default=0),
                        "a power")
         if key is None:
-            if n > _MAX_POWER and self.terms:
-                raise ResourceLimit("power %d is over the budget of %d for an element that is "
-                                    "not a scalar times one atom" % (n, _MAX_POWER))
+            _check_power(self, n)
             out = self if n else alg.one()
             for _ in range(n - 1):
                 out = out * self
@@ -484,6 +494,11 @@ class Algebra:
     def monomial_parity(self, key):
         return (sum(key.fd) + sum(key.ed)) % 2
 
+    def is_torus(self, key):
+        """Whether key is a torus monomial K^mu (the unit included)."""
+        u = self._unit
+        return key.fd == u.fd and key.fpsi == u.fpsi and key.epsi == u.epsi and key.ed == u.ed
+
     # -- straightening ------------------------------------------------------
 
     def _position(self, atom):
@@ -725,12 +740,53 @@ class Algebra:
     # -- products -----------------------------------------------------------
 
     def mono_product(self, k1, k2):
+        """The normal form of k1 k2 as {monomial: coefficient}, cached per
+        algebra; the caller must not change it.
+
+        Three kinds of product need no rewriting.  A product with the unit
+        is the other monomial.  A product with a torus monomial K^mu is one
+        q-power times the merged monomial: K^mu passes the F atoms of the
+        other factor (from the left) or its E atoms (from the right), each X^n
+        of root alpha by the KF or EK rule's q^{-n (mu, alpha)}, whose q-degree
+        is checked atom by atom in the order the rewrite meets them.  When
+        the last atom of k1 comes before the first of k2 in the PBW order,
+        the two words together are the product's.  Every other product
+        straightens the word of k1 followed by that of k2.
+        """
+        if k1 == self._unit:
+            return {k2: RF_ONE}
+        if k2 == self._unit:
+            return {k1: RF_ONE}
         key = (k1, k2)
         hit = self._prod_cache.get(key)
         if hit is None:
-            hit = self.straighten([(RF_ONE, self.mono_word(k1) + self.mono_word(k2))])
+            if self.is_torus(k1):
+                hit = self._torus_product(k1.k, k2, [a for a in self.mono_word(k2) if a[0] == "F"])
+            elif self.is_torus(k2):
+                word = self.mono_word(k1)
+                hit = self._torus_product(k2.k, k1, [a for a in reversed(word) if a[0] == "E"])
+            else:
+                w1, w2 = self.mono_word(k1), self.mono_word(k2)
+                if self._position(w1[-1]) < self._position(w2[0]):
+                    # no slot holds an atom of each: the blocks add
+                    hit = {PBWMonomial._make(tuple(a + b for a, b in zip(x, y))
+                                             for x, y in zip(k1, k2)): RF_ONE}
+                else:
+                    hit = self.straighten([(RF_ONE, w1 + w2)])
             self._prod_cache[key] = hit
         return hit
+
+    def _torus_product(self, mu, key, passed):
+        """K^mu times key, from either side, where K^mu passes the atoms
+        passed in that order: {key with its torus times K^mu: the q-power}."""
+        sh = self.shape
+        e = 0
+        for _, i, j, n in passed:
+            d = -n * bilinear_form(sh, mu, sh.root_weight(i, j))
+            check_q_degree(d, "a torus monomial passing a root vector")
+            e += d
+        merged = key._replace(k=tuple(a + b for a, b in zip(key.k, mu)))
+        return {merged: RatFunc.q_power(e)}
 
     def multiply(self, a, b):
         out = {}
@@ -772,30 +828,32 @@ class Algebra:
 
     # -- expansion into simple generators ------------------------------------
 
+    def _composite_step(self, kind, i, j):
+        """The defining recursion of a composite root vector, c = i + 1:
+        E_{ij} = E_{ic} E_{cj} - q_c^{-1} E_{cj} E_{ic} and
+        F_{ij} = -q_c F_{ic} F_{cj} + F_{cj} F_{ic}, as (coeff, word) pairs."""
+        c = i + 1
+        head, tail = (kind, i, c, 1), (kind, c, j, 1)
+        if kind == "E":
+            return [(RF_ONE, (head, tail)), (-self.qi(c, -1), (tail, head))]
+        return [(-self.qi(c, 1), (head, tail)), (RF_ONE, (tail, head))]
+
     def expand_composite(self, kind, i, j):
         """Words of simple generators equal to the composite root vector."""
         key = (kind, i, j)
         hit = self._comp_cache.get(key)
-        if hit is not None:
-            return hit
-        if j == i + 1:
-            hit = [(RF_ONE, ((kind, i, j, 1),))]
-        else:
-            c = i + 1
-            head = (kind, i, c, 1)
-            tails = self.expand_composite(kind, c, j)
-            out = []
-            for cf, w in tails:
-                if kind == "E":
-                    # E_{ij} = E_{ic} E_{cj} - q_c^{-1} E_{cj} E_{ic}
-                    out.append((cf, (head,) + w))
-                    out.append((cf * self.qi(c, -1) * -1, w + (head,)))
-                else:
-                    # F_{ij} = -q_c F_{ic} F_{cj} + F_{cj} F_{ic}
-                    out.append((cf * self.qi(c, 1) * -1, (head,) + w))
-                    out.append((cf, w + (head,)))
-            hit = out
-        self._comp_cache[key] = hit
+        if hit is None:
+            if j == i + 1:
+                hit = [(RF_ONE, ((kind, i, j, 1),))]
+            else:
+                hit = []
+                for cf, word in self._composite_step(kind, i, j):
+                    pieces = [(cf, ())]
+                    for atom in word:
+                        pieces = [(c1 * c2, w1 + w2) for c1, w1 in pieces
+                                  for c2, w2 in self.expand_composite(*atom[:3])]
+                    hit += pieces
+            self._comp_cache[key] = hit
         return hit
 
     def expand_monomial(self, key):
@@ -830,15 +888,34 @@ class Algebra:
 
         image(atom) returns a value in the target, a ring whose values
         multiply with each other and by a RatFunc; image(K^0) is its unit,
-        and on defaults to it.  Each atom of a monomial acts once from the
-        left: a composite root vector through ``expand_composite``, a power
-        X^n as n factors.  With anti=True the map is a graded
-        anti-homomorphism: the atoms act in the opposite order, with the
-        sign (-1)^{N(N-1)/2} for the monomial's N odd atoms.  scalar_map
-        maps every coefficient, the expansions' included.
+        and on defaults to it.  image is asked once per distinct atom and
+        call.  Each atom of a monomial acts once from the left, a power X^n
+        as n factors X.  Acting from the unit (no on), the image of a
+        composite root vector X_{ij} is built once per call, by its defining
+        recursion from the images of X_{i,i+1} and X_{i+1,j}, and then
+        multiplies like a simple generator's; the image of X^n follows
+        ``Element.__pow__``: a closed form when X's image is a scalar times
+        one atom, and otherwise n within _MAX_POWER, checked before any
+        product.  With on given (a module action) nothing is built ahead: a
+        composite acts through its words of simple generators
+        (``expand_composite``), and no power is bounded.  With anti=True the
+        map is a graded anti-homomorphism: the atoms act in the opposite
+        order, with the sign (-1)^{N(N-1)/2} for the monomial's N odd atoms.
+        scalar_map maps every coefficient, the expansions' included.
         """
-        if on is None:
-            on = image(("K", (0,) * self.shape.rank))
+        images = {}
+
+        def atom_image(atom):
+            """The image of a simple generator or a torus atom, or, acting
+            from the unit, of a composite root vector."""
+            x = images.get(atom)
+            if x is None:
+                if atom[0] == "K" or atom[2] == atom[1] + 1:
+                    x = image(atom)
+                else:
+                    x = total(self._composite_step(*atom[:3]), on)
+                images[atom] = x
+            return x
 
         def total(pairs, val):
             """The sum of c * (word acting on val) over (c, word) pairs."""
@@ -853,23 +930,37 @@ class Algebra:
         def act(word, val):
             for atom in word if anti else reversed(word):
                 if atom[0] == "K":
-                    val = image(atom) * val
+                    val = atom_image(atom) * val
                     continue
                 kind, i, j, n = atom
+                if from_unit and n > 1:
+                    x = atom_image((kind, i, j, 1))
+                    if isinstance(x, Element) and x._one_atom():
+                        val = x**n * val
+                        continue
+                    _check_power(x, n)
                 for _ in range(n):
-                    if j == i + 1:
-                        val = image((kind, i, j, 1)) * val
+                    if from_unit or j == i + 1:
+                        val = atom_image((kind, i, j, 1)) * val
                     else:
                         val = total(self.expand_composite(kind, i, j), val)
             return val
 
+        from_unit = on is None
+        if from_unit:
+            on = atom_image(("K", (0,) * self.shape.rank))
         pairs = []
         for key, coeff in elt.terms.items():
             odd = sum(key.fd) + sum(key.ed)
             if anti and (odd * (odd - 1) // 2) % 2:
                 coeff = -coeff
             pairs.append((coeff, self.mono_word(key)))
-        return total(pairs, on)
+        try:
+            return total(pairs, on)
+        finally:
+            # the three closures call each other: a reference cycle that would
+            # keep images and on alive until the garbage collector ran
+            atom_image = total = act = None
 
     # -- integral form ------------------------------------------------------
 

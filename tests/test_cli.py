@@ -282,6 +282,91 @@ def test_bad_sizes_exit_cleanly_and_fast(argv):
 # integers that become q-exponents, over scalars._MAX_Q_DEGREE: each took
 # from 0.5 s (lambda = 3000) to past 200 s (lambda = 100000) before the budget,
 # and moving K^(10^6, 0) past a root vector took 0.4 s and 64 MB
+def test_composite_coproduct_powers_are_fast():
+    # the coproduct of a composite root vector is built once, from those of
+    # the two shorter ones, and then multiplies like a generator's; acting
+    # word by word through its simple-generator words took 20.5 s on the
+    # first argv here and 3.1 s on each power (stdout SHA-256 taken then);
+    # the first two timeouts are under that, the third guards against a hang
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for argv, timeout, digest in [
+        (["delta", "--shape", "9,1", "E[1,10]"], 2,
+         "55281480719f92faa2a3d4e82839b38c25176e3be832c368a781c3e5d0aea6a0"),
+        (["delta", "--shape", "4,1", "E[1,4]^10"], 2,
+         "5d24cef6d70cb9eba7fff68fec5dcb8177a806aaa963731361a498089dad28e7"),
+        (["delta", "--shape", "3,1", "E[1,3]^20"], 10,
+         "6d00075bd76318899b8abb8ee03ddf569036b71bcf8620f9175133292e3414e7"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "qgl.cli"] + argv,
+                              capture_output=True, timeout=timeout, env=env)
+        assert proc.returncode == 0, argv
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
+
+
+MAP_POWERS_OVER_BUDGET = [
+    # the image of X^n is n products when X's image is not a scalar times one
+    # atom, so n is held to the budget of 200; each exited 0 before, or ran
+    # past a 40 s timeout (delta ^201 and ^100000, braid -i 2 ^201 and
+    # ^3000), or exited 3 at q-degree 1002 after 3.2 s (antipode ^3000)
+    ["delta", "--shape", "2,1", "E[1,2]^100000"],
+    ["delta", "--shape", "2,1", "E[1,2]^201"],
+    ["antipode", "--shape", "2,1", "E[1,2]^201"],
+    ["antipode", "--shape", "2,1", "F[1,2]^201"],
+    ["antipode", "--shape", "2,1", "E[1,2]^3000"],
+    ["braid", "--shape", "3,1", "-i", "1", "E[1,2]^201"],
+    ["braid", "--shape", "3,1", "-i", "2", "E[1,2]^201"],
+    ["braid", "--shape", "3,1", "-i", "2", "E[1,2]^3000"],
+]
+
+
+@pytest.mark.parametrize("argv", MAP_POWERS_OVER_BUDGET, ids=_argv_ids(MAP_POWERS_OVER_BUDGET))
+def test_map_powers_over_the_budget_exit_cleanly(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "qgl.cli"] + argv,
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    n = argv[-1].split("^")[1]
+    assert proc.stderr == ("domain error: power %s is over the budget of 200 for an element "
+                           "that is not a scalar times one atom\n" % n)
+
+
+def test_map_powers_within_the_budget_are_answered():
+    # at the budget the bytes are those n factors printed when they were
+    # applied word by word (stdout SHA-256 taken then); a closed-form image
+    # has no budget (T_1 fixes E[3,4] of gl(4|1): 2.4 s as 100000 products,
+    # 0.04 s in closed form)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    for argv, digest in [
+        (["antipode", "--shape", "2,1", "E[1,2]^200"],
+         "f924b9b11e9666f9741fb86f002483dfbbcd7e9e0b44d6e778cd3efa346accde"),
+        (["antipode", "--shape", "2,1", "F[1,2]^200"],
+         "441d275477a85e4413e784618e28384fc5ab3aed10fa2ee7916786984dfaf582"),
+        (["braid", "--shape", "3,1", "-i", "1", "E[1,2]^200"],
+         "a88c960917ce68881530e6da413fb8ad4ccab519c043c0d1f3598411a1f447c9"),
+        (["braid", "--shape", "4,1", "-i", "1", "E[3,4]^100000"],
+         "9be516f9ca859d55477a82dde0d0fda4674c3eb14f0fc05a770e8957eaaaea41"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "qgl.cli"] + argv,
+                              capture_output=True, timeout=5, env=env)
+        assert proc.returncode == 0, argv
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
+
+
+def test_torus_products_keep_their_q_degree_message():
+    # K^mu times a monomial is a closed form; it stops at the first atom
+    # over the budget in the rewrite's order, with the line straightening
+    # gave: from the right the last E first, from the left the first F
+    for shape, expr, degree in [
+        ("1,1", "E[1,2]*K[1]^1000000", 1000000),
+        ("1,1", "K[1]^1000000*F[1,2]", 1000000),
+        ("2,1", "E[1,2]^2*E[1,3]*K[1]^1001", 1001),
+        ("2,1", "K[1]^1001*(F[1,3]*F[1,2]^2)", 1001),
+    ]:
+        assert capture(["nf", "--shape", shape, expr]) == (
+            3, "", "domain error: a torus monomial passing a root vector has q-degree %d, "
+            "over the budget of 1000\n" % degree), expr
+
+
 Q_DEGREE_PROBES = [
     ["kac", "--shape", "1,1", "--lambda=100000,0"],
     ["kac", "--shape", "1,1", "--lambda=3000,0"],

@@ -1,6 +1,7 @@
 """Hopf superalgebra layer: coproduct, counit, antipode, and the
 triangularity of coproducts of raising-operator words."""
 
+import collections
 import itertools
 import operator
 import random
@@ -8,10 +9,11 @@ import time
 
 import pytest
 
-from qgl import relations
+from qgl import relations, repmod
 from qgl.braid import braid_t, braid_t_inv
 from qgl.hopf import Hopf, TensorElement, TensorSquareView
-from qgl.pbwcore import Algebra, Element
+from qgl.linalg import columns, mat_mul
+from qgl.pbwcore import Algebra, Element, PBWMonomial
 from qgl.scalars import RF_ONE, RF_ZERO, RatFunc
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
@@ -197,6 +199,122 @@ def test_composite_powers_under_every_generator_map():
         assert op(alg, 1, power) == fourteenth(op(alg, 1, x), alg.one()), op.__name__
     assert power.psi() == fourteenth(x.psi(), alg.one())
     assert time.perf_counter() - start < 10
+
+
+# -- one image per atom -------------------------------------------------------
+
+
+def _random_monomials(alg, rng, count):
+    """Monomials of up to three root-vector atoms, composite ones and powers
+    X^2 of even ones among them, and a torus part in [-1,1]^rank."""
+    u = alg.unit_monomial()
+    slots = [(f, x) for f in (0, 1, 3, 4) for x in range(len(u[f]))]
+    out = []
+    for _ in range(count):
+        blocks = [list(b) for b in u]
+        for f, x in rng.sample(slots, 3):
+            blocks[f][x] = 1 if f in (0, 4) else rng.randint(1, 2)
+        blocks[2] = [rng.randint(-1, 1) for _ in u.k]
+        out.append(PBWMonomial._make(map(tuple, blocks)))
+    return out
+
+
+def _atom_element(alg, atom):
+    return alg.k_mono(atom[1]) if atom[0] == "K" else alg.gen(*atom[:3])
+
+
+def _word_by_word(alg, f, key, anti, bar):
+    """f of a monomial from f of each simple generator of each word of
+    ``expand_monomial``: the reference the generator-map extension must
+    reproduce (a graded anti-map reverses the words, with the super sign
+    of their odd generators; bar maps every coefficient)."""
+    acc = None
+    for c, word in alg.expand_monomial(key):
+        odd = sum(1 for a in word if a[0] != "K" and alg.shape.parity(a[1], a[2]))
+        if anti and (odd * (odd - 1) // 2) % 2:
+            c = -c
+        val = f(alg.one())
+        for atom in reversed(word) if anti else word:
+            val = val * f(_atom_element(alg, atom))
+        val = val * (c.bar() if bar else c)
+        acc = val if acc is None else acc + val
+    return acc
+
+
+@pytest.fixture
+def image_calls(monkeypatch):
+    """The atoms each apply_hom call asks its image for, one Counter a call."""
+    calls = []
+    real = Algebra.apply_hom
+
+    def spy(self, elt, image, **kw):
+        seen = collections.Counter()
+        calls.append(seen)
+
+        def counted(atom):
+            seen[atom] += 1
+            return image(atom)
+
+        return real(self, elt, counted, **kw)
+
+    monkeypatch.setattr(Algebra, "apply_hom", spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (2, 2), (1, 3)])
+def test_generator_maps_ask_each_image_once_and_match_the_words(shape, image_calls):
+    alg = Algebra(shape)
+    h = Hopf(alg)
+    node = next(i for i in range(1, alg.shape.rank) if i != alg.shape.m)
+    maps = [
+        ("delta", h.delta, False, False),
+        ("antipode", h.antipode, True, False),
+        ("braid", lambda x: braid_t(alg, node, x), False, False),
+        ("braid_inv", lambda x: braid_t_inv(alg, node, x), False, False),
+        ("psi", Element.psi, True, True),
+    ]
+    rng = random.Random(23)
+    keys = _random_monomials(alg, rng, 6)
+    assert any(a[0] != "K" and a[2] > a[1] + 1 for key in keys for a in alg.mono_word(key))
+    assert any(a[0] != "K" and a[3] > 1 for key in keys for a in alg.mono_word(key))
+    for name, f, anti, bar in maps:
+        for key in keys:
+            coeff = RatFunc.q_power(rng.randint(-2, 2)) + rng.randint(1, 3)
+            elt = Element(alg, {key: coeff})
+            del image_calls[:]
+            got = f(elt)
+            asked = image_calls[0]
+            assert max(asked.values()) == 1, (name, key, asked)
+            assert all(a[0] == "K" or (a[2] == a[1] + 1 and a[3] == 1) for a in asked), asked
+            want = _word_by_word(alg, f, key, anti, bar) * (coeff.bar() if bar else coeff)
+            assert got == want, (name, key)
+
+
+def test_module_actions_ask_each_image_once_and_match_the_words(image_calls):
+    # K(1,0,0,0) of gl(3|1), dimension 24, has the composite even root
+    # vectors E[1,3] and F[1,3]; an action goes word by word on its columns
+    alg = Algebra((3, 1))
+    mod = repmod.kac_module(alg, (1, 0, 0, 0))
+
+    def matrix(atom):
+        if atom[0] == "K":
+            return [[(r, mod.q_weight(atom[1], wt))] for r, wt in enumerate(mod.eps_weights)]
+        return mod.matrix_of_atom(atom)
+
+    for key in _random_monomials(alg, random.Random(5), 8):
+        want = []
+        for c, word in alg.expand_monomial(key):
+            cols = mod.identity()
+            for atom in reversed(word):
+                cols = mat_mul(matrix(atom), cols)
+            want += [(r, col, x * c) for col, entries in enumerate(cols) for r, x in entries]
+        del image_calls[:]
+        got = mod.act_element(Element(alg, {key: RF_ONE}), mod.identity())
+        assert max(image_calls[0].values(), default=1) == 1, key
+        assert got == columns(want, mod.dim), key
+    # a module power has no power budget: X^n acts as n factors
+    for x in (alg.gen("E", 1, 3), alg.gen("F", 1, 2)):
+        assert not any(mod.act_element(x ** 300, mod.identity()))
 
 
 # -- divided-power coproducts -----------------------------------------------

@@ -329,6 +329,75 @@ def test_crossing_pairs_satisfy_the_defining_identities(shape):
         assert lhs == rhs, (i, (s, t), a, b)
 
 
+def _block_box(alg):
+    """Every monomial whose five blocks are each zero or one fixed pattern
+    (odd exponents 1, even ones 1 and 2, torus (1, 0, ..., -1))."""
+    u = alg.unit_monomial()
+    full = (
+        (1,) * len(u.fd),
+        tuple(1 + x % 2 for x in range(len(u.fpsi))),
+        (1,) + (0,) * (len(u.k) - 2) + (-1,),
+        tuple(2 - x % 2 for x in range(len(u.epsi))),
+        (1,) * len(u.ed),
+    )
+    for mask in itertools.product((False, True), repeat=5):
+        yield PBWMonomial(*(f if on else z for f, z, on in zip(full, u, mask)))
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES)
+def test_products_that_need_no_rewriting_match_straightening(shape, monkeypatch):
+    # the unit and every K^mu, mu in [-2,2]^rank, times every monomial of
+    # the box on either side, and every two monomials of the box whose words
+    # follow each other in the reference order: the closed forms of
+    # mono_product against a plain straightening of the two words, on an
+    # algebra that never straightens
+    ref, alg = Algebra(shape), Algebra(shape)
+    unit = ref.unit_monomial()
+    box = list(_block_box(ref))
+    tori = [unit._replace(k=mu) for mu in itertools.product(range(-2, 3), repeat=ref.shape.rank)]
+    pairs = [p for key in box for t in tori for p in ((t, key), (key, t))]
+    ordered = [(a, b) for a in box for b in box if a != unit != b
+               and not _ref_reducible(ref.shape, ref.mono_word(a)[-1], ref.mono_word(b)[0])]
+    assert len(ordered) >= 20
+    pairs += ordered
+    want = [ref.straighten([(RF_ONE, ref.mono_word(a) + ref.mono_word(b))]) for a, b in pairs]
+
+    def no_straightening(*args):
+        raise AssertionError("a closed-form product straightened")
+
+    monkeypatch.setattr(alg, "_straighten", no_straightening)
+    for (a, b), w in zip(pairs, want):
+        assert alg.mono_product(a, b) == w, (a, b)
+
+
+def test_torus_products_check_the_q_degree_atom_by_atom():
+    # K^mu passes each atom under the budget while the total q-power is
+    # over it, or one atom over the budget: the closed form raises exactly
+    # when and with the message that straightening does
+    alg = Algebra((2, 1))
+    unit = alg.unit_monomial()
+    box = list(_block_box(alg)) + [unit._replace(epsi=(3,), ed=(1, 1))]
+    raised = []
+    for mu in [(400, 0, 0), (0, 400, 0), (0, 0, 600), (1001, 0, 0), (0, 0, -1001), (700, -300, 0)]:
+        t = unit._replace(k=mu)
+        for key in box:
+            for a, b in ((t, key), (key, t)):
+                try:
+                    want = alg.straighten([(RF_ONE, alg.mono_word(a) + alg.mono_word(b))])
+                except ResourceLimit as e:
+                    with pytest.raises(ResourceLimit) as got:
+                        Algebra((2, 1)).mono_product(a, b)
+                    assert str(got.value) == str(e), (a, b)
+                    raised.append(mu)
+                else:
+                    assert Algebra((2, 1)).mono_product(a, b) == want, (a, b)
+    assert (1001, 0, 0) in raised
+    # K^(400,0,0) passes E[1,3] and E[1,2]^2 at q-degrees 400 and 800
+    key = unit._replace(epsi=(2,), ed=(1, 1))
+    t = unit._replace(k=(400, 0, 0))
+    assert alg.mono_product(key, t) == {key._replace(k=t.k): RatFunc.q_power(-1200)}
+
+
 def test_nested_pair_resolutions_share_the_step_budget(monkeypatch):
     # E_1 F[2,4]F[2,3]F[1,4]F[1,3] on gl(2|2) takes 9 rewrite steps at the
     # top level and 41 inside the crossing-pair resolutions it opens, no
