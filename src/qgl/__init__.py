@@ -5,7 +5,7 @@ Subpackages:
     scalars     -- exact scalar tower: Z[q,q^-1], Q(q), Q(eta)
     rootdata    -- root/weight combinatorics of gl(m,n)
     pbwcore     -- PBW elements and straightening multiplication
-    relations   -- the defining-relation catalog, run through any map
+    relations   -- the defining-relation catalog that selftest runs
     expr        -- expression parser / canonical printer
     hopf        -- coproduct, counit, antipode, signed tensor square
     braid       -- braid-group operators on even simple roots

@@ -10,8 +10,7 @@ automorphism acting on generators by
     T_i(K_mu) = K_{s_i mu}   (s_i swaps entries i, i+1)
 
 T_i is even (no super sign) and commutes with the E/F exchange map.
-Composite root vectors are reproduced by chains of braid operators that
-avoid the odd node.
+T_i and T_i^{-1} act through ``Algebra.apply_hom``, one image per generator atom.
 """
 
 from .errors import BraidAtOddNode
@@ -71,33 +70,3 @@ def braid_t(alg, i, elt):
 def braid_t_inv(alg, i, elt):
     """Apply T_i^{-1} to an element."""
     return _apply_braid(alg, i, elt, True)
-
-
-def root_vector_via_braid(alg, kind, i, j):
-    """Rebuild the composite root vector X_{ij} from a simple generator.
-
-    Uses the chain
-        X_{ij} = (-1)^{j-i-1} T_i ... T_{k-1} Tinv_{j-1} ... Tinv_{k+1} X_{k,k+1}
-    where k is chosen so every braid index avoids the odd node m.
-    """
-    sh = alg.shape
-    sh.check_pair(i, j)
-    k = sh.m if i <= sh.m < j else i
-    out = alg.gen(kind, k, k + 1)
-    for t in range(k + 1, j):
-        out = braid_t_inv(alg, t, out)
-    for t in range(k - 1, i - 1, -1):
-        out = braid_t(alg, t, out)
-    if (j - i - 1) % 2:
-        out = -out
-    return out
-
-
-def BraidView(alg, i, inverse=False):
-    """The algebra seen through T_i or T_i^{-1} (see ``relations.MappedView``)."""
-    # the catalog is loaded only where a relation check runs
-    from .relations import MappedView
-
-    _check_even_node(alg.shape, i)
-    op = braid_t_inv if inverse else braid_t
-    return MappedView(alg, lambda elt: op(alg, i, elt))

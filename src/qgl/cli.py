@@ -373,7 +373,8 @@ def _build_parser():
     sp.add_argument("expr")
     sp.add_argument("-l", type=int, required=True)
     sp = add("smallgroup", _cmd_smallgroup, help="small quantum group dimensions")
-    sp.add_argument("--counts", action="store_true")
+    sp.add_argument("--counts", action="store_true",
+                    help="accepted and ignored: the counts are always printed")
     sp.add_argument("-l", type=int, required=True)
     add("classical-check", _cmd_classical_check, help="q -> 1 Serre presentation check")
     sp = add("decompose-z", _cmd_decompose_z, help="restricted/Frobenius weight split")

@@ -57,10 +57,6 @@ class NonDominant(DomainError):
     """Weight is not dominant for the two gl blocks."""
 
 
-class OutOfRestrictedRange(DomainError):
-    """z-weight is outside the restricted range for the given root order l."""
-
-
 class NotHighestWeight(DomainError):
     """Operation requires a module generated by its top weight vector."""
 

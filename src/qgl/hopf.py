@@ -14,7 +14,7 @@ with the antipode extended as the graded anti-homomorphism
 S(xy) = (-1)^{par x * par y} S(y) S(x).
 """
 
-from .pbwcore import Element, LinearCombination, add_term
+from .pbwcore import LinearCombination, add_term
 from .scalars import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -66,25 +66,6 @@ class TensorElement(LinearCombination):
                         add_term(out, (k1, k2), coeff * v1 * v2)
         return TensorElement(alg, out)
 
-    def map_slot(self, f, slot):
-        """Apply a linear map (Element -> Element) to one tensor slot."""
-        alg = self.alg
-        out = {}
-        for (a, b), c in self.terms.items():
-            src = a if slot == 0 else b
-            img = f(Element(alg, {src: RF_ONE}))
-            for k, v in img.terms.items():
-                add_term(out, (k, b) if slot == 0 else (a, k), c * v)
-        return TensorElement(alg, out)
-
-    def multiply_out(self):
-        """The image under multiplication m(a (x) b) = ab."""
-        alg = self.alg
-        acc = alg.zero()
-        for (a, b), c in self.terms.items():
-            acc = acc + Element(alg, {a: c}) * Element(alg, {b: RF_ONE})
-        return acc
-
     def __repr__(self):
         return "TensorElement(%d terms)" % len(self.terms)
 
@@ -134,26 +115,3 @@ class Hopf:
             return -(alg.k_alpha(i) * alg.gen("F", i, j))
 
         return alg.apply_hom(elt, image, anti=True)
-
-    # -- derived maps ----------------------------------------------------------
-
-    def delta_slot(self, te, slot):
-        """Apply delta to one slot of a tensor element: a map into U^(x)3.
-
-        Returns {(k1, k2, k3): coeff}.
-        """
-        out = {}
-        for (a, b), c in te.terms.items():
-            src = a if slot == 0 else b
-            img = self.delta(Element(self.alg, {src: RF_ONE}))
-            for (x, y), v in img.terms.items():
-                add_term(out, (x, y, b) if slot == 0 else (a, x, y), c * v)
-        return out
-
-
-def TensorSquareView(hopf):
-    """The algebra seen through the coproduct (see ``relations.MappedView``)."""
-    # the catalog is loaded only where a relation check runs
-    from .relations import MappedView
-
-    return MappedView(hopf.alg, hopf.delta)

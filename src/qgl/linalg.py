@@ -94,10 +94,6 @@ def rref(rows):
     return ech.rows, ech.pivots
 
 
-def rank(rows):
-    return len(Echelon(rows).pivots)
-
-
 def nullspace(rows, ncols, one):
     """Basis of the right kernel of the matrix with ncols columns, one
     vector per free column."""

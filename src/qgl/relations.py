@@ -2,17 +2,11 @@
 
 Each function returns a list of (name, element) pairs.  The catalog only
 asks its algebra argument for shape, qi, gen, k_mono, k_alpha, one and
-zero, and only does ring arithmetic on the values.  ``MappedView(alg, f)``
-answers those questions with f applied to the algebra's own values, so
-running the catalog on it checks that f respects the presentation.  The
-catalog is used four ways:
-
-* directly on an ``Algebra`` (the relation suite and ``selftest``);
-* through the coproduct (``hopf.TensorSquareView``);
-* through a braid operator T_i or T_i^-1 (``braid.BraidView``);
-* through a module's action map, as matrix identities
-  (``repmod.WeightModule.verify``), which adds and multiplies the
-  module's operators on ``linalg``'s sparse columns (``repmod._Matrix``).
+zero, and only does ring arithmetic on the values, so it runs on anything
+that answers those questions.  ``selftest`` runs it on an ``Algebra``; the
+tests also run it through the coproduct, a braid operator and a module's
+action map (``tests/views.py``), which checks that each map respects the
+presentation.
 
 Sign conventions: the super bracket is [x, y] = xy - (-1)^{par x par y} yx,
 and the mixed E/F bracket relation uses this reading (the only case where
@@ -21,33 +15,6 @@ readings assert plain commutation).
 """
 
 from .scalars import RF_ONE
-
-
-class MappedView:
-    """The algebra interface of alg with every value sent through f."""
-
-    def __init__(self, alg, f):
-        self._alg = alg
-        self._f = f
-        self.shape = alg.shape
-
-    def qi(self, i, power=1):
-        return self._alg.qi(i, power)
-
-    def gen(self, kind, i, j):
-        return self._f(self._alg.gen(kind, i, j))
-
-    def k_mono(self, mu):
-        return self._f(self._alg.k_mono(mu))
-
-    def k_alpha(self, i, exp=1):
-        return self._f(self._alg.k_alpha(i, exp))
-
-    def one(self):
-        return self._f(self._alg.one())
-
-    def zero(self):
-        return self._f(self._alg.zero())
 
 
 def _qq(alg, i):
@@ -272,23 +239,10 @@ def extra_serre_relations(alg):
     return out
 
 
-def prop_presentation(alg):
-    """The full defining presentation: every element must straighten to 0."""
-    out = []
-    out += odd_square_relations(alg)
-    out += supercommute_relations(alg)
-    out += scalar_swap_relations(alg)
-    out += composite_relations(alg)
-    out += torus_relations(alg)
-    out += weight_relations(alg)
-    out += mixed_relations(alg)
-    return out
-
-
 def all_relations(alg):
-    """Presentation plus the higher Serre and overlap identities."""
-    out = prop_presentation(alg)
-    out += serre_relations(alg)
-    out += extra_serre_relations(alg)
-    out += overlap_relations(alg)
-    return out
+    """The full defining presentation, then the higher Serre and overlap
+    identities: every element must straighten to 0."""
+    families = (odd_square_relations, supercommute_relations, scalar_swap_relations,
+                composite_relations, torus_relations, weight_relations, mixed_relations,
+                serre_relations, extra_serre_relations, overlap_relations)
+    return [rel for family in families for rel in family(alg)]

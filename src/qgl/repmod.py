@@ -152,54 +152,12 @@ class WeightModule:
             {k[1] for k in self.mats if k[0] == "E" and k[2] == k[1] + 1 and k[3] == 1}
         )
 
-    def _action(self, elt):
-        """The action matrix of an element as a ring value, or _ABSENT when
-        it needs a simple generator the module stores no matrix for."""
-        nodes = set(self.nodes())
-        for mono in elt.terms:
-            if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2]))
-                   for a in self.alg.mono_word(mono)):
-                return _ABSENT
-        return self.alg.apply_hom(elt, self._image, on=_Matrix(self, self.identity()))
-
-    def verify(self):
-        """Check the module against the relation catalog; returns defects.
-
-        Every relation of ``relations.all_relations`` must act as the zero
-        matrix; those that use a generator the module stores no matrix for
-        (the odd node of an even module) are skipped.  Weight and parity
-        compatibility of the stored simple generators are checked directly:
-        K eigenvalues cannot separate weights at q = eta, and parity is not
-        a relation.
-        """
-        # the catalog is loaded only where a relation check runs
-        from .relations import MappedView, all_relations
-
-        sh = self.alg.shape
-        defects = []
-        for i in self.nodes():
-            pi = 1 if i == sh.m else 0
-            for kind in ("E", "F"):
-                key = (kind, i, i + 1, 1)
-                shift = _key_shift(key, sh.rank)
-                for c, col in enumerate(self.matrix_of_atom(key)):
-                    for r, _ in col:
-                        want = tuple(a + b for a, b in zip(self.eps_weights[c], shift))
-                        if self.eps_weights[r] != want:
-                            defects.append("weight:%s%d" % (kind, i))
-                        if (self.parities[r] - self.parities[c] - pi) % 2:
-                            defects.append("parity:%s%d" % (kind, i))
-        for name, rel in all_relations(MappedView(self.alg, self._action)):
-            if rel is not _ABSENT and not rel.is_zero():
-                defects.append(name)
-        return defects
-
 
 class _Matrix:
     """A module operator on ``linalg``'s sparse columns, the value that
-    ``apply_hom`` and the relation catalog compute with: the product is
-    ``mat_mul``, sums go through ``columns``, and a RatFunc scales through
-    the module's field."""
+    ``apply_hom`` computes with (and the relation catalog, when tests run it
+    on a module): the product is ``mat_mul``, sums go through ``columns``,
+    and a RatFunc scales through the module's field."""
 
     __slots__ = ("mod", "cols")
 
@@ -234,20 +192,6 @@ class _Matrix:
 
     def is_zero(self):
         return not any(self.cols)
-
-
-class _Absent:
-    """Absorbs every ring operation: a relation that touches a missing
-    generator evaluates to _ABSENT and is skipped."""
-
-    def _absorb(self, *args):
-        return self
-
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _absorb
-    scale = _absorb
-
-
-_ABSENT = _Absent()
 
 
 # -- submodules and quotients -----------------------------------------------
@@ -948,14 +892,6 @@ def tensor_module(m1, m2):
     return WeightModule(alg, m1.field, weights, parities, mats, top=top)
 
 
-def trivial_module(alg):
-    mats = {}
-    for i in range(1, alg.shape.rank):
-        mats[("E", i, i + 1, 1)] = [[]]
-        mats[("F", i, i + 1, 1)] = [[]]
-    return WeightModule(alg, GENERIC_FIELD, [tuple([0] * alg.shape.rank)], [0], mats, top=0)
-
-
 def rebase_to_divided_monomials(mod):
     """Re-coordinatize a generic highest-weight module of the even part on
     the lattice basis of divided lowering monomials F0^(psi) v0.
@@ -1010,12 +946,3 @@ def rebase_to_divided_monomials(mod):
     parities = [mod.parities[col[0][0]] for col in cols]
     return WeightModule(alg, GENERIC_FIELD, weights, parities, new_mats, top=0), psis
 
-
-# -- typicality through module structure ------------------------------------
-
-
-def kac_is_simple(alg, lam):
-    """True iff the Kac module has no proper singular vector (generic q)."""
-    mod = kac_module(alg, lam)
-    head = simple_head(mod)
-    return head.dim == mod.dim

@@ -12,8 +12,6 @@ coordinates z_i = lambda_i - (-1)^{delta_im} lambda_{i+1},
 z_{m+n} = lambda_{m+n}.
 """
 
-from math import comb
-
 from .errors import BadRootOrder, DomainError, IndexOutOfShape, ResourceLimit
 
 # The largest rank m + n of a shape, checked before the O((m+n)^2) index
@@ -96,14 +94,6 @@ class Shape:
         w[i - 1] += 1
         w[j - 1] -= 1
         return tuple(w)
-
-    def alpha(self, i):
-        """Simple root alpha_i = eps_i - eps_{i+1} (i < m+n); eps_{m+n} for i = m+n."""
-        if i == self.rank:
-            w = [0] * self.rank
-            w[self.rank - 1] = 1
-            return tuple(w)
-        return self.root_weight(i, i + 1)
 
     def k_alpha_vector(self, i):
         """Exponent vector of K_{alpha_i} in terms of K_1..K_{m+n}.
@@ -291,10 +281,3 @@ def weyl_dim_even(shape, lam):
         out *= num // den
     return out
 
-
-def sizes(shape):
-    """|I0| and |I1| with the combinatorial cross-check."""
-    n0, n1 = len(shape.I0), len(shape.I1)
-    assert n0 == comb(shape.m, 2) + comb(shape.n, 2)
-    assert n1 == shape.m * shape.n
-    return n0, n1

@@ -1,23 +1,20 @@
 """Specializations of the quantum supergroup: q -> eta (a primitive odd
 root of unity) and q -> 1.
 
-Covers: specialization of integral elements and of weight modules, literal
-enumeration of the small quantum (super)group bases, restricted simple
-modules with their divided-power maximal-vector conditions, character
-factorization through the Frobenius-type splitting of weights, and the
-classical-limit check of the Serre presentation.
+Covers: specialization of integral elements and of weight modules, the
+closed-form dimension counts of the small quantum (super)group, the Kac
+module at eta on its divided-monomial basis and the simple module at eta as
+its simple head (for any z with a dominant weight), and the classical-limit
+check of the Serre presentation.  The structure checks that tests run on
+these modules (restricted structure, Frobenius factorization, centrality of
+K^l) live beside those tests, in ``tests/structure_checks.py``.
 
 ``repmod`` is imported inside the functions that build modules, so that
 specializing an element or counting small-group bases loads no module code.
 """
 
-from .errors import DomainError, OutOfRestrictedRange
-from .rootdata import (
-    _check_order,
-    frobenius_decompose,
-    in_Xplus,
-    z_to_weight,
-)
+from .errors import DomainError
+from .rootdata import _check_order, in_Xplus, z_to_weight
 from .scalars import cyclo_field, evaluate_at_root
 
 
@@ -108,22 +105,6 @@ def specialize_kac(alg, lam, l):
     return specialize_module(mod, l)
 
 
-def restricted_simple(alg, z, l):
-    """The simple module of restricted highest weight z at q = eta.
-
-    z must lie in [0, l)^{m+n}; the module is the simple head of the
-    specialized Kac module, with maximality meaning killed by all raising
-    operators and by the divided powers E^{(l)} of the even simple roots.
-    """
-    _check_order(l)
-    z = tuple(int(x) for x in z)
-    if len(z) != alg.shape.rank:
-        raise DomainError("z length does not match shape")
-    if not all(0 <= x < l for x in z):
-        raise OutOfRestrictedRange("z must lie in [0, %d)^%d" % (l, alg.shape.rank))
-    return simple_at_root(alg, z, l)
-
-
 def simple_at_root(alg, z, l):
     """The simple head of the specialized Kac module for any z with
     dominant associated weight (not necessarily restricted)."""
@@ -135,107 +116,6 @@ def simple_at_root(alg, z, l):
         raise DomainError("z has no dominant associated weight")
     mod = specialize_kac(alg, lam, l)
     return repmod.simple_head(mod)
-
-
-# -- restricted-weight structure checks --------------------------------------
-
-
-def restricted_checks(alg, z, l):
-    """Structure of the restricted simple module at eta.
-
-    Returns booleans:
-      divided_f_kills_top   F^{(l)} of every even simple root kills the
-                            highest vector
-      maximal_line_unique   the joint kernel of all raising operators and
-                            even divided powers E^{(l)} is one line
-      small_group_generates the module is simple under the simple
-                            (non-divided) generators, among the submodules
-                            spanned by weight vectors: the top generates it,
-                            and the simple head of its simple action keeps
-                            every dimension, so a simple E-word takes every
-                            nonzero weight vector to the top.  At eta the K's
-                            need not separate weights, so this says nothing
-                            of submodules not spanned by weight vectors.
-    """
-    from . import repmod
-
-    mod = restricted_simple(alg, z, l)
-    out = {}
-    out["divided_f_kills_top"] = not any(
-        mod.mats[key][mod.top] for key in mod.action_keys() if key[0] == "DF")
-    sing = repmod.singular_vectors(mod, skip_top=False)
-    out["maximal_line_unique"] = len(sing) == 1
-    simple = {k: m for k, m in mod.mats.items() if k[0] in ("E", "F") and k[3] == 1}
-    small = repmod.WeightModule(alg, mod.field, mod.eps_weights, mod.parities, simple,
-                                top=mod.top)
-    out["small_group_generates"] = (
-        len(repmod.submodule_closure(small, [[(mod.top, mod.field.one)]])) == mod.dim
-        and repmod.simple_head(small).dim == mod.dim)
-    out["dim"] = mod.dim
-    return out
-
-
-# -- character factorization at a root of unity ------------------------------
-
-
-def frobenius_character_check(alg, z, l):
-    """Does char L(z) = char(L(z') (x) L(l z'')) at q = eta?
-
-    z' + l z'' is the restricted splitting of z.  Returns a report dict.
-    """
-    from . import repmod
-
-    _check_order(l)
-    z = tuple(int(x) for x in z)
-    zp, zpp = frobenius_decompose(alg.shape, z, l)
-    whole = simple_at_root(alg, z, l)
-    part_r = simple_at_root(alg, zp, l)
-    part_f = simple_at_root(alg, tuple(l * x for x in zpp), l)
-    lhs = whole.character()
-    rhs = repmod.character_product(part_r.character(), part_f.character())
-    return {
-        "z": z,
-        "z_restricted": zp,
-        "z_frobenius": zpp,
-        "dim": whole.dim,
-        "factor_dims": (part_r.dim, part_f.dim),
-        "match": lhs == rhs,
-    }
-
-
-def frobenius_vanishing_check(alg, zpp, l):
-    """On L(l z''), every simple E and F acts as zero and every K_{alpha}
-    acts as the identity (the Frobenius-twist degeneracy)."""
-    _check_order(l)
-    mod = simple_at_root(alg, tuple(l * int(x) for x in zpp), l)
-    ok_ef = not any(any(mod.matrix_of_atom((kind, i, i + 1, 1)))
-                    for i in range(1, alg.shape.rank) for kind in ("E", "F"))
-    one = mod.field.one
-    ok_k = all(
-        mod.q_weight(alg.shape.k_alpha_vector(i), wt) == one
-        for i in range(1, alg.shape.rank)
-        for wt in mod.eps_weights
-    )
-    return {"dim": mod.dim, "ef_vanish": ok_ef, "k_identity": ok_k}
-
-
-# -- centrality of K^l at eta ------------------------------------------------
-
-
-def k_power_central_at_root(alg, l):
-    """K_{alpha_i}^l commutes with every generator after specialization."""
-    _check_order(l)
-    for i in range(1, alg.shape.rank):
-        kl = alg.k_alpha(i, l)
-        kl_inv = alg.k_alpha(i, -l)
-        for j in range(1, alg.shape.rank):
-            for kind in ("E", "F"):
-                g = alg.gen(kind, j, j + 1)
-                diff = kl * g - g * kl
-                coords = specialize_element(alg, diff * kl_inv, l)
-                if coords:
-                    return False
-    return True
 
 
 # -- classical limit q -> 1 --------------------------------------------------

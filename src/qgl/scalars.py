@@ -7,9 +7,8 @@ Three levels:
     CycloNum   -- the cyclotomic field Q(eta), eta a primitive l-th
                   root of unity (l odd, >= 3), realized as Q[q]/Phi_l.
 
-Plus the q-combinatorics used everywhere: symmetric Gaussian integers
-[n], Gaussian factorials and binomials, and the bracket scalar
-(the eigenvalue of the torus bracket element on a weight vector).
+Plus the q-combinatorics of divided powers and of the Gelfand-Tsetlin
+formulas: symmetric Gaussian integers [n] and Gaussian factorials [n]!.
 
 All three share one polynomial core over the integers: dense tuples of
 Python ints.  A RatFunc is a coprime pair num/den of integer polynomials
@@ -241,11 +240,6 @@ class RatFunc:
         if k >= 0:
             return cls((0,) * k + _ONE_POLY)
         return cls(_ONE_POLY, (0,) * (-k) + _ONE_POLY)
-
-    @classmethod
-    def from_laurent(cls, lp):
-        """The plain RatFunc on the tuples of the LaurentInt lp."""
-        return RatFunc(lp.num, lp.den)
 
     def is_zero(self):
         return not self.num
@@ -492,41 +486,6 @@ def gauss_factorial(n):
     return LaurentInt({2 * i - shift: c for i, c in enumerate(cs)})
 
 
-def gauss_binomial(m, n):
-    """Gaussian binomial [m choose n]; zero when n > m or n < 0 (convention)."""
-    if n < 0 or n > m:
-        return LaurentInt({})
-    n = min(n, m - n)
-    num = RatFunc.from_int(1)
-    for k in range(n):
-        num = num * gauss_int(m - k)
-    quo = num / gauss_factorial(n)
-    out = quo.as_laurent_int()
-    if out is None:
-        raise ArithmeticError("Gaussian binomial failed to be integral")
-    return out
-
-
-def kbracket_scalar(zval, c, t):
-    """Eigenvalue of the bracket element [K;c;t] on a vector of K-exponent zval.
-
-    Product over s = 1..t of
-        (q_i^(zval+c-s+1) - q_i^-(zval+c-s+1)) / (q_i^s - q_i^-s),
-    which equals the Gaussian binomial [zval+c choose t] at q_i.  Each
-    factor is a ratio of q-integers, so the value is the same at q_i = q
-    and q_i = q^-1.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    out = RF_ONE
-    for s in range(1, t + 1):
-        a = zval + c - s + 1
-        num = RatFunc.q_power(a) - RatFunc.q_power(-a)
-        den = RatFunc.q_power(s) - RatFunc.q_power(-s)
-        out = out * (num / den)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -627,12 +586,6 @@ class CycloNum:
     def from_int(cls, n, order):
         _check_order(order)
         return cls._make((n,) if n else (), 1, order)
-
-    @classmethod
-    def eta_power(cls, k, order):
-        _check_order(order)
-        k %= order
-        return cls._make((0,) * k + _ONE_POLY, 1, order)
 
     def is_zero(self):
         return not self.res

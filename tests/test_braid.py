@@ -4,9 +4,11 @@ E/F exchange, braid-group relations, and composite root vector chains."""
 import pytest
 
 from qgl import relations
-from qgl.braid import BraidView, braid_t, braid_t_inv, root_vector_via_braid
+from qgl.braid import braid_t, braid_t_inv
 from qgl.errors import BraidAtOddNode
 from qgl.pbwcore import Algebra
+
+from views import BraidView, root_vector_via_braid
 
 
 def gen_list(alg, with_k=True):

@@ -156,6 +156,16 @@ def test_smallgroup_of_large_order_is_fast():
     assert json.loads(proc.stdout)["counts"]["upper"] == 99 ** 6 * 2 ** 9
 
 
+def test_smallgroup_counts_flag_changes_nothing():
+    # --counts is parsed and never read: the counts are always printed
+    for argv in (["smallgroup", "--shape", "1,1", "-l", "3"],
+                 ["smallgroup", "--shape", "2,2", "-l", "5", "--emit", "text"]):
+        plain = capture(argv)
+        assert plain[0] == 0 and json.loads(plain[1])["counts"]
+        assert capture(argv[:1] + ["--counts"] + argv[1:]) == plain
+        assert capture(argv + ["--counts"]) == plain
+
+
 def test_antipode_of_a_composite_power_is_fast():
     # S acts on E[1,3]^14 one factor E[1,3] at a time; through the 2^14
     # simple-generator words of the power it took 148 s
@@ -474,7 +484,11 @@ LAYERS = [
     (["nf", "--shape", "2,1", "E[1,2]*F[1,2]"], _ELEMENTS),
     (["mul", "--shape", "1,1", "E[1,2]", "F[1,2]"], _ELEMENTS),
     (["delta", "--shape", "1,1", "E[1,2]"], _ELEMENTS | {"hopf"}),
+    (["antipode", "--shape", "1,1", "E[1,2]"], _ELEMENTS | {"hopf"}),
+    (["counit", "--shape", "1,1", "E[1,2]"], _ELEMENTS | {"hopf"}),
+    (["omega", "--shape", "1,1", "E[1,2]"], _ELEMENTS),
     (["braid", "--shape", "2,1", "-i", "1", "E[2,3]"], _ELEMENTS | {"braid"}),
+    (["braid", "--shape", "2,1", "-i", "1", "--inverse", "E[2,3]"], _ELEMENTS | {"braid"}),
     (["selftest", "--shape", "1,1", "--trials", "2"], _ELEMENTS | {"relations"}),
     (["kac", "--shape", "2,1", "--lambda=1,0,0"], _MODULES),
     (["tensor", "--shape", "1,1", "--lambda1", "1,0", "--lambda2", "0,0"], _MODULES),
@@ -484,7 +498,11 @@ LAYERS = [
     (["char", "--shape", "2,1", "--lambda=1,0,0", "--module", "simple"], _MODULES),
     (["simple", "--shape", "2,1", "--lambda=1,0,0", "--at-root", "3"],
      _MODULES | {"rootofunity"}),
+    # the Kac character does not depend on q: the root order is only checked
+    (["char", "--shape", "2,1", "--lambda=1,0,0", "--module", "kac", "--at-root", "3"],
+     _MODULES),
     (["specialize", "--shape", "1,1", "-l", "3", "E[1,2]"], _ELEMENTS | {"rootofunity"}),
+    (["classical-check", "--shape", "1,1"], _ELEMENTS | {"rootofunity"}),
     (["smallgroup", "--shape", "1,1", "-l", "3"], _ROOT | {"scalars", "rootofunity"}),
 ]
 

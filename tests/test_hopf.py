@@ -11,10 +11,13 @@ import pytest
 
 from qgl import relations, repmod
 from qgl.braid import braid_t, braid_t_inv
-from qgl.hopf import Hopf, TensorElement, TensorSquareView
+from qgl.hopf import Hopf, TensorElement
 from qgl.linalg import columns, mat_mul
 from qgl.pbwcore import Algebra, Element, PBWMonomial
 from qgl.scalars import RF_ONE, RF_ZERO, RatFunc
+
+from scalar_oracles import gauss_binomial
+from views import TensorSquareView, delta_slot, map_slot, multiply_out
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -128,14 +131,14 @@ def test_coassociativity(shape):
     h = Hopf(alg)
     for g in simple_gens(alg):
         d = h.delta(g)
-        assert h.delta_slot(d, 0) == h.delta_slot(d, 1)
+        assert delta_slot(h, d, 0) == delta_slot(h, d, 1)
     # also on a few products
     rng = random.Random(3)
     gens = simple_gens(alg)
     for _ in range(8):
         x = rng.choice(gens) * rng.choice(gens)
         d = h.delta(x)
-        assert h.delta_slot(d, 0) == h.delta_slot(d, 1)
+        assert delta_slot(h, d, 0) == delta_slot(h, d, 1)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1)])
@@ -158,8 +161,8 @@ def test_antipode_axiom(shape):
     for g in simple_gens(alg):
         want = alg.one().scale(h.counit(g))
         d = h.delta(g)
-        assert d.map_slot(h.antipode, 0).multiply_out() == want
-        assert d.map_slot(h.antipode, 1).multiply_out() == want
+        assert multiply_out(map_slot(d, h.antipode, 0)) == want
+        assert multiply_out(map_slot(d, h.antipode, 1)) == want
 
 
 def test_antipode_graded_anti_homomorphism():
@@ -324,7 +327,6 @@ def test_module_actions_ask_each_image_once_and_match_the_words(image_calls):
 def test_divided_power_coproducts(shape):
     alg = Algebra(shape)
     h = Hopf(alg)
-    from qgl.scalars import gauss_binomial
 
     for i in range(1, alg.shape.rank):
         if i == alg.shape.m:

@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used there."""
+"""Source hygiene: every name a module of the package imports is used there,
+every private definition is used in its module, and every public one is
+named somewhere in the package or the benchmark."""
 
 import ast
 import collections
@@ -6,12 +8,18 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "qgl")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "qgl")
+BENCH = os.path.join(ROOT, "bench")
+
+
+def _parse(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
 
 
 def _unused_imports(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
+    tree = _parse(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -43,18 +51,23 @@ def _references(tree):
     return refs
 
 
+def _definitions(tree):
+    """(qualified name, node) of the module's top-level functions and classes
+    and of the methods of its classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defs = [(node.name, node) for node in tree.body if isinstance(node, kinds)]
+    return defs + [("%s.%s" % (cls.name, node.name), node) for _, cls in defs
+                   if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, kinds)]
+
+
 def _unused_private_definitions(path):
     """Private functions, classes and methods (not dunders) of the module that
     nothing else in it names."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defs = [node for node in tree.body if isinstance(node, kinds)]
-    defs += [node for cls in defs if isinstance(cls, ast.ClassDef)
-             for node in cls.body if isinstance(node, kinds)]
+    tree = _parse(path)
     everywhere = _references(tree)
     return sorted(
-        "%s (line %d)" % (node.name, node.lineno) for node in defs
+        "%s (line %d)" % (node.name, node.lineno) for _, node in _definitions(tree)
         if node.name.startswith("_") and not node.name.endswith("__")
         # uses inside its own body (recursion) do not count
         and everywhere[node.name] == _references(node)[node.name]
@@ -64,3 +77,35 @@ def _unused_private_definitions(path):
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(SRC) if f.endswith(".py")))
 def test_every_private_definition_is_used(name):
     assert _unused_private_definitions(os.path.join(SRC, name)) == []
+
+
+# Public definitions that nothing in the package or the benchmark names,
+# each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    # the grading of an element, beside parity: the tests check products by it
+    "pbwcore.Element.weight",
+}
+
+
+def _unreferenced_public_definitions():
+    """Public functions, classes and methods of the package that no module of
+    it names outside the definition's own body and no file of bench names."""
+    trees = {f[:-3]: _parse(os.path.join(SRC, f))
+             for f in sorted(os.listdir(SRC)) if f.endswith(".py")}
+    everywhere, bench = collections.Counter(), collections.Counter()
+    for tree in trees.values():
+        everywhere.update(_references(tree))
+    for f in os.listdir(BENCH):
+        if f.endswith(".py"):
+            bench.update(_references(_parse(os.path.join(BENCH, f))))
+    return sorted(
+        "%s.%s" % (mod, qual) for mod, tree in trees.items() for qual, node in _definitions(tree)
+        if not node.name.startswith("_")
+        and everywhere[node.name] == _references(node)[node.name] and not bench[node.name]
+    )
+
+
+def test_every_public_definition_is_used():
+    # a definition that only tests call belongs beside those tests, in tests/;
+    # an allowlist entry that something now names, or that is gone, is stale
+    assert _unreferenced_public_definitions() == sorted(UNREFERENCED_ALLOWED)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgl.linalg import Echelon, columns, in_span, mat_mul, nullspace, rank, rref
+from qgl.linalg import Echelon, columns, in_span, mat_mul, nullspace, rref
 from qgl.scalars import CycloNum, RatFunc
 
 
@@ -199,7 +199,7 @@ def test_rref_and_rank_match_the_column_sweep(draw, zero, one):
         for row in red:
             _assert_sparse(row, ncols)
         assert ([_dense(row, ncols, zero) for row in red], pivots) == want
-        assert rank(rows) == len(want[0])
+        assert len(pivots) == len(want[0])  # the rank
         if rows:
             seen_ranks.add((len(want[0]) == len(rows), len(want[0]) == ncols))
     assert seen_ranks >= {(True, True), (False, False), (True, False), (False, True)}

@@ -1,6 +1,8 @@
 """Root/weight combinatorics: index sets, bilinear form, Cartan data,
 coordinate changes, typicality, and the restricted-range decomposition."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,6 @@ from qgl.rootdata import (
     in_Zplus,
     is_typical,
     p_factor,
-    sizes,
     weight_to_z,
     weyl_dim_even,
     z_to_weight,
@@ -44,8 +45,8 @@ def test_index_sets():
     assert sh.I0 == ((1, 2), (3, 4))
     assert sh.I1 == ((1, 3), (1, 4), (2, 3), (2, 4))
     for sh in SHAPES:
-        n0, n1 = sizes(sh)
-        assert n0 == len(sh.I0) and n1 == len(sh.I1)
+        assert len(sh.I0) == comb(sh.m, 2) + comb(sh.n, 2)
+        assert len(sh.I1) == sh.m * sh.n
         assert all(not sh.is_odd_pair(i, j) for (i, j) in sh.I0)
         assert all(sh.is_odd_pair(i, j) for (i, j) in sh.I1)
 
@@ -80,7 +81,7 @@ def test_cartan_matches_bilinear_form():
     for sh in SHAPES:
         for i in range(1, sh.rank + 1):
             for j in range(1, sh.rank):
-                lhs = bilinear_form(sh, sh.alpha(i), sh.alpha(j))
+                lhs = bilinear_form(sh, sh.k_alpha_vector(i), sh.k_alpha_vector(j))
                 assert lhs == sh.eps_sign(i) * sh.cartan_entry(i, j), (sh, i, j)
 
 

@@ -8,12 +8,16 @@ import time
 import pytest
 
 from qgl import repmod, rootofunity as ru
-from qgl.errors import BadRootOrder, DenominatorVanishes, OutOfRestrictedRange
+from qgl.errors import BadRootOrder, DenominatorVanishes
 from qgl.pbwcore import Algebra
 from qgl.rootdata import Shape, frobenius_decompose, in_Xplus, is_typical, z_to_weight
 from qgl.scalars import CycloNum, RatFunc, evaluate_at_root, gauss_int
 
 from kac_oracle import rebased_kac_module, specialized_kac_reference
+from structure_checks import (
+    frobenius_character_check, frobenius_vanishing_check, k_power_central_at_root, restricted_checks,
+)
+from views import verify_module
 
 
 # -- element specialization --------------------------------------------------
@@ -29,13 +33,13 @@ def test_specialize_integer_element_unchanged():
 def test_gauss_l_vanishes_at_root():
     alg = Algebra((1, 1))
     for l in (3, 5, 7):
-        el = alg.one().scale(RatFunc.from_laurent(gauss_int(l)))
+        el = alg.one().scale(gauss_int(l))
         assert ru.specialize_element(alg, el, l) == {}
 
 
 def test_k_power_central_at_root():
     for shape in [(1, 1), (2, 1)]:
-        assert ru.k_power_central_at_root(Algebra(shape), 3)
+        assert k_power_central_at_root(Algebra(shape), 3)
 
 
 def test_bad_orders_rejected():
@@ -74,21 +78,15 @@ def test_small_group_counts_gl11_l3():
 
 def test_restricted_simple_gl11():
     alg = Algebra((1, 1))
-    assert ru.restricted_simple(alg, (1, 0), 3).dim == 2
-    assert ru.restricted_simple(alg, (0, 0), 3).dim == 1
-
-
-def test_restricted_range_enforced():
-    alg = Algebra((1, 1))
-    with pytest.raises(OutOfRestrictedRange):
-        ru.restricted_simple(alg, (3, 0), 3)
+    assert ru.simple_at_root(alg, (1, 0), 3).dim == 2
+    assert ru.simple_at_root(alg, (0, 0), 3).dim == 1
 
 
 def test_specialized_module_satisfies_relations():
     alg = Algebra((2, 1))
-    mod = ru.restricted_simple(alg, (2, 1, 0), 3)
+    mod = ru.simple_at_root(alg, (2, 1, 0), 3)
     assert mod.l == 3
-    assert mod.verify() == []
+    assert verify_module(mod) == []
 
 
 def test_specialized_kac_stores_only_simple_and_divided_matrices():
@@ -142,7 +140,7 @@ def test_specialize_kac_matches_the_whole_module_rebase():
 @pytest.mark.parametrize("z", [(1, 1, 1), (2, 1, 0), (1, 2, 2)])
 def test_restricted_structure_gl21(z):
     alg = Algebra((2, 1))
-    r = ru.restricted_checks(alg, z, 3)
+    r = restricted_checks(alg, z, 3)
     assert r["divided_f_kills_top"], z
     assert r["maximal_line_unique"], z
     assert r["small_group_generates"], z
@@ -163,7 +161,7 @@ def test_restricted_structure_sweep(shape):
     for l in orders:
         for z in itertools.product(range(l), repeat=alg.shape.rank):
             assert in_Xplus(alg.shape, z_to_weight(alg.shape, z)), z
-            r = ru.restricted_checks(alg, z, l)
+            r = restricted_checks(alg, z, l)
             assert r["divided_f_kills_top"], (l, z)
             assert r["maximal_line_unique"], (l, z)
             assert r["small_group_generates"], (l, z)
@@ -178,7 +176,7 @@ def test_restricted_structure_sweep(shape):
 @pytest.mark.parametrize("z", [(4, 0, 0), (5, 1, 0), (4, 2, 1)])
 def test_frobenius_character_factorization_gl21(z):
     alg = Algebra((2, 1))
-    r = ru.frobenius_character_check(alg, z, 3)
+    r = frobenius_character_check(alg, z, 3)
     assert r["z_frobenius"] != (0, 0, 0)
     assert r["match"], z
 
@@ -196,7 +194,7 @@ def test_frobenius_character_factorization_sweep(shape):
     for z in itertools.product(range(7), repeat=3):
         _, zpp = frobenius_decompose(alg.shape, z, 3)
         if any(zpp) and in_Xplus(alg.shape, z_to_weight(alg.shape, z)):
-            assert ru.frobenius_character_check(alg, z, 3)["match"], z
+            assert frobenius_character_check(alg, z, 3)["match"], z
             checked += 1
     assert checked == 196
     assert time.perf_counter() - start < 60
@@ -204,7 +202,7 @@ def test_frobenius_character_factorization_sweep(shape):
 
 def test_frobenius_vanishing():
     alg = Algebra((2, 1))
-    r = ru.frobenius_vanishing_check(alg, (1, 0, 0), 3)
+    r = frobenius_vanishing_check(alg, (1, 0, 0), 3)
     assert r["ef_vanish"] and r["k_identity"]
 
 

@@ -56,7 +56,7 @@ class VermaOracle:
         for w, c in vec.items():
             wt = list(self.lam)
             for a in w:
-                al = self.sh.alpha(a)
+                al = self.sh.k_alpha_vector(a)
                 wt = [x - y for x, y in zip(wt, al)]
             out[w] = c * RatFunc.q_power(bilinear_form(self.sh, mu, tuple(wt)))
         return out
@@ -65,7 +65,7 @@ class VermaOracle:
         sh = self.sh
         m = sh.m
         den = (self.alg.qi(i, 1) - self.alg.qi(i, -1)).inverse()
-        A = bilinear_form(sh, self.lam, sh.alpha(i))
+        A = bilinear_form(sh, self.lam, sh.k_alpha_vector(i))
         out = {}
         for w, c in vec.items():
             for s, letter in enumerate(w):
@@ -74,7 +74,7 @@ class VermaOracle:
                 odd_before = sum(1 for a in w[:s] if a == m)
                 sgn = -1 if (i == m and odd_before % 2) else 1
                 B = sum(
-                    bilinear_form(sh, sh.alpha(i), sh.alpha(a)) for a in w[s + 1:]
+                    bilinear_form(sh, sh.k_alpha_vector(i), sh.k_alpha_vector(a)) for a in w[s + 1:]
                 )
                 coeff = (RatFunc.q_power(A - B) - RatFunc.q_power(B - A)) * den
                 self._add(out, w[:s] + w[s + 1:], c * coeff * sgn)
