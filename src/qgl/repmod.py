@@ -28,6 +28,8 @@ Over Q(q) that pass reads only the raising matrices, so
 """
 
 import itertools
+from fractions import Fraction
+from math import prod
 
 from .errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
 from .linalg import Echelon, columns, mat_mul, nullspace, rref
@@ -44,6 +46,8 @@ from .scalars import (
     RF_Q,
     RatFunc,
     check_q_degree,
+    cyclo_field,
+    exact_quotient,
     gauss_factorial,
     gauss_int,
 )
@@ -118,8 +122,8 @@ class WeightModule:
             raise DomainError(
                 "divided-power matrices must be built generically before specialization"
             )
-        inv = gauss_factorial(n).inverse()
-        m = self.mats[key] = [[(r, x * inv) for r, x in col]
+        fact = gauss_factorial(n)
+        m = self.mats[key] = [[(r, exact_quotient(x, fact)) for r, x in col]
                               for col in self.matrix_of_atom((kind, i, j, n))]
         return m
 
@@ -390,17 +394,29 @@ def _gt_weight(pattern):
     return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
-def _even_basis(sh, lam):
-    """The Gelfand-Tsetlin patterns of L0(lam), one list per block, and the
-    eps-weights of its basis, the pattern pairs (a, b) in the order of a,
-    then b.  Raises for a weight of the wrong length, one that is not
-    dominant for the even part or over the q-degree budget, and when the
-    patterns disagree with the Weyl formula."""
+def _check_even_weight(sh, lam):
+    """Raise for a weight of the wrong length, one that is not dominant for
+    the even part, and one over the q-degree budget, in that order."""
     if len(lam) != sh.rank:
         raise DomainError("weight length does not match shape")
     if not in_Xplus(sh, lam):
         raise NonDominant("weight %r is not dominant for the even part" % (lam,))
     check_q_degree(max(abs(x) for x in lam), "the highest weight %r" % (lam,))
+
+
+def check_kac_weight(alg, lam):
+    """Every check that kac_module makes on lam before it builds anything,
+    in its order: the Kac dimension budget, then _check_even_weight."""
+    _check_kac_budget(alg, lam)
+    _check_even_weight(alg.shape, tuple(lam))
+
+
+def _even_basis(sh, lam):
+    """The Gelfand-Tsetlin patterns of L0(lam), one list per block, and the
+    eps-weights of its basis, the pattern pairs (a, b) in the order of a,
+    then b.  Raises as _check_even_weight does, and when the patterns
+    disagree with the Weyl formula."""
+    _check_even_weight(sh, lam)
     blocks = [_gt_patterns(lam[:sh.m]), _gt_patterns(lam[sh.m:])]
     weights = [_gt_weight(a) + _gt_weight(b) for a in blocks[0] for b in blocks[1]]
     if len(weights) != weyl_dim_even(sh, lam):
@@ -441,6 +457,30 @@ def _gt_action(patterns, k, kind, ratio):
     return out
 
 
+def _gt_module(alg, lam, ratio):
+    """L0(lam) on pairs of Gelfand-Tsetlin patterns, for a linear-factor
+    product ratio(num, den) (``_gt_action``): the eps-weights of the basis,
+    the matrices of E_i and F_i of every even node i, keyed (kind, i), and
+    the index of the top."""
+    sh = alg.shape
+    blocks, weights = _even_basis(sh, lam)
+    dim = len(weights)
+    n2 = len(blocks[1])  # basis vector (a, b) of the two blocks is a * n2 + b
+    mats = {}
+    for blk, offset in ((0, 0), (1, sh.m)):
+        pats = blocks[blk]
+        others = range(len(blocks[1 - blk]))
+        cell = (lambda a, o: a * n2 + o) if blk == 0 else (lambda a, o: o * n2 + a)
+        for k in range(1, len(pats[0])):
+            for kind in ("E", "F"):
+                mats[(kind, offset + k)] = columns(
+                    ((cell(tgt, o), cell(src, o), c)
+                     for tgt, src, c in _gt_action(pats, k, kind, ratio) for o in others), dim)
+    tops = [tuple(part[:k] for k in range(1, len(part) + 1))
+            for part in (lam[:sh.m], lam[sh.m:])]
+    return weights, mats, blocks[0].index(tops[0]) * n2 + blocks[1].index(tops[1])
+
+
 def simple_even_module(alg, lam):
     """L0(lam) = L(lam_1..m) (x) L(lam_m+1..m+n), the simple gl(m) x gl(n)
     module, built on pairs of q-Gelfand-Tsetlin patterns (Molev,
@@ -451,10 +491,6 @@ def simple_even_module(alg, lam):
     acts as zero on L0 and gets no matrix.  The dimension is checked
     against the Weyl formula.
     """
-    sh = alg.shape
-    lam = tuple(lam)
-    blocks, weights = _even_basis(sh, lam)
-    dim = len(weights)
     ratios = {}  # this call's prod [num] / prod [den], by sorted factors
 
     def ratio(num, den):
@@ -469,21 +505,37 @@ def simple_even_module(alg, lam):
             hit = ratios[key] = a / b
         return hit
 
-    n2 = len(blocks[1])  # basis vector (a, b) of the two blocks is a * n2 + b
-    mats = {}
-    for blk, offset in ((0, 0), (1, sh.m)):
-        pats = blocks[blk]
-        others = range(len(blocks[1 - blk]))
-        cell = (lambda a, o: a * n2 + o) if blk == 0 else (lambda a, o: o * n2 + a)
-        for k in range(1, len(pats[0])):
-            for kind in ("E", "F"):
-                mats[(kind, offset + k, offset + k + 1, 1)] = columns(
-                    ((cell(tgt, o), cell(src, o), c)
-                     for tgt, src, c in _gt_action(pats, k, kind, ratio) for o in others), dim)
-    tops = [tuple(part[:k] for k in range(1, len(part) + 1))
-            for part in (lam[:sh.m], lam[sh.m:])]
-    top = blocks[0].index(tops[0]) * n2 + blocks[1].index(tops[1])
-    return WeightModule(alg, GENERIC_FIELD, weights, [0] * dim, mats, top=top)
+    weights, mats, top = _gt_module(alg, tuple(lam), ratio)
+    return WeightModule(alg, GENERIC_FIELD, weights, [0] * len(weights),
+                        {(kind, i, i + 1, 1): m for (kind, i), m in mats.items()}, top=top)
+
+
+def frobenius_twist(alg, lam, l):
+    """L(l lam) at q = eta of order l: the Frobenius twist of the classical
+    simple gl(m) + gl(n) module of highest weight lam (lam dominant for the
+    even part), the Gelfand-Tsetlin formulas of ``simple_even_module`` at
+    q = 1, where every [a] is a.  Its weights are l times theirs, so every
+    K_mu acts as 1.  The divided powers E_i^(l) and F_i^(l) of each even
+    node act as the classical e_i and f_i; every simple E_i and F_i, the
+    odd node's too, acts as zero and is stored so.  The quantum Frobenius
+    map sends E_i^(l) to e_i and F_i^(l) to f_i; tests/test_rootofunity.py
+    compares the twist with the engine's own L(l lam).
+    """
+    field = cyclo_field(l)
+
+    def ratio(num, den):
+        return field.of(RatFunc.from_fraction(Fraction(prod(num), prod(den))))
+
+    weights, mats, top = _gt_module(alg, tuple(lam), ratio)
+    dim = len(weights)
+    stored = {}
+    for i in range(1, alg.shape.rank):
+        for kind in ("E", "F"):
+            stored[(kind, i, i + 1, 1)] = [[] for _ in range(dim)]
+            if (kind, i) in mats:
+                stored[("D" + kind, i, i + 1, l)] = mats[(kind, i)]
+    return WeightModule(alg, field, [tuple(l * x for x in wt) for wt in weights], [0] * dim,
+                        stored, top=top)
 
 
 # -- Kac modules ------------------------------------------------------------

@@ -3,18 +3,22 @@ root of unity) and q -> 1.
 
 Covers: specialization of integral elements and of weight modules, the
 closed-form dimension counts of the small quantum (super)group, the Kac
-module at eta on its divided-monomial basis and the simple module at eta as
-its simple head (for any z with a dominant weight), and the classical-limit
-check of the Serre presentation.  The structure checks that tests run on
-these modules (restricted structure, Frobenius factorization, centrality of
-K^l) live beside those tests, in ``tests/structure_checks.py``.
+module at eta on its divided-monomial basis, the simple module at eta for
+any z with a dominant weight, and the classical-limit check of the Serre
+presentation.  A restricted z gets the simple head of the specialized Kac
+module; any other z = z' + l z'' the certified product of L(z') and the
+Frobenius twist of a classical module, by the tensor product theorem,
+with no Kac module of the whole weight (``simple_at_root``).  The
+structure checks that tests run on these modules (restricted structure,
+Frobenius factorization, centrality of K^l) live beside those tests, in
+``tests/structure_checks.py``.
 
 ``repmod`` is imported inside the functions that build modules, so that
 specializing an element or counting small-group bases loads no module code.
 """
 
-from .errors import DomainError
-from .rootdata import _check_order, in_Xplus, z_to_weight
+from .errors import DomainError, ResourceLimit
+from .rootdata import _check_order, frobenius_decompose, in_Xplus, z_to_weight
 from .scalars import cyclo_field, evaluate_at_root
 
 
@@ -106,16 +110,112 @@ def specialize_kac(alg, lam, l):
 
 
 def simple_at_root(alg, z, l):
-    """The simple head of the specialized Kac module for any z with
-    dominant associated weight (not necessarily restricted)."""
+    """L(z) at q = eta of order l, for any z with dominant associated weight
+    (not necessarily restricted).
+
+    The full construction is the simple head of the specialized Kac module.
+    When z = z' + l z'' (``frobenius_decompose``) has z'' != 0, L(z) is
+    instead L(z') (x) L(l z''), by the tensor product theorem (Lusztig,
+    Contemp. Math. 82, 1989; for GL(m|n) in characteristic p, Kujawa,
+    Contemp. Math. 413, 2006): L(z') by the full construction, restricted
+    and small, and L(l z'') the Frobenius twist of a classical module
+    (``repmod.frobenius_twist``), with no Kac module of the whole weight.
+    The product (``_frobenius_product``) is certified before it is
+    returned: its top generates it, and its simple head keeps every
+    dimension.  If either fails, the full construction answers.
+
+    The certificate is the sense in which ``repmod.simple_head`` defines
+    L(z).  At eta the K's need not separate weights, so like the
+    restricted checks of ``tests/structure_checks.py`` it proves
+    simplicity among the submodules spanned by weight vectors only.
+
+    Every check of the full construction on the whole weight runs first, in
+    its order: the dominance check, then ``repmod.check_kac_weight``, the
+    Kac dimension and q-degree budgets, so every z fails as it would there.
+    L(z') can be over the q-degree budget where L(z) is not, on gl(1|2) at
+    lam = (1000, 100, 0) say; such a z takes the full construction too.
+    """
     from . import repmod
 
     _check_order(l)
-    lam = z_to_weight(alg.shape, tuple(int(x) for x in z))
+    z = tuple(int(x) for x in z)
+    lam = z_to_weight(alg.shape, z)
     if not in_Xplus(alg.shape, lam):
         raise DomainError("z has no dominant associated weight")
-    mod = specialize_kac(alg, lam, l)
-    return repmod.simple_head(mod)
+    zp, zpp = frobenius_decompose(alg.shape, z, l)
+    if any(zpp):
+        repmod.check_kac_weight(alg, lam)
+        try:
+            first = _full_simple(alg, z_to_weight(alg.shape, zp), l)
+        except ResourceLimit:
+            first = None
+        if first is not None:
+            twist = repmod.frobenius_twist(alg, z_to_weight(alg.shape, zpp), l)
+            product = _frobenius_product(first, twist)
+            if _certified(product):
+                return product
+    return _full_simple(alg, lam, l)
+
+
+def _full_simple(alg, lam, l):
+    """The full construction of L(lam) at eta: the simple head of the
+    specialized Kac module."""
+    from . import repmod
+
+    return repmod.simple_head(specialize_kac(alg, lam, l))
+
+
+def _frobenius_product(first, twist):
+    """first (x) twist over Q(eta), for a module first and a Frobenius twist
+    (``repmod.frobenius_twist``) stored with the same keys, on the basis
+    a (x) b in the order of a, then b.
+
+    Every stored generator X acts as X (x) 1 + 1 (x) X: these are the
+    coproduct terms (``hopf.Hopf.delta``) that survive on the twist, where
+    E_i, F_i and so every E^(b), F^(b) with 0 < b < l act as zero and
+    every K_mu^l acts as 1:
+
+        Delta(E_i) = E_i (x) K_{alpha_i} + 1 (x) E_i
+        Delta(F_i) = F_i (x) 1 + K_{alpha_i}^-1 (x) F_i
+        Delta(E_i^(l)) = E_i^(l) (x) K_{alpha_i}^l + 1 (x) E_i^(l) + terms (x) K^a E_i^(b)
+        Delta(F_i^(l)) = F_i^(l) (x) 1 + K_{alpha_i}^-l (x) F_i^(l) + terms (x) F_i^(b)
+
+    with 0 < b < l in the middle terms.  K_{alpha_i}^-l acts as 1 on
+    first too, and the twist is even, so no term takes a sign.
+    """
+    from .linalg import columns
+    from .repmod import WeightModule
+
+    d2 = twist.dim
+    dim = first.dim * d2
+    mats = {}
+    for key, m in first.mats.items():
+        entries = [(r * d2 + b, a * d2 + b, x)
+                   for a, col in enumerate(m) for r, x in col for b in range(d2)]
+        entries += [(a * d2 + r, a * d2 + b, x)
+                    for b, col in enumerate(twist.mats[key]) for r, x in col
+                    for a in range(first.dim)]
+        mats[key] = columns(entries, dim)
+    weights = [tuple(x + y for x, y in zip(wa, wb))
+               for wa in first.eps_weights for wb in twist.eps_weights]
+    parities = [p for p in first.parities for _ in range(d2)]
+    return WeightModule(first.alg, first.field, weights, parities, mats,
+                        top=first.top * d2 + twist.top)
+
+
+def _certified(mod):
+    """Is mod simple among the submodules spanned by weight vectors?  Its
+    top generates it, and its simple head, raising with E and E^(l), keeps
+    every dimension.  The top generates mod if the lowering words alone
+    take it to a spanning set, so the closure applies only the stored F and
+    F^(l): a proof as strong as a closure over every key, at half its
+    cost."""
+    from . import repmod
+
+    top = [[(mod.top, mod.field.one)]]
+    lowering = [key for key in mod.action_keys() if key[0] in ("F", "DF")]
+    return (len(repmod.submodule_closure(mod, top, lowering)) == mod.dim
+            and repmod.simple_head(mod).dim == mod.dim)
 
 
 # -- classical limit q -> 1 --------------------------------------------------

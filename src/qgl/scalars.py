@@ -226,7 +226,7 @@ class RatFunc:
 
     @classmethod
     def from_int(cls, n):
-        return cls((n,) if n else ())
+        return RatFunc((n,) if n else ())
 
     @classmethod
     def from_fraction(cls, f):
@@ -238,8 +238,8 @@ class RatFunc:
     @classmethod
     def q_power(cls, k):
         if k >= 0:
-            return cls((0,) * k + _ONE_POLY)
-        return cls(_ONE_POLY, (0,) * (-k) + _ONE_POLY)
+            return RatFunc((0,) * k + _ONE_POLY)
+        return RatFunc(_ONE_POLY, (0,) * (-k) + _ONE_POLY)
 
     def is_zero(self):
         return not self.num
@@ -443,12 +443,20 @@ class LaurentInt(RatFunc):
     def from_int(cls, n):
         return cls._on((n,) if n else (), _ONE_POLY)
 
-    @classmethod
-    def q_power(cls, k):
-        return cls({k: 1})
-
     def at_one(self):
         return sum(self.num)
+
+
+def exact_quotient(x, d):
+    """x / d, by one exact division of numerators and no gcd when d's
+    numerator divides x's and x's denominator is a power of q, as for a
+    Laurent entry over [n]!; otherwise the general quotient, so a value
+    that is not Laurent over d keeps its denominator."""
+    if x.num and _is_monomial(x.den):
+        m, quo, rem = _pdivmod(x.num, d.num)
+        if m == 1 and not rem:
+            return RatFunc._make(_pmul(quo, d.den), x.den)
+    return x / d
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,20 @@ the Frobenius-twist degeneracy and the centrality of K^l.
 
 Each builds what it checks with ``rootofunity.simple_at_root`` or
 ``rootofunity.specialize_element``, as the commands do, and reports what it
-found; the tests assert on the report.
+found; the tests assert on the report.  The Frobenius checks build every
+module by the full construction (``full_simple_at_root``) instead: for
+z'' != 0 ``simple_at_root`` builds the factorization they check.
 """
 
 from qgl import repmod
-from qgl.rootdata import frobenius_decompose
-from qgl.rootofunity import simple_at_root, specialize_element
+from qgl.rootdata import frobenius_decompose, z_to_weight
+from qgl.rootofunity import simple_at_root, specialize_element, specialize_kac
+
+
+def full_simple_at_root(alg, z, l):
+    """L(z) at eta by the full construction, the simple head of the
+    specialized Kac module, whatever z'' is."""
+    return repmod.simple_head(specialize_kac(alg, z_to_weight(alg.shape, z), l))
 
 
 def restricted_checks(alg, z, l):
@@ -47,15 +55,17 @@ def restricted_checks(alg, z, l):
 
 
 def frobenius_character_check(alg, z, l):
-    """Does char L(z) = char(L(z') (x) L(l z'')) at q = eta?
+    """Does char L(z) = char(L(z') (x) L(l z'')) at q = eta, every module
+    built by the full construction?
 
-    z' + l z'' is the restricted splitting of z.  Returns a report dict.
+    z' + l z'' is the restricted splitting of z.  Returns a report dict,
+    with the character of L(z).
     """
     z = tuple(int(x) for x in z)
     zp, zpp = frobenius_decompose(alg.shape, z, l)
-    whole = simple_at_root(alg, z, l)
-    part_r = simple_at_root(alg, zp, l)
-    part_f = simple_at_root(alg, tuple(l * x for x in zpp), l)
+    whole = full_simple_at_root(alg, z, l)
+    part_r = full_simple_at_root(alg, zp, l)
+    part_f = full_simple_at_root(alg, tuple(l * x for x in zpp), l)
     lhs = whole.character()
     rhs = repmod.character_product(part_r.character(), part_f.character())
     return {
@@ -64,14 +74,16 @@ def frobenius_character_check(alg, z, l):
         "z_frobenius": zpp,
         "dim": whole.dim,
         "factor_dims": (part_r.dim, part_f.dim),
+        "character": lhs,
         "match": lhs == rhs,
     }
 
 
 def frobenius_vanishing_check(alg, zpp, l):
-    """On L(l z''), every simple E and F acts as zero and every K_{alpha}
-    acts as the identity (the Frobenius-twist degeneracy)."""
-    mod = simple_at_root(alg, tuple(l * int(x) for x in zpp), l)
+    """On L(l z''), built by the full construction, every simple E and F
+    acts as zero and every K_{alpha} acts as the identity (the
+    Frobenius-twist degeneracy)."""
+    mod = full_simple_at_root(alg, tuple(l * int(x) for x in zpp), l)
     ok_ef = not any(any(mod.matrix_of_atom((kind, i, i + 1, 1)))
                     for i in range(1, alg.shape.rank) for kind in ("E", "F"))
     one = mod.field.one

@@ -498,6 +498,9 @@ LAYERS = [
     (["char", "--shape", "2,1", "--lambda=1,0,0", "--module", "simple"], _MODULES),
     (["simple", "--shape", "2,1", "--lambda=1,0,0", "--at-root", "3"],
      _MODULES | {"rootofunity"}),
+    # z'' != 0: the Frobenius factorization, which needs no coproduct
+    (["simple", "--shape", "2,1", "--lambda=3,0,0", "--at-root", "3"],
+     _MODULES | {"rootofunity"}),
     # the Kac character does not depend on q: the root order is only checked
     (["char", "--shape", "2,1", "--lambda=1,0,0", "--module", "kac", "--at-root", "3"],
      _MODULES),
@@ -649,6 +652,73 @@ def test_kac_refusals_keep_their_exit_and_message(lam, line):
               ["char"] + sh + ["--lambda=" + lam, "--module", "simple"]]
     for argv in argvs:
         assert capture(argv) == (3, "", line), argv
+
+
+# (argv after "--shape", the stderr line) of weights refused at q = eta.
+# Every check of the full construction runs on the whole weight, in its
+# order, before the Frobenius factorization, so each refusal has the exit
+# code and the line of the full construction: a Kac dimension of 4 * 129
+# over the budget and a q-degree over the budget, both with z'' != 0, a
+# weight that is not dominant, bad orders, and a weight of the wrong length.
+AT_ROOT_REFUSALS = [
+    (["2,1", "--lambda=128,0,0", "--at-root", "5"],
+     "domain error: Kac dimension 516 is over the budget of 512\n"),
+    (["1,2", "--lambda=0,0,-128", "--at-root", "5"],
+     "domain error: Kac dimension 516 is over the budget of 512\n"),
+    (["2,1", "--lambda=1005,1001,0", "--at-root", "3"],
+     "domain error: the highest weight (1005, 1001, 0) has q-degree 1005, "
+     "over the budget of 1000\n"),
+    (["1,2", "--lambda=0,1005,1001", "--at-root", "3"],
+     "domain error: the highest weight (0, 1005, 1001) has q-degree 1005, "
+     "over the budget of 1000\n"),
+    (["2,1", "--lambda=0,3,0", "--at-root", "3"],
+     "domain error: z has no dominant associated weight\n"),
+    (["1,2", "--lambda=0,0,3", "--at-root", "3"],
+     "domain error: z has no dominant associated weight\n"),
+    (["2,1", "--lambda=6,0,0", "--at-root", "4"],
+     "domain error: root order must be an odd integer >= 3, got 4\n"),
+    (["2,1", "--lambda=6,0,0", "--at-root", "1"],
+     "domain error: root order must be an odd integer >= 3, got 1\n"),
+    (["1,2", "--lambda=0,0,-6", "--at-root", "-5"],
+     "domain error: root order must be an odd integer >= 3, got -5\n"),
+    (["2,1", "--lambda=6,0", "--at-root", "3"],
+     "domain error: weight length does not match shape\n"),
+]
+
+
+@pytest.mark.parametrize("argv,line", AT_ROOT_REFUSALS,
+                         ids=[" ".join(a) for a, _ in AT_ROOT_REFUSALS])
+def test_at_root_refusals_keep_their_exit_and_message(argv, line):
+    for cmd in (["simple"], ["char", "--module", "simple"]):
+        assert capture(cmd + ["--shape"] + argv) == (3, "", line), cmd
+
+
+# simple --at-root 5 probes with z'' != 0: the size and SHA-256 of the
+# stdout the full construction printed, in 2.1 s, 2.2 s, 596 s and 697 s on
+# a 2-core host; the factorization answers each in well under a second there
+AT_ROOT_PROBES = [
+    (["2,1", "--lambda=30,0,0"], 256,
+     "efe8c8ee04aaf330716b847bf8bf8d3d02a32878e65e3cbbfea9aacb0524faf4"),
+    (["1,2", "--lambda=0,0,-30"], 273,
+     "8781496a562e8b89baeb28abbf86c48b8468f45dc486ac7d025e0f4ea5c37fc7"),
+    (["2,1", "--lambda=63,0,0"], 2879,
+     "4c50691ae85a3a1deb26a4c5a45bc507d850ea5a8cc268465ff23431d28374a8"),
+    (["1,2", "--lambda=0,0,-63"], 3135,
+     "ed5e33b92568cf5d994e937a6f3fb9a9b1b03b6db48c46f686b85164dc397a9a"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", AT_ROOT_PROBES,
+                         ids=[" ".join(a) for a, _, _ in AT_ROOT_PROBES])
+def test_frobenius_probes_print_the_full_paths_bytes(argv, size, digest):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "qgl.cli", "simple", "--shape"] + argv
+                          + ["--at-root", "5"], capture_output=True, timeout=60, env=env)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == (size, digest)
+    assert elapsed < 10
 
 
 @pytest.mark.parametrize("shape", sorted(CHARACTER_BOXES), ids=str)

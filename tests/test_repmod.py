@@ -20,6 +20,7 @@ from qgl.rootdata import (
 )
 from qgl.scalars import GENERIC_FIELD, RF_ZERO, RatFunc
 from kac_oracle import straightened_kac_module
+from structure_checks import full_simple_at_root
 from views import verify_module
 from verma_oracle import VermaOracle
 
@@ -791,12 +792,13 @@ FROBENIUS_TENSORS = [
 @pytest.mark.parametrize("shape,z", FROBENIUS_TENSORS, ids=str)
 def test_tensor_over_q_eta_realizes_the_frobenius_splitting(shape, z):
     # two modules over Q(eta) have fields built apart; the product must
-    # still be formed, and L(z') (x) L(3 z'') has the character of L(z)
+    # still be formed, and L(z') (x) L(3 z'') has the character of L(z),
+    # every module built by the full construction
     alg, l = Algebra(shape), 3
     zp, zpp = frobenius_decompose(alg.shape, z, l)
-    whole = ru.simple_at_root(alg, z, l)
-    t = repmod.tensor_module(ru.simple_at_root(alg, zp, l),
-                             ru.simple_at_root(alg, tuple(l * x for x in zpp), l))
+    whole = full_simple_at_root(alg, z, l)
+    t = repmod.tensor_module(full_simple_at_root(alg, zp, l),
+                             full_simple_at_root(alg, tuple(l * x for x in zpp), l))
     assert t.l == l
     assert verify_module(t) == []
     assert t.dim == whole.dim

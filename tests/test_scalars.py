@@ -25,6 +25,7 @@ from qgl.scalars import (
     RatFunc,
     cyclotomic_poly,
     evaluate_at_root,
+    exact_quotient,
     gauss_factorial,
     gauss_int,
 )
@@ -351,6 +352,24 @@ def test_gauss_factorial_matches_the_product_loop():
         if n >= 2:
             want = want * gauss_int(n)
         assert gauss_factorial(n) == want, n
+
+
+@RATFUNC_SETTINGS
+@given(laurents(), ratfuncs(), st.integers(min_value=0, max_value=6))
+def test_exact_quotient_is_the_quotient(a, x, n):
+    # a Laurent multiple of [n]! divides exactly; any other value, Laurent or
+    # not, gets the general quotient, with the same canonical form
+    fact = gauss_factorial(n)
+    for value in (a * fact, a * RatFunc.from_fraction(Fraction(1, 3)) * fact, a, x):
+        got = exact_quotient(value, fact)
+        assert got == value / fact
+        assert_canonical(got)
+
+
+def test_exact_quotient_keeps_what_does_not_divide():
+    fact = gauss_factorial(3)
+    assert exact_quotient(gauss_int(3) * RF_Q, fact) == RF_Q / gauss_int(2)
+    assert exact_quotient(RF_ZERO, fact) == RF_ZERO
 
 
 def test_gauss_binomial_spec_value():
