@@ -173,8 +173,9 @@ def _cmd_kac(args, shape):
 def _character(alg, lam, kind, at_root=None):
     """The character of the Kac module of highest weight lam, read off its
     weights, which do not depend on q (a root order at_root is still
-    checked); or of the simple module, over Q(q) from the raising half of
-    the Kac module, or at q = eta for the root order at_root."""
+    checked); or of the simple module: over Q(q) the Kac character for a
+    typical lam (Kac's theorem) and otherwise from the raising half of the
+    Kac module, or at q = eta for the root order at_root."""
     if kind == "kac":
         from .repmod import kac_character
 

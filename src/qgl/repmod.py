@@ -24,7 +24,8 @@ of the contravariant form: the vectors that no raising word takes to the
 top.  ``simple_head`` finds it in one pass, one rref per weight space, for
 generic q and (raising with the divided powers E^(l) too) at q = eta.
 Over Q(q) that pass reads only the raising matrices, so
-``simple_character`` induces K(lam) with its E's alone.
+``simple_character`` induces K(lam) with its E's alone, and for a typical
+lam, where K(lam) is simple (Kac's theorem), it builds no module at all.
 """
 
 import itertools
@@ -37,6 +38,7 @@ from .pbwcore import Element, add_term
 from .rootdata import (
     bilinear_form,
     in_Xplus,
+    is_typical,
     weight_to_z,
     weyl_dim_even,
 )
@@ -830,16 +832,23 @@ def kac_character(alg, lam):
 
 def simple_character(alg, lam):
     """The character of L(lam) over Q(q), simple_head(kac_module(alg,
-    lam)).character(), from the raising half of K(lam) alone.
+    lam)).character(), with no module built for a typical lam and only the
+    raising half of K(lam) for an atypical one.
 
-    The head's basis is the pivots of one forms pass that reads only the
+    The checks, and their order, are those of kac_module.  By Kac's
+    theorem, proved for U_q(gl(m|n)) at generic q by R. B. Zhang (J. Math.
+    Phys. 34, 1993), K(lam) is simple exactly when lam is typical, so then
+    L(lam) = K(lam) and its character is kac_character's.  Otherwise the
+    head's basis is the pivots of one forms pass that reads only the
     raising matrices, and a character reads only the kept weights, so
-    K(lam) is induced with its simple E's and no F.  The checks, and their
-    order, are those of kac_module.  At q = eta both halves are still
-    built: ``rootofunity.specialize_kac`` evaluates the lowering matrices
-    at eta, where a pole shows that the basis is not integral.
+    K(lam) is induced with its simple E's and no F.  At q = eta both
+    halves are still built: ``rootofunity.specialize_kac`` evaluates the
+    lowering matrices at eta, where a pole shows that the basis is not
+    integral.
     """
-    _check_kac_budget(alg, lam)
+    check_kac_weight(alg, lam)
+    if is_typical(alg.shape, lam):
+        return kac_character(alg, lam)
     l0 = simple_even_module(alg, lam)
     return simple_head(_induced_module(l0, _kac_labels(alg, l0.dim), ("E",))).character()
 

@@ -83,12 +83,30 @@ def _pmul(a, b):
         return ()
     if len(a) < len(b):
         a, b = b, a
+    # A monomial factor c q^k, a Laurent denominator or a q-power
+    # coefficient, shifts and scales the other instead of a loop over its
+    # k + 1 mostly zero coefficients; one with k > 0 starts with a zero.
+    if len(b) == 1 or not b[0] and b.count(0) == len(b) - 1:
+        return _shift_scale(a, len(b) - 1, b[-1])
+    if not a[0] and a.count(0) == len(a) - 1:
+        return _shift_scale(b, len(a) - 1, a[-1])
     out = [0] * (len(a) + len(b) - 1)
     for i, cb in enumerate(b):
         if cb:
             for j, ca in enumerate(a, i):
                 out[j] += ca * cb
     return tuple(out)  # Z is a domain: the leading product is nonzero
+
+
+def _shift_scale(a, k, c):
+    """c q^k * a, for c != 0."""
+    if c == 1:
+        scaled = tuple(a)
+    elif c == -1:
+        scaled = tuple(-x for x in a)
+    else:
+        scaled = tuple(c * x for x in a)
+    return (0,) * k + scaled if k else scaled
 
 
 def _pdivmod(a, b):

@@ -630,11 +630,13 @@ def test_kac_character_at_a_root_is_the_generic_one(shape):
 
 
 # (weight on gl(2|1), the stderr line of kac_module): not dominant, the wrong
-# length, and a Kac dimension of 4 * 129 = 516 over repmod._MAX_KAC_DIM
+# length, and a Kac dimension of 4 * 129 = 516 over repmod._MAX_KAC_DIM, at
+# an atypical and at a typical weight
 KAC_REFUSALS = [
     ("0,1,0", "domain error: weight (0, 1, 0) is not dominant for the even part\n"),
     ("0,0", "domain error: weight length does not match shape\n"),
     ("128,0,0", "domain error: Kac dimension 516 is over the budget of 512\n"),
+    ("128,0,1", "domain error: Kac dimension 516 is over the budget of 512\n"),
 ]
 
 
@@ -652,6 +654,18 @@ def test_kac_refusals_keep_their_exit_and_message(lam, line):
               ["char"] + sh + ["--lambda=" + lam, "--module", "simple"]]
     for argv in argvs:
         assert capture(argv) == (3, "", line), argv
+
+
+def test_typical_weight_over_the_kac_budget_is_refused():
+    # a typical simple character is the Kac character, but the Kac budget
+    # is still checked first, with the console script's exit code and line
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "simple", "--shape", "2,1", "--lambda=128,0,1"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "domain error: Kac dimension 516 is over the budget of 512\n")
 
 
 # (argv after "--shape", the stderr line) of weights refused at q = eta.

@@ -176,7 +176,8 @@ def test_kac_character_matches_the_module(shape):
 def test_kac_character_refuses_what_the_module_refuses():
     alg = Algebra((2, 1))
     for lam, err in (((0, 1, 0), NonDominant), ((0, 0), DomainError),
-                     ((128, 0, 0), ResourceLimit), ((-5000, -5000, 0), ResourceLimit)):
+                     ((128, 0, 0), ResourceLimit), ((-5000, -5000, 0), ResourceLimit),
+                     ((128, 0, 1), ResourceLimit)):  # typical, Kac dimension 516
         for build in (repmod.kac_character, repmod.simple_character, repmod.kac_module):
             with pytest.raises(err):
                 build(alg, lam)
@@ -208,6 +209,24 @@ def test_simple_character_matches_the_head(shape):
         assert repmod.simple_character(alg, lam) == full, lam
 
 
+@pytest.mark.parametrize("shape", sorted(CHARACTER_BOXES), ids=str)
+def test_typical_simple_character_builds_no_module(shape, monkeypatch):
+    # K(lam) is simple exactly when lam is typical, so its character is the
+    # head's with no even module, induction or forms pass
+    alg = Algebra(shape)
+    lams = [lam for lam in dominant_box(shape) if is_typical(alg.shape, lam)]
+    assert lams
+    heads = {lam: repmod.simple_head(repmod.kac_module(alg, lam)).character() for lam in lams}
+
+    def refuse(*args):
+        raise AssertionError("a typical simple character built a module")
+
+    for name in ("_induced_module", "simple_even_module", "simple_head"):
+        monkeypatch.setattr(repmod, name, refuse)
+    for lam in lams:
+        assert repmod.simple_character(alg, lam) == heads[lam], lam
+
+
 def test_simple_character_induces_no_lowering_matrix(monkeypatch):
     # the kinds of the generators induced at the top level, not in the
     # induction's own recursion, and the keys every induced module and
@@ -236,7 +255,7 @@ def test_simple_character_induces_no_lowering_matrix(monkeypatch):
     monkeypatch.setattr(repmod, "_induced_module", stored(repmod._induced_module))
     monkeypatch.setattr(repmod, "simple_head", stored(repmod.simple_head))
     cases = [((2, 1), (2, 0, 0)), ((2, 2), (1, 0, 0, 0)), ((1, 3), (1, 1, 0, 0)),
-             ((3, 1), (2, 1, 0, 1))]
+             ((3, 1), (2, 1, 0, 0))]
     for shape, lam in cases:
         repmod.simple_character(Algebra(shape), lam)
     assert seen == {"induced": {"E"}, "stored": {"E"}}

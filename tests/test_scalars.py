@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 RATFUNC_SETTINGS = settings(
     max_examples=200,
@@ -23,6 +23,7 @@ from qgl.scalars import (
     RF_Q,
     RF_ZERO,
     RatFunc,
+    _pmul,
     cyclotomic_poly,
     evaluate_at_root,
     exact_quotient,
@@ -327,6 +328,33 @@ def test_ratfunc_integer_laurent_has_unit_monomial_den():
     y = x * Fraction(1, 2)
     assert (y.num, y.den) == ((3, 0, 0, -1), (0, 0, 2))
     assert y.as_laurent_int() is None and y.render() == "-1/2*q + 3/2*q^-2"
+
+
+@st.composite
+def monomials(draw):
+    """c q^k as a dense tuple, c = +-1 or |c| > 1, k = 0 among the shifts."""
+    c = draw(st.sampled_from((1, -1)) | st.integers(-50, 50).filter(lambda c: abs(c) > 1))
+    return (0,) * draw(st.integers(0, 40)) + (c,)
+
+
+@st.composite
+def dense_polys(draw):
+    """A polynomial with at least two nonzero coefficients."""
+    cs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=12))
+    cs[0] = cs[0] or 1
+    cs[-1] = cs[-1] or -1
+    return tuple(cs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials() | dense_polys(), monomials() | dense_polys())
+@example((0, 0, 0, 1), (2, -1, 3))  # q^k on the longer side
+@example((2, -1, 3), (0, -1))  # -q on the shorter side
+@example((5,), (1, 0, -4))  # k = 0, |c| > 1
+@example((0, 0, -7), (0, 0, 0, 0, 1))  # two monomials
+@example((1, 1), (3, 0, -2, 1))  # two non-monomials
+def test_pmul_matches_the_schoolbook_product(a, b):
+    assert _pmul(a, b) == _pmul(b, a) == _ref_mul(a, b)
 
 
 # -- Gaussian combinatorics -------------------------------------------------
