@@ -839,7 +839,8 @@ class Algebra:
         return [(-self.qi(c, 1), (head, tail)), (RF_ONE, (tail, head))]
 
     def expand_composite(self, kind, i, j):
-        """Words of simple generators equal to the composite root vector."""
+        """Words of simple generators equal to the composite root vector: a
+        reference expansion, reached only through ``expand_monomial``."""
         key = (kind, i, j)
         hit = self._comp_cache.get(key)
         if hit is None:
@@ -862,7 +863,8 @@ class Algebra:
         Returns a list of (coeff, word) with every E/F atom simple of
         power one; a torus atom may appear once in the middle.  A power
         X^n of a composite root vector has 2^n words per word of X, so
-        this is a reference expansion, not the path of ``apply_hom``.
+        this is a reference expansion, reached only from the tests and
+        ``bench/tracer.py``, not the path of ``apply_hom``.
         """
         words = [(RF_ONE, ())]
         for atom in self.mono_word(key):
@@ -882,73 +884,70 @@ class Algebra:
             words = [(c1 * c2, w1 + w2) for c1, w1 in words for c2, w2 in pieces]
         return words
 
-    def apply_hom(self, elt, image, anti=False, scalar_map=None, on=None):
+    def apply_hom(self, elt, image, anti=False, scalar_map=None):
         """Extend a map on simple generators and torus atoms to the whole
-        algebra, and apply the image of elt to on.
+        algebra, and return the image of elt.
 
         image(atom) returns a value in the target, a ring whose values
-        multiply with each other and by a RatFunc; image(K^0) is its unit,
-        and on defaults to it.  image is asked once per distinct atom and
-        call.  Each atom of a monomial acts once from the left, a power X^n
-        as n factors X.  Acting from the unit (no on), the image of a
-        composite root vector X_{ij} is built once per call, by its defining
-        recursion from the images of X_{i,i+1} and X_{i+1,j}, and then
-        multiplies like a simple generator's; the image of X^n follows
-        ``Element.__pow__``: a closed form when X's image is a scalar times
-        one atom, and otherwise n within _MAX_POWER, checked before any
-        product.  With on given (a module action) nothing is built ahead: a
-        composite acts through its words of simple generators
-        (``expand_composite``), and no power is bounded.  With anti=True the
-        map is a graded anti-homomorphism: the atoms act in the opposite
-        order, with the sign (-1)^{N(N-1)/2} for the monomial's N odd atoms.
-        scalar_map maps every coefficient, the expansions' included.
+        multiply with each other and by a RatFunc: an Element, a
+        TensorElement or a module operator.  image(K^0) is its unit, asked
+        only for the unit monomial or an empty sum; every other atom is
+        asked once per distinct atom and call.  The image of a composite
+        root vector X_{ij} is built once per call, by its defining recursion
+        from the images of X_{i,i+1} and X_{i+1,j}, and then multiplies like
+        a simple generator's.  A word's image is the product of its atoms'
+        images, starting from its first factor's; a power X^n is n factors
+        X.  For an algebra-valued image (an Element or a TensorElement) the
+        image of X^n follows ``Element.__pow__``: a closed form when X's
+        image is a scalar times one atom, and otherwise n within _MAX_POWER,
+        checked before any product; a module operator's power is unbounded.
+        With anti=True the map is a graded anti-homomorphism: the atoms act
+        in the opposite order, with the sign (-1)^{N(N-1)/2} for the
+        monomial's N odd atoms.  scalar_map maps every coefficient, the
+        composites' included.
         """
         images = {}
 
         def atom_image(atom):
-            """The image of a simple generator or a torus atom, or, acting
-            from the unit, of a composite root vector."""
+            """The image of a simple generator, a torus atom or a composite
+            root vector."""
             x = images.get(atom)
             if x is None:
                 if atom[0] == "K" or atom[2] == atom[1] + 1:
                     x = image(atom)
                 else:
-                    x = total(self._composite_step(*atom[:3]), on)
+                    x = total(self._composite_step(*atom[:3]))
                 images[atom] = x
             return x
 
-        def total(pairs, val):
-            """The sum of c * (word acting on val) over (c, word) pairs."""
+        def unit():
+            return atom_image(("K", (0,) * self.shape.rank))
+
+        def total(pairs):
+            """The sum of c * image(word) over (c, word) pairs."""
             acc = None
             for c, word in pairs:
-                x = act(word, val)
+                x = product(word)
                 if c != RF_ONE:
                     x = x * (c if scalar_map is None else scalar_map(c))
                 acc = x if acc is None else acc + x
-            return val * RF_ZERO if acc is None else acc
+            return unit() * RF_ZERO if acc is None else acc
 
-        def act(word, val):
+        def product(word):
+            """The image of a word: each atom acts from the left, in turn."""
+            val = None
             for atom in word if anti else reversed(word):
-                if atom[0] == "K":
-                    val = atom_image(atom) * val
-                    continue
-                kind, i, j, n = atom
-                if from_unit and n > 1:
-                    x = atom_image((kind, i, j, 1))
+                n = 1 if atom[0] == "K" else atom[3]
+                x = atom_image(atom if n == 1 else atom[:3] + (1,))
+                if n > 1 and isinstance(x, LinearCombination):
                     if isinstance(x, Element) and x._one_atom():
-                        val = x**n * val
-                        continue
-                    _check_power(x, n)
-                for _ in range(n):
-                    if from_unit or j == i + 1:
-                        val = atom_image((kind, i, j, 1)) * val
+                        x, n = x**n, 1
                     else:
-                        val = total(self.expand_composite(kind, i, j), val)
-            return val
+                        _check_power(x, n)
+                for _ in range(n):
+                    val = x if val is None else x * val
+            return unit() if val is None else val
 
-        from_unit = on is None
-        if from_unit:
-            on = atom_image(("K", (0,) * self.shape.rank))
         pairs = []
         for key, coeff in elt.terms.items():
             odd = sum(key.fd) + sum(key.ed)
@@ -956,11 +955,11 @@ class Algebra:
                 coeff = -coeff
             pairs.append((coeff, self.mono_word(key)))
         try:
-            return total(pairs, on)
+            return total(pairs)
         finally:
-            # the three closures call each other: a reference cycle that would
-            # keep images and on alive until the garbage collector ran
-            atom_image = total = act = None
+            # the closures call each other: a reference cycle that would keep
+            # images alive until the garbage collector ran
+            atom_image = unit = total = product = None
 
     # -- integral form ------------------------------------------------------
 

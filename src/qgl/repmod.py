@@ -67,11 +67,12 @@ class WeightModule:
     powers, each as ``linalg``'s dim sparse columns: column c lists the
     (row, value) pairs of the nonzero entries of the image of basis vector
     c, rows ascending.  Actions run on the same format, a vector being a
-    one-column matrix: an element acts through ``Algebra.apply_hom``, with
-    a stored simple generator or a diagonal K as the image of each atom
-    (``_image``).  Such derived actions are never stored, so rebasing,
-    quotients and specialization touch only what is stored.  Echelon rows,
-    closures and singular vectors are the same sparse vectors.
+    one-column matrix: the operator of an element is built by
+    ``Algebra.apply_hom``, with a stored simple generator or a diagonal K
+    as the image of each atom (``_image``), and acts by ``mat_mul``.  Such
+    derived operators are never stored, so rebasing, quotients and
+    specialization touch only what is stored.  Echelon rows, closures and
+    singular vectors are the same sparse vectors.
     """
 
     def __init__(self, alg, field, eps_weights, parities, mats, top=None):
@@ -107,12 +108,12 @@ class WeightModule:
         return _Matrix(self, m)
 
     def matrix_of_atom(self, atom):
-        """The stored matrix of an atom, or else its action on the identity;
-        built matrices are not kept."""
+        """The stored matrix of an atom, or else its operator from
+        ``apply_hom``; built matrices are not kept."""
         hit = self.mats.get(atom)
         if hit is None:
             elt = Element(self.alg, {self.alg.word_to_monomial((atom,)): RF_ONE})
-            hit = self.alg.apply_hom(elt, self._image, on=_Matrix(self, self.identity())).cols
+            hit = self.alg.apply_hom(elt, self._image).cols
         return hit
 
     def ensure_divided(self, kind, i, j, n):
@@ -130,8 +131,9 @@ class WeightModule:
         return m
 
     def act_element(self, elt, cols):
-        """Apply an algebra element to sparse columns."""
-        return self.alg.apply_hom(elt, self._image, on=_Matrix(self, cols)).cols
+        """Apply an algebra element to sparse columns: its operator from
+        ``apply_hom`` times cols."""
+        return mat_mul(self.alg.apply_hom(elt, self._image).cols, cols)
 
     # -- structure ----------------------------------------------------------
 
@@ -960,34 +962,47 @@ def rebase_to_divided_monomials(mod):
     The Gelfand-Tsetlin matrices have denominators that vanish at a root of
     unity; the divided monomials span the integral lattice, so the
     conjugated matrices specialize cleanly.  The monomials are chosen in
-    the order (|psi|, psi), one echelon basis per weight space.  Returns the
-    rebased module and the exponents psi of its basis vectors.
+    the order (|psi|, psi), one echelon basis per weight space.  Each comes
+    from one of the degree below, F0^(psi) v0 = F_k F0^(psi - e_k) v0 /
+    [psi_k] with k the first nonzero slot of psi, by one sparse product
+    with a lowering operator built once per call.  Returns the rebased
+    module and the exponents psi of its basis vectors.
     """
     if mod.top is None:
         raise NotHighestWeight("rebasing needs a distinguished top vector")
     alg = mod.alg
     n0 = len(alg.f0_list)
     one = mod.field.one
-    top = [[(mod.top, one)]]
+    lowering = [mod.matrix_of_atom(("F", i, j, 1)) for i, j in alg.f0_list]
     cols, psis = [], []
     spans = {wt: Echelon() for wt in mod.weight_spaces()}  # the chosen vectors, per weight space
+    below = {}  # the nonzero F0^(psi) v0 of the degree below
     deg = 0
     while len(cols) < mod.dim and deg <= mod.dim + 1:
+        level = {}
         for psi in itertools.product(range(deg + 1), repeat=n0):
             if sum(psi) != deg:
                 continue
-            el = alg.monomial(fpsi=psi)
-            inv = RF_ONE
-            for x in psi:
-                inv = inv * gauss_factorial(x).inverse()
-            (col,) = mod.act_element(el.scale(inv), top)
-            if not col:
-                continue
+            col = [(mod.top, one)]
+            if deg:
+                # F0^(psi) v0 = F_k F0^(psi - e_k) v0 / [psi_k], k the first
+                # nonzero slot: the leftmost factor of the PBW monomial
+                k = next(t for t, x in enumerate(psi) if x)
+                prev = below.get(psi[:k] + (psi[k] - 1,) + psi[k + 1:])
+                if prev is None:
+                    continue
+                (col,) = mat_mul(lowering[k], [prev])
+                if not col:
+                    continue
+                d = gauss_int(psi[k])
+                col = [(r, exact_quotient(x, d)) for r, x in col]
+            level[psi] = col
             if spans[mod.eps_weights[col[0][0]]].add(col) is not None:
                 cols.append(col)
                 psis.append(psi)
                 if len(cols) == mod.dim:
                     break
+        below = level
         deg += 1
     if len(cols) < mod.dim:
         raise DomainError("divided monomials do not span the module")

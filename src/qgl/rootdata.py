@@ -28,7 +28,7 @@ def _check_order(l):
 class Shape:
     """The pair (m, n) with all derived index bookkeeping, immutable."""
 
-    __slots__ = ("m", "n", "rank", "I0", "I1", "two_rho")
+    __slots__ = ("m", "n", "rank", "I0", "I1")
 
     def __init__(self, m, n):
         if m < 1 or n < 1:
@@ -45,15 +45,6 @@ class Shape:
         i1 = [(i, j) for i in range(1, m + 1) for j in range(m + 1, r + 1)]
         object.__setattr__(self, "I0", tuple(sorted(i0)))
         object.__setattr__(self, "I1", tuple(sorted(i1)))
-        # 2*rho = sum of even positive roots minus sum of odd positive roots
-        acc = [0] * r
-        for (i, j) in self.I0:
-            acc[i - 1] += 1
-            acc[j - 1] -= 1
-        for (i, j) in self.I1:
-            acc[i - 1] -= 1
-            acc[j - 1] += 1
-        object.__setattr__(self, "two_rho", tuple(acc))
 
     def __setattr__(self, *a):
         raise AttributeError("Shape is immutable")
@@ -146,39 +137,19 @@ def c_value(shape, i, j):
 
 
 def p_factor(shape, lam):
-    """P(lambda) = product over odd positive roots of (lambda + rho, alpha).
-
-    Computed through the half-integer rho (stored as 2*rho) and
-    cross-checked against the closed form lambda_i + lambda_j - c(i,j).
-    """
+    """P(lambda) = product over odd positive roots of (lambda + rho, alpha),
+    each factor in the closed form lambda_i + lambda_j - c(i,j)."""
     if len(lam) != shape.rank:
         raise DomainError("weight length does not match shape")
     out = 1
     for (i, j) in shape.I1:
-        two_mu = tuple(2 * lam[k] + shape.two_rho[k] for k in range(shape.rank))
-        twice = bilinear_form(shape, two_mu, shape.root_weight(i, j))
-        if twice % 2:
-            raise ArithmeticError("(lambda+rho, alpha) failed to be integral")
-        factor = twice // 2
-        closed = lam[i - 1] + lam[j - 1] - c_value(shape, i, j)
-        if factor != closed:
-            raise ArithmeticError(
-                "typicality cross-check failed at (%d,%d): %d vs %d"
-                % (i, j, factor, closed)
-            )
-        out *= factor
+        out *= lam[i - 1] + lam[j - 1] - c_value(shape, i, j)
     return out
 
 
 def is_typical(shape, lam):
-    """True iff P(lambda) != 0, equivalently lambda_i+lambda_j != c(i,j) on I1."""
-    via_p = p_factor(shape, lam) != 0
-    via_c = all(
-        lam[i - 1] + lam[j - 1] != c_value(shape, i, j) for (i, j) in shape.I1
-    )
-    if via_p != via_c:
-        raise ArithmeticError("typicality criteria disagree")
-    return via_p
+    """True iff P(lambda) != 0, that is lambda_i + lambda_j != c(i,j) on I1."""
+    return p_factor(shape, lam) != 0
 
 
 def weight_to_z(shape, lam):
@@ -226,16 +197,6 @@ def in_Zplus(shape, z):
     )
 
 
-def in_Xplus_l(shape, z, l):
-    """Restricted range: 0 <= z_i <= l-1 at every constrained index."""
-    _check_order(l)
-    return all(
-        0 <= z[i - 1] <= l - 1
-        for i in range(1, shape.rank + 1)
-        if i not in (shape.m, shape.rank)
-    )
-
-
 def frobenius_decompose(shape, z, l):
     """Split z = z' + l*z'' with z' in the restricted range.
 
@@ -257,10 +218,7 @@ def frobenius_decompose(shape, z, l):
         else:
             zp.append(v % l)
             zpp.append((v - v % l) // l)
-    zp, zpp = tuple(zp), tuple(zpp)
-    assert in_Xplus_l(shape, zp, l)
-    assert all(zp[k] + l * zpp[k] == z[k] for k in range(shape.rank))
-    return zp, zpp
+    return tuple(zp), tuple(zpp)
 
 
 def weyl_dim_even(shape, lam):

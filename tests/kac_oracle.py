@@ -68,7 +68,7 @@ def rebased_kac_module(alg, lam):
     mod = repmod.kac_module(alg, lam)
     n1, n0 = len(alg.f1_list), len(alg.f0_list)
     one = mod.field.one
-    top = [[(mod.top, one)]]
+    ops = {}  # the operator of each atom of a monomial, built once
     cols = []
     spans = {wt: Echelon() for wt in mod.weight_spaces()}
     deg = 0
@@ -77,10 +77,16 @@ def rebased_kac_module(alg, lam):
             for psi in itertools.product(range(deg + 1), repeat=n0):
                 if sum(d) + sum(psi) != deg:
                     continue
+                # the monomial acts on v0 atom by atom, the rightmost first
+                vec = [[(mod.top, one)]]
+                for atom in reversed(alg.mono_word(alg.unit_monomial()._replace(fd=d, fpsi=psi))):
+                    if atom not in ops:
+                        ops[atom] = mod.matrix_of_atom(atom)
+                    vec = mat_mul(ops[atom], vec)
                 inv = RF_ONE
                 for x in psi:
                     inv = inv * gauss_factorial(x).inverse()
-                (col,) = mod.act_element(alg.monomial(fd=d, fpsi=psi).scale(inv), top)
+                col = [(r, x * inv) for r, x in vec[0]]
                 if not col:
                     continue
                 if spans[mod.eps_weights[col[0][0]]].add(col) is not None:

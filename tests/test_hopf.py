@@ -289,13 +289,18 @@ def test_generator_maps_ask_each_image_once_and_match_the_words(shape, image_cal
             asked = image_calls[0]
             assert max(asked.values()) == 1, (name, key, asked)
             assert all(a[0] == "K" or (a[2] == a[1] + 1 and a[3] == 1) for a in asked), asked
+            # a word's product starts from its first factor: no unit is asked
+            if key != alg.unit_monomial():
+                assert ("K", (0,) * alg.shape.rank) not in asked, (name, key)
             want = _word_by_word(alg, f, key, anti, bar) * (coeff.bar() if bar else coeff)
             assert got == want, (name, key)
 
 
 def test_module_actions_ask_each_image_once_and_match_the_words(image_calls):
     # K(1,0,0,0) of gl(3|1), dimension 24, has the composite even root
-    # vectors E[1,3] and F[1,3]; an action goes word by word on its columns
+    # vectors E[1,3] and F[1,3]; an action is the operator that apply_hom
+    # builds from the atoms' matrices, each composite once by its defining
+    # recursion, times the given columns
     alg = Algebra((3, 1))
     mod = repmod.kac_module(alg, (1, 0, 0, 0))
 

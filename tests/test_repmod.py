@@ -592,10 +592,32 @@ def test_derived_atoms_act_like_matrix_products(shape, lam, atoms, l):
         assert mod.matrix_of_atom(atom) == want, atom
         elt = alg.gen(kind, i, j) ** n
         assert mod.act_element(elt, mod.identity()) == want, atom
-        # one column at a time, as the rebase and the Kac oracle act
+        # one column at a time, as the Kac oracle acts
         for c in range(mod.dim):
             assert mod.act_element(elt, [[(c, mod.field.one)]]) == [want[c]], (atom, c)
     assert set(mod.mats) == keys
+
+
+@pytest.mark.parametrize("shape,lam", [((3, 1), (3, 0, 0, 0)), ((1, 3), (0, 3, 0, 0))])
+def test_rebase_builds_each_lowering_operator_once(shape, lam, monkeypatch):
+    # each divided monomial F0^(psi) v0 is F_k F0^(psi - e_k) v0 / [psi_k], so
+    # apply_hom builds only the composite lowering operators, once per call
+    alg = Algebra(shape)
+    mod = repmod.simple_even_module(alg, lam)
+    composites = [alg.gen("F", i, j) for i, j in alg.f0_list if j > i + 1]
+    calls = []
+    real = Algebra.apply_hom
+
+    def recorded(self, elt, *args, **kw):
+        calls.append(elt)
+        return real(self, elt, *args, **kw)
+
+    monkeypatch.setattr(Algebra, "apply_hom", recorded)
+    rebased, psis = repmod.rebase_to_divided_monomials(mod)
+    assert rebased.dim == mod.dim == len(psis)
+    assert any(psi[alg.f0_list.index(pair)] for psi in psis
+               for pair in alg.f0_list if pair[1] > pair[0] + 1)
+    assert len(calls) <= len(composites) and all(elt in composites for elt in calls), calls
 
 
 LARGE_AT_ROOT = {

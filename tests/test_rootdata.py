@@ -10,11 +10,11 @@ from qgl.errors import BadRootOrder, DomainError, IndexOutOfShape, ResourceLimit
 from qgl.rootdata import (
     _MAX_RANK,
     Shape,
+    _check_order,
     bilinear_form,
     c_value,
     frobenius_decompose,
     in_Xplus,
-    in_Xplus_l,
     in_Zplus,
     is_typical,
     p_factor,
@@ -24,6 +24,35 @@ from qgl.rootdata import (
 )
 
 SHAPES = [Shape(1, 1), Shape(2, 1), Shape(1, 2), Shape(2, 2), Shape(3, 2)]
+
+
+def two_rho(shape):
+    """2 rho: the sum of the even positive roots minus that of the odd ones."""
+    acc = [0] * shape.rank
+    for pairs, sign in ((shape.I0, 1), (shape.I1, -1)):
+        for i, j in pairs:
+            acc[i - 1] += sign
+            acc[j - 1] -= sign
+    return tuple(acc)
+
+
+def p_factor_via_rho(shape, lam):
+    """P(lambda) = prod over odd positive roots alpha of (lambda + rho, alpha),
+    through the half-integer rho: the reference of ``p_factor``'s closed form."""
+    two_mu = tuple(2 * x + y for x, y in zip(lam, two_rho(shape)))
+    out = 1
+    for i, j in shape.I1:
+        twice = bilinear_form(shape, two_mu, shape.root_weight(i, j))
+        assert twice % 2 == 0, (shape, lam, i, j)
+        out *= twice // 2
+    return out
+
+
+def in_Xplus_l(shape, z, l):
+    """Restricted range: 0 <= z_i <= l-1 at every constrained index."""
+    _check_order(l)
+    return all(0 <= z[i - 1] <= l - 1
+               for i in range(1, shape.rank + 1) if i not in (shape.m, shape.rank))
 
 
 def rand_weights(shape, bound=4):
@@ -99,10 +128,10 @@ def test_index_errors():
 def test_two_rho():
     sh = Shape(1, 1)
     # even roots: none in either block of size 1; odd root eps1 - eps2
-    assert sh.two_rho == (-1, 1)
+    assert two_rho(sh) == (-1, 1)
     sh = Shape(2, 1)
     # even: eps1-eps2 = (1,-1,0); odd: eps1-eps3 and eps2-eps3 sum to (1,1,-2)
-    assert sh.two_rho == (0, -2, 2)
+    assert two_rho(sh) == (0, -2, 2)
 
 
 def test_z_coordinate_spec_example():
@@ -141,11 +170,14 @@ def test_typicality_examples():
 @settings(max_examples=200)
 @given(st.data())
 def test_typicality_routes_agree(data):
-    # is_typical itself cross-asserts the two routes; run it broadly
+    # the closed form lambda_i + lambda_j - c(i,j) against (lambda + rho, alpha)
     sh = data.draw(st.sampled_from(SHAPES))
     lam = data.draw(rand_weights(sh))
     p = p_factor(sh, lam)
+    assert p == p_factor_via_rho(sh, lam)
     assert is_typical(sh, lam) == (p != 0)
+    assert is_typical(sh, lam) == all(
+        lam[i - 1] + lam[j - 1] != c_value(sh, i, j) for i, j in sh.I1)
 
 
 def test_dominance():

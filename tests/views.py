@@ -11,7 +11,7 @@ from qgl.braid import _check_even_node, braid_t, braid_t_inv
 from qgl.hopf import TensorElement
 from qgl.pbwcore import Element, add_term
 from qgl.relations import all_relations
-from qgl.repmod import _key_shift, _Matrix
+from qgl.repmod import _key_shift
 from qgl.scalars import RF_ONE
 
 
@@ -79,7 +79,7 @@ def _action(mod, elt):
         if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2]))
                for a in mod.alg.mono_word(mono)):
             return _ABSENT
-    return mod.alg.apply_hom(elt, mod._image, on=_Matrix(mod, mod.identity()))
+    return mod.alg.apply_hom(elt, mod._image)
 
 
 def verify_module(mod):
