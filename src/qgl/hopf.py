@@ -32,10 +32,6 @@ class TensorElement(LinearCombination):
         return cls(alg, {(u, u): RF_ONE})
 
     @classmethod
-    def zero(cls, alg):
-        return cls(alg, {})
-
-    @classmethod
     def from_pair(cls, x, y):
         out = {}
         for k1, c1 in x.terms.items():

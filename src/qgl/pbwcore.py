@@ -272,30 +272,6 @@ class Element(LinearCombination):
     def omega(self):
         return self.alg.omega(self)
 
-    def psi(self):
-        return self.alg.psi(self)
-
-    def weight(self):
-        """eps-weight when homogeneous; raises otherwise."""
-        w = None
-        for k in self.terms:
-            wk = self.alg.monomial_weight(k)
-            if w is None:
-                w = wk
-            elif w != wk:
-                raise DomainError("element is not weight-homogeneous")
-        return w if w is not None else tuple([0] * self.alg.shape.rank)
-
-    def parity(self):
-        p = None
-        for k in self.terms:
-            pk = self.alg.monomial_parity(k)
-            if p is None:
-                p = pk
-            elif p != pk:
-                raise DomainError("element is not parity-homogeneous")
-        return p if p is not None else 0
-
     def __repr__(self):
         if not self.terms:
             return "Element(0)"
@@ -347,7 +323,6 @@ class Algebra:
         )
         self._pair_cache = {}
         self._prod_cache = {}
-        self._comp_cache = {}
         self._kconv_cache = {}
         self._bracket_cache = {}
         self._kac_induction = None  # repmod._KacInduction, built on first use
@@ -797,7 +772,7 @@ class Algebra:
                     add_term(out, k, c12 * c)
         return Element(self, out)
 
-    # -- involutions --------------------------------------------------------
+    # -- the anti-automorphism omega -----------------------------------------
 
     def omega(self, elt):
         """Anti-automorphism: E_{ij} -> F_{ij}, K -> K^-1, q -> q^-1.
@@ -817,15 +792,6 @@ class Algebra:
             out[nk] = c.bar()
         return Element(self, out)
 
-    def psi(self, elt):
-        """Graded anti-automorphism fixing E, F, K with q -> q^-1."""
-        return self.apply_hom(
-            elt,
-            lambda atom: Element(self, {self.word_to_monomial((atom,)): RF_ONE}),
-            anti=True,
-            scalar_map=RatFunc.bar,
-        )
-
     # -- expansion into simple generators ------------------------------------
 
     def _composite_step(self, kind, i, j):
@@ -838,33 +804,15 @@ class Algebra:
             return [(RF_ONE, (head, tail)), (-self.qi(c, -1), (tail, head))]
         return [(-self.qi(c, 1), (head, tail)), (RF_ONE, (tail, head))]
 
-    def expand_composite(self, kind, i, j):
-        """Words of simple generators equal to the composite root vector: a
-        reference expansion, reached only through ``expand_monomial``."""
-        key = (kind, i, j)
-        hit = self._comp_cache.get(key)
-        if hit is None:
-            if j == i + 1:
-                hit = [(RF_ONE, ((kind, i, j, 1),))]
-            else:
-                hit = []
-                for cf, word in self._composite_step(kind, i, j):
-                    pieces = [(cf, ())]
-                    for atom in word:
-                        pieces = [(c1 * c2, w1 + w2) for c1, w1 in pieces
-                                  for c2, w2 in self.expand_composite(*atom[:3])]
-                    hit += pieces
-            self._comp_cache[key] = hit
-        return hit
-
     def expand_monomial(self, key):
         """Expansion of a PBW monomial into simple-generator words.
 
         Returns a list of (coeff, word) with every E/F atom simple of
-        power one; a torus atom may appear once in the middle.  A power
-        X^n of a composite root vector has 2^n words per word of X, so
-        this is a reference expansion, reached only from the tests and
-        ``bench/tracer.py``, not the path of ``apply_hom``.
+        power one; a torus atom may appear once in the middle.  A composite
+        root vector X_{ij} expands by its defining recursion, from X_{j-1,j}
+        one simple head at a time, and a power X^n has 2^n words per word
+        of X, so this is a reference expansion, reached only from the tests
+        and ``bench/tracer.py``, not the path of ``apply_hom``.
         """
         words = [(RF_ONE, ())]
         for atom in self.mono_word(key):
@@ -872,19 +820,24 @@ class Algebra:
                 pieces = [(RF_ONE, (atom,))]
             else:
                 kind, i, j, n = atom
-                if j == i + 1:
-                    pieces = [(RF_ONE, ((kind, i, j, 1),) * n)]
-                else:
-                    one = self.expand_composite(kind, i, j)
-                    pieces = [(RF_ONE, ())]
-                    for _ in range(n):
-                        pieces = [
-                            (c1 * c2, w1 + w2) for c1, w1 in pieces for c2, w2 in one
-                        ]
+                one = [(RF_ONE, ((kind, j - 1, j, 1),))]
+                for c in range(j - 1, i, -1):
+                    # X_{c-1,j} from its simple head X_{c-1,c} and X_{c,j}
+                    parts = {(kind, c - 1, c, 1): [(RF_ONE, ((kind, c - 1, c, 1),))],
+                             (kind, c, j, 1): one}
+                    one = []
+                    for cf, word in self._composite_step(kind, c - 1, j):
+                        acc = [(cf, ())]
+                        for a in word:
+                            acc = [(c1 * c2, w1 + w2) for c1, w1 in acc for c2, w2 in parts[a]]
+                        one += acc
+                pieces = [(RF_ONE, ())]
+                for _ in range(n):
+                    pieces = [(c1 * c2, w1 + w2) for c1, w1 in pieces for c2, w2 in one]
             words = [(c1 * c2, w1 + w2) for c1, w1 in words for c2, w2 in pieces]
         return words
 
-    def apply_hom(self, elt, image, anti=False, scalar_map=None):
+    def apply_hom(self, elt, image, anti=False):
         """Extend a map on simple generators and torus atoms to the whole
         algebra, and return the image of elt.
 
@@ -903,8 +856,7 @@ class Algebra:
         checked before any product; a module operator's power is unbounded.
         With anti=True the map is a graded anti-homomorphism: the atoms act
         in the opposite order, with the sign (-1)^{N(N-1)/2} for the
-        monomial's N odd atoms.  scalar_map maps every coefficient, the
-        composites' included.
+        monomial's N odd atoms.
         """
         images = {}
 
@@ -929,7 +881,7 @@ class Algebra:
             for c, word in pairs:
                 x = product(word)
                 if c != RF_ONE:
-                    x = x * (c if scalar_map is None else scalar_map(c))
+                    x = x * c
                 acc = x if acc is None else acc + x
             return unit() * RF_ZERO if acc is None else acc
 

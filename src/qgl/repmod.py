@@ -5,7 +5,7 @@ All modules are finite dimensional with an integral weight grading kept in
 eps-coordinates; the torus acts diagonally by q^{(mu, weight)}.  Action
 matrices are stored for the simple generators (and, when needed, divided
 powers); every other element acts through ``Algebra.apply_hom``, the
-extension of a map on generators that the Hopf, braid and psi maps use too.
+extension of a map on generators that the Hopf and braid maps use too.
 
 L0(lam), the simple module of the even part gl(m) + gl(n), is built in
 closed form on pairs of Gelfand-Tsetlin patterns, one per block: the
@@ -163,9 +163,8 @@ class WeightModule:
 
 class _Matrix:
     """A module operator on ``linalg``'s sparse columns, the value that
-    ``apply_hom`` computes with (and the relation catalog, when tests run it
-    on a module): the product is ``mat_mul``, sums go through ``columns``,
-    and a RatFunc scales through the module's field."""
+    ``apply_hom`` computes with: the product is ``mat_mul``, sums go through
+    ``columns``, and a RatFunc scales through the module's field."""
 
     __slots__ = ("mod", "cols")
 
@@ -180,11 +179,6 @@ class _Matrix:
             [(r, c, x) for m in (self, other) for c, col in enumerate(m.cols) for r, x in col],
             len(self.cols)))
 
-    def __sub__(self, other):
-        if not isinstance(other, _Matrix):
-            return NotImplemented
-        return self + other.scale(-RF_ONE)
-
     def __mul__(self, other):
         if isinstance(other, _Matrix):
             return _Matrix(self.mod, mat_mul(self.cols, other.cols))
@@ -197,9 +191,6 @@ class _Matrix:
         if x.is_zero():
             return _Matrix(self.mod, [[] for _ in self.cols])
         return _Matrix(self.mod, [[(r, y * x) for r, y in col] for col in self.cols])
-
-    def is_zero(self):
-        return not any(self.cols)
 
 
 # -- submodules and quotients -----------------------------------------------

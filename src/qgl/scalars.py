@@ -457,10 +457,6 @@ class LaurentInt(RatFunc):
         RatFunc.__init__(out, num, den)
         return out
 
-    @classmethod
-    def from_int(cls, n):
-        return cls._on((n,) if n else (), _ONE_POLY)
-
     def at_one(self):
         return sum(self.num)
 

@@ -1,16 +1,24 @@
 """Source hygiene: every name a module of the package imports is used there,
-every private definition is used in its module, and every public one is
-named somewhere in the package or the benchmark."""
+and ``src/qgl`` is what a command reaches.
+
+The reach rule replays the argv corpus of record (``argv_corpus.json``) once
+under tracing, in a fresh interpreter.  Every function and method of the
+package, nested ones included, must be entered by some corpus argv, be a
+protocol dunder, or be listed in ``REACH_ALLOWED`` with its reason.  What
+only tests use belongs beside those tests, in ``tests/``.
+"""
 
 import ast
-import collections
+import functools
 import os
 
 import pytest
 
+import argv_corpus
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "qgl")
-BENCH = os.path.join(ROOT, "bench")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 
 def _parse(path):
@@ -33,79 +41,80 @@ def _unused_imports(path):
                   if name not in used)
 
 
-@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SRC) if f.endswith(".py")))
+@pytest.mark.parametrize("name", MODULES)
 def test_every_import_is_used(name):
     assert _unused_imports(os.path.join(SRC, name)) == []
 
 
-def _references(tree):
-    """How often each name occurs as a name, an attribute or a string."""
-    refs = collections.Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            refs[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            refs[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs[node.value] += 1
-    return refs
+# Python calls these for an operator, a comparison, a hash, a repr or an
+# attribute write, not by name, so a value type keeps its whole protocol
+# whether or not a command needs each part of it.
+PROTOCOL_DUNDERS = {
+    "__init__", "__setattr__", "__repr__", "__eq__", "__hash__", "__bool__",
+    "__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__pow__",
+    "__radd__", "__rsub__", "__rmul__", "__rtruediv__",
+}
 
-
-def _definitions(tree):
-    """(qualified name, node) of the module's top-level functions and classes
-    and of the methods of its classes."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defs = [(node.name, node) for node in tree.body if isinstance(node, kinds)]
-    return defs + [("%s.%s" % (cls.name, node.name), node) for _, cls in defs
-                   if isinstance(cls, ast.ClassDef)
-                   for node in cls.body if isinstance(node, kinds)]
-
-
-def _unused_private_definitions(path):
-    """Private functions, classes and methods (not dunders) of the module that
-    nothing else in it names."""
-    tree = _parse(path)
-    everywhere = _references(tree)
-    return sorted(
-        "%s (line %d)" % (node.name, node.lineno) for _, node in _definitions(tree)
-        if node.name.startswith("_") and not node.name.endswith("__")
-        # uses inside its own body (recursion) do not count
-        and everywhere[node.name] == _references(node)[node.name]
-    )
-
-
-@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SRC) if f.endswith(".py")))
-def test_every_private_definition_is_used(name):
-    assert _unused_private_definitions(os.path.join(SRC, name)) == []
-
-
-# Public definitions that nothing in the package or the benchmark names,
-# each with the reason it stays.
-UNREFERENCED_ALLOWED = {
-    # the grading of an element, beside parity: the tests check products by it
-    "pbwcore.Element.weight",
+# Definitions no corpus argv enters, each with the reason it stays.  The
+# benchmark's entries wait on the stats module of ROADMAP item 12, whose
+# --stats argvs would reach them.
+REACH_ALLOWED = {
+    "cli.main": "the console script; the corpus calls cli.run in process",
+    "hopf.TensorElement.one": "bench/workloads.py: the delta oracle's unit",
+    "linalg.in_span": "bench/tracer.py wraps it by name",
+    "linalg.nullspace": "bench/tracer.py wraps it by name",
+    "pbwcore.Algebra.expand_monomial": "bench/tracer.py wraps it by name",
+    "pbwcore.PBWMonomial.key": "bench/workloads.py: the delta oracle's keys",
+    "repmod.kac_module": "bench/tracer.py wraps it by name",
+    "repmod.quotient_module": "bench/tracer.py wraps it by name",
+    "repmod.singular_vectors": "bench/tracer.py wraps it by name",
+    "repmod.tensor_module": "bench/tracer.py wraps it by name",
+    "repmod._factor_columns": "called only by repmod.tensor_module",
+    "scalars.RatFunc.coeffs": "bench/workloads.py: the specialize oracle's coefficients",
 }
 
 
-def _unreferenced_public_definitions():
-    """Public functions, classes and methods of the package that no module of
-    it names outside the definition's own body and no file of bench names."""
-    trees = {f[:-3]: _parse(os.path.join(SRC, f))
-             for f in sorted(os.listdir(SRC)) if f.endswith(".py")}
-    everywhere, bench = collections.Counter(), collections.Counter()
-    for tree in trees.values():
-        everywhere.update(_references(tree))
-    for f in os.listdir(BENCH):
-        if f.endswith(".py"):
-            bench.update(_references(_parse(os.path.join(BENCH, f))))
-    return sorted(
-        "%s.%s" % (mod, qual) for mod, tree in trees.items() for qual, node in _definitions(tree)
-        if not node.name.startswith("_")
-        and everywhere[node.name] == _references(node)[node.name] and not bench[node.name]
-    )
+def _functions():
+    """(qualified name, "src/qgl/<file>:<first line>", enclosing function's
+    qualified name or None) of every function and method of the package.
+    The first line of a decorated function is its first decorator's, as in
+    its code object."""
+    out = []
+
+    def walk(node, mod, prefix, outer):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = prefix + child.name
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                out.append((qual, "src/qgl/%s.py:%d" % (mod, first), outer))
+                walk(child, mod, qual + ".", qual)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, mod, prefix + child.name + ".", outer)
+            else:
+                walk(child, mod, prefix, outer)
+
+    for f in MODULES:
+        walk(_parse(os.path.join(SRC, f)), f[:-3], f[:-3] + ".", None)
+    return out
 
 
-def test_every_public_definition_is_used():
-    # a definition that only tests call belongs beside those tests, in tests/;
-    # an allowlist entry that something now names, or that is gone, is stale
-    assert _unreferenced_public_definitions() == sorted(UNREFERENCED_ALLOWED)
+@functools.lru_cache(maxsize=None)
+def _unreached():
+    """Qualified names of the definitions no corpus argv enters, less the
+    protocol dunders and the functions nested in an unreached one (they
+    count with it)."""
+    entered = set(argv_corpus.traced_pass()["entered"])
+    unreached = {qual: outer for qual, loc, outer in _functions() if loc not in entered}
+    return sorted(qual for qual, outer in unreached.items()
+                  if outer not in unreached and qual.rsplit(".", 1)[1] not in PROTOCOL_DUNDERS)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_definition_is_reached(name):
+    prefix = name[:-3] + "."
+    assert [q for q in _unreached() if q.startswith(prefix) and q not in REACH_ALLOWED] == []
+
+
+def test_every_reach_allowance_is_needed():
+    # an entry that a corpus argv now reaches, or that is gone, is stale
+    assert sorted(q for q in REACH_ALLOWED if q not in _unreached()) == []

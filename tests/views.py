@@ -4,7 +4,8 @@ maps of the tensor square that the Hopf axioms are checked with.
 ``relations`` asks its algebra argument only for shape, qi, gen, k_mono,
 k_alpha, one and zero, and does ring arithmetic on the values; through
 ``MappedView(alg, f)`` it checks that f respects the presentation: the
-coproduct, a braid operator, or a module's action on ``repmod._Matrix``.
+coproduct, a braid operator, or a module's action (its operators wrapped
+as ``_Operator``).
 """
 
 from qgl.braid import _check_even_node, braid_t, braid_t_inv
@@ -71,15 +72,47 @@ class _Absent:
 _ABSENT = _Absent()
 
 
+class _Operator:
+    """A module operator as the relation catalog computes with it: the sum,
+    product and scaling of ``repmod._Matrix``, and the difference and zero
+    test that only the catalog asks for."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m):
+        self.m = m
+
+    def __add__(self, other):
+        if not isinstance(other, _Operator):
+            return NotImplemented
+        return _Operator(self.m + other.m)
+
+    def __sub__(self, other):
+        if not isinstance(other, _Operator):
+            return NotImplemented
+        return _Operator(self.m + other.m.scale(-RF_ONE))
+
+    def __mul__(self, other):
+        if not isinstance(other, _Operator):
+            return NotImplemented
+        return _Operator(self.m * other.m)
+
+    def scale(self, c):
+        return _Operator(self.m.scale(c))
+
+    def is_zero(self):
+        return not any(self.m.cols)
+
+
 def _action(mod, elt):
-    """The action matrix of an element as a ring value, or _ABSENT when it
-    needs a simple generator the module stores no matrix for."""
+    """The action of an element as a ring value, or _ABSENT when it needs a
+    simple generator the module stores no matrix for."""
     nodes = set(mod.nodes())
     for mono in elt.terms:
         if any(a[0] != "K" and not nodes.issuperset(range(a[1], a[2]))
                for a in mod.alg.mono_word(mono)):
             return _ABSENT
-    return mod.alg.apply_hom(elt, mod._image)
+    return _Operator(mod.alg.apply_hom(elt, mod._image))
 
 
 def verify_module(mod):
