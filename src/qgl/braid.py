@@ -9,11 +9,17 @@ automorphism acting on generators by
     T_i(F_j) = -F_j F_i + q_i F_i F_j                   when a_ij = -1
     T_i(K_mu) = K_{s_i mu}   (s_i swaps entries i, i+1)
 
-T_i is even (no super sign) and commutes with the E/F exchange map.
-T_i and T_i^{-1} act through ``Algebra.apply_hom``, one image per generator atom.
+T_i is even (no super sign) and commutes with the E/F exchange map omega,
+so T_i(F_jk) = omega(T_i(E_jk)).  The image of every root vector, composite
+ones included, is written down (``_braid_image``), and T_i and T_i^{-1} act
+through ``Algebra.apply_hom`` with those images.
 """
 
+import functools
+
 from .errors import BraidAtOddNode
+from .pbwcore import Element
+from .scalars import RF_ONE
 
 
 def _check_even_node(shape, i):
@@ -30,36 +36,59 @@ def _swap_mu(mu, i):
 
 
 def _braid_image(alg, i, atom, inverse):
-    """T_i (or T_i^{-1}) of one generator atom.
+    """T_i (or T_i^{-1}) of a torus atom or of a root vector (power one), in
+    PBW normal form.  With X = F_i K^{alpha_i} and Y = F_i K^{-alpha_i}:
 
-    T_i^{-1} sends each generator to T_i's image with the order of every
-    product reversed and the exponent of K_{alpha_i} negated.
+        E_jk        T_i(E_jk)                   T_i^{-1}(E_jk)
+        (i, i+1)    -X                          -q_i^2 Y
+        (i+1, k)    -E_ik                       q_i E_ik + (q_i^-1 - q_i) E_{i,i+1} E_{i+1,k}
+        (i, k)      q_i^-1 E_{i+1,k}            -E_{i+1,k}
+                      + (1 - q_i^-2) X E_ik
+        (j, i)      a E_{j,i+1}                 -E_{j,i+1}
+                      + b E_{i,i+1} E_ji
+        (j, i+1)    -E_ji                       q_i E_ji + (q_i^3 - q_i) Y E_{j,i+1}
+
+    and every other E_jk to itself, where (a, b) = (q_i, q_i^-1 - q_i) for an
+    even E_ji and q_i^-1 (1, q_i^-1 - q_i) for an odd one.
     """
-    sh = alg.shape
     if atom[0] == "K":
         return alg.k_mono(_swap_mu(atom[1], i))
-    sign = -1 if inverse else 1
+    if atom[0] == "F":
+        return alg.omega(_braid_image(alg, i, ("E",) + atom[1:], inverse))
+    _, j, k, _ = atom
+    q, qinv = alg.qi(i, 1), alg.qi(i, -1)
+    alpha = alg.shape.k_alpha_vector(i)
+    x = (("F", i, i + 1, 1), ("K", alpha))
+    y = (("F", i, i + 1, 1), ("K", tuple(-a for a in alpha)))
 
-    def prod(x, y):
-        return y * x if inverse else x * y
+    def e(a, b):
+        return ("E", a, b, 1)
 
-    kind, j = atom[0], atom[1]  # simple generator: (j, j+1)
-    if sh.cartan_entry(i, j) == 0:
-        return alg.gen(kind, j, j + 1)
-    if kind == "E":
-        if j == i:
-            return -prod(alg.gen("F", i, i + 1), alg.k_alpha(i, sign))
-        ei, ej = alg.gen("E", i, i + 1), alg.gen("E", j, j + 1)
-        return -prod(ei, ej) + prod(ej, ei).scale(alg.qi(i, -1))
-    if j == i:
-        return -prod(alg.k_alpha(i, -sign), alg.gen("E", i, i + 1))
-    fi, fj = alg.gen("F", i, i + 1), alg.gen("F", j, j + 1)
-    return -prod(fj, fi) + prod(fi, fj).scale(alg.qi(i, 1))
+    if (j, k) == (i, i + 1):
+        terms = [(-(q * q), y)] if inverse else [(-RF_ONE, x)]
+    elif j == i + 1:
+        terms = ([(q, (e(i, k),)), (qinv - q, (e(i, j), atom))] if inverse
+                 else [(-RF_ONE, (e(i, k),))])
+    elif j == i:
+        terms = ([(-RF_ONE, (e(i + 1, k),))] if inverse
+                 else [(qinv, (e(i + 1, k),)), (RF_ONE - qinv * qinv, x + (atom,))])
+    elif k == i:
+        odd = alg.shape.parity(j, i)
+        b = (qinv - q) * qinv if odd else qinv - q
+        terms = ([(-RF_ONE, (e(j, i + 1),))] if inverse
+                 else [(qinv if odd else q, (e(j, i + 1),)), (b, (e(i, i + 1), atom))])
+    elif k == i + 1:
+        terms = ([(q, (e(j, i),)), (q * q * q - q, y + (atom,))] if inverse
+                 else [(-RF_ONE, (e(j, i),))])
+    else:
+        terms = [(RF_ONE, (atom,))]
+    return Element(alg, {alg.word_to_monomial(w): c for c, w in terms})
 
 
 def _apply_braid(alg, i, elt, inverse):
     _check_even_node(alg.shape, i)
-    return alg.apply_hom(elt, lambda atom: _braid_image(alg, i, atom, inverse))
+    image = functools.partial(_braid_image, alg, i, inverse=inverse)
+    return alg.apply_hom(elt, image, roots=image)
 
 
 def braid_t(alg, i, elt):

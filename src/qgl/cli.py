@@ -405,7 +405,7 @@ def run(argv):
             args.seed = cfg.get("seed", 0)
         return args.handler(args, Shape(*mn))
     except ExprSyntaxError as e:
-        sys.stderr.write("syntax error at offset %d: %s\n" % (e.offset, e.args[0]))
+        sys.stderr.write("syntax error at offset %d: %s\n" % (e.offset, e))
         return 2
     except DomainError as e:
         sys.stderr.write("domain error: %s\n" % (e,))

@@ -11,10 +11,11 @@ class DomainError(Exception):
 
 
 class ExprSyntaxError(Exception):
-    """Malformed input expression; carries the byte offset of the problem."""
+    """Malformed input expression: the message, and apart from it the byte
+    offset of the problem, which the CLI states once."""
 
     def __init__(self, message, offset):
-        super().__init__("%s (at offset %d)" % (message, offset))
+        super().__init__(message)
         self.offset = offset
 
 

@@ -11,10 +11,13 @@ Generator values:
     S(E_i) = -E_i K_{alpha_i}^{-1},  S(F_i) = -K_{alpha_i} F_i,
     S(K_mu) = K_{-mu}
 with the antipode extended as the graded anti-homomorphism
-S(xy) = (-1)^{par x * par y} S(y) S(x).
+S(xy) = (-1)^{par x * par y} S(y) S(x).  The coproduct and the antipode of
+every root vector, composite ones included, are written down in PBW normal
+form (``Hopf.delta_atom``, ``Hopf.antipode_atom``); ``tests/test_root_vectors.py``
+checks them against the defining recursion of composite root vectors.
 """
 
-from .pbwcore import LinearCombination, add_term
+from .pbwcore import Element, LinearCombination, add_term
 from .scalars import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -30,14 +33,6 @@ class TensorElement(LinearCombination):
     def one(cls, alg):
         u = alg.unit_monomial()
         return cls(alg, {(u, u): RF_ONE})
-
-    @classmethod
-    def from_pair(cls, x, y):
-        out = {}
-        for k1, c1 in x.terms.items():
-            for k2, c2 in y.terms.items():
-                add_term(out, (k1, k2), c1 * c2)
-        return cls(x.alg, out)
 
     def __mul__(self, other):
         """A scalar multiple, or the signed product of two tensor elements."""
@@ -75,20 +70,37 @@ class Hopf:
     # -- generator images ----------------------------------------------------
 
     def delta_atom(self, atom):
-        """The coproduct of a simple generator or a torus atom."""
-        alg, pair = self.alg, TensorElement.from_pair
+        """The coproduct of a torus atom or of a root vector (power one), with
+        K_ab = K^{eps_a - eps_b}:
+
+            delta(E_ij) = E_ij (x) K_ij + 1 (x) E_ij
+                          + sum_{i<c<j} (q_c - q_c^-1) E_cj (x) K_cj E_ic
+            delta(F_ij) = F_ij (x) 1 + K_ji (x) F_ij
+                          - sum_{i<c<j} (q_c - q_c^-1) F_ic K_jc (x) F_cj
+
+        j - i + 1 terms, each a pair of PBW monomials."""
+        alg = self.alg
+        mono = alg.word_to_monomial
         if atom[0] == "K":
-            k = alg.k_mono(atom[1])
-            return pair(k, k)
+            k = mono((atom,))
+            return TensorElement(alg, {(k, k): RF_ONE})
         kind, i, j, _ = atom
-        g = alg.gen(kind, i, j)
+        root, x, unit = alg.shape.root_weight, mono((atom,)), alg.unit_monomial()
         if kind == "E":
-            return pair(g, alg.k_alpha(i)) + pair(alg.one(), g)
-        return pair(g, alg.one()) + pair(alg.k_alpha(i, -1), g)
+            terms = {(x, mono((("K", root(i, j)),))): RF_ONE, (unit, x): RF_ONE}
+            for c in range(i + 1, j):
+                terms[(mono((("E", c, j, 1),)), mono((("K", root(c, j)), ("E", i, c, 1))))] = (
+                    alg.qi(c, 1) - alg.qi(c, -1))
+        else:
+            terms = {(x, unit): RF_ONE, (mono((("K", root(j, i)),)), x): RF_ONE}
+            for c in range(i + 1, j):
+                terms[(mono((("F", i, c, 1), ("K", root(j, c)))), mono((("F", c, j, 1),)))] = (
+                    alg.qi(c, -1) - alg.qi(c, 1))
+        return TensorElement(alg, terms)
 
     def delta(self, elt):
         """The coproduct, a superalgebra map into the signed tensor square."""
-        return self.alg.apply_hom(elt, self.delta_atom)
+        return self.alg.apply_hom(elt, self.delta_atom, roots=self.delta_atom)
 
     def counit(self, elt):
         """The counit: kills E and F, sends every K-monomial to 1."""
@@ -100,14 +112,37 @@ class Hopf:
 
     def antipode(self, elt):
         """The antipode, a graded anti-homomorphism."""
+        return self.alg.apply_hom(elt, self.antipode_atom, anti=True, roots=self.antipode_atom)
+
+    def antipode_atom(self, atom):
+        """S of a torus atom or of a root vector (power one).  S(K_mu) = K_{-mu},
+        and S(F_ij) = omega(S(E_ij)).  S(E_ij) has one PBW monomial per set C of
+        cut points i < c_1 < ... < c_k < j:
+
+            S(E_ij) = -q_i q_j sum_C prod_{i<c<j} g_C(c) K_ji E_{i c_1} E_{c_1 c_2} ... E_{c_k j}
+
+        with g_C(c) = 1 - q_c^2 at a cut and q_c^2 elsewhere, except that for an
+        odd E_ij the points c > m up to the first cut after m have
+        g_C(c) = q_c^-1 - q_c at that cut and 1 elsewhere: 2^(j-i-1) terms."""
         alg = self.alg
-
-        def image(atom):
-            if atom[0] == "K":
-                return alg.k_mono(tuple(-x for x in atom[1]))
-            kind, i, j, _ = atom
-            if kind == "E":
-                return -(alg.gen("E", i, j) * alg.k_alpha(i, -1))
-            return -(alg.k_alpha(i) * alg.gen("F", i, j))
-
-        return alg.apply_hom(elt, image, anti=True)
+        if atom[0] == "K":
+            return alg.k_mono(tuple(-x for x in atom[1]))
+        kind, i, j, _ = atom
+        if kind == "F":
+            return alg.omega(self.antipode_atom(("E", i, j, 1)))
+        sh, q = alg.shape, alg.qi
+        odd = sh.parity(i, j)
+        # (coefficient, atoms, last cut, whether a cut after m is placed), c ascending
+        parts = [(-(q(i, 1) * q(j, 1)), (("K", sh.root_weight(j, i)),), i, False)]
+        for c in range(i + 1, j):
+            nxt = []
+            for coeff, word, last, cut in parts:
+                if odd and c > sh.m and not cut:
+                    stay, split = RF_ONE, q(c, -1) - q(c, 1)
+                else:
+                    stay, split = q(c, 2), RF_ONE - q(c, 2)
+                nxt.append((coeff * stay, word, last, cut))
+                nxt.append((coeff * split, word + (("E", last, c, 1),), c, cut or c > sh.m))
+            parts = nxt
+        return Element(alg, {alg.word_to_monomial(word + (("E", last, j, 1),)): coeff
+                             for coeff, word, last, _ in parts})

@@ -30,12 +30,15 @@ straightening order (a pair is reducible when its left atom's slot is not
 before its right atom's) all go through that table.
 
 Each algebra caches the replacement of every reducible pair of atoms it
-meets.  A crossing pair (an E atom followed by an F atom) is cached as its
-full normal form, not as one rewrite step: crossing a composite F expands
-it into simple F's that the lowering-side rules then fold back, and that
-tree of mostly cancelling rewrites runs once per pair and algebra.
-One step budget (_MAX_STEPS) bounds a top-level straightening together
-with the pair resolutions it opens.
+meets.  A crossing pair (an E atom followed by an F atom) is replaced by its
+full normal form.  For single powers E_ij F_st that normal form is written
+down (``_resolve_ef``): F_st E_ij, and at most two terms F K E where the
+intervals (i, j) and (s, t) share an endpoint or overlap.  A crossing of
+powers E^N F^M peels one factor of each side, E^{N-1} (E F) F^{M-1}, and a
+nested straightening of that word builds its normal form once per pair and
+algebra.  One step budget (_MAX_STEPS) bounds a top-level straightening
+together with the nested normalizations of crossing pairs of powers it
+opens; single-power crossings open none.
 """
 
 from collections import namedtuple
@@ -60,8 +63,10 @@ from .scalars import (
 )
 
 _MAX_STEPS = 5_000_000
-# crossing pairs whose normal forms may be under construction at once; a
-# deeper pair keeps its one-step rewrite, which bounds the recursion
+# crossing pairs of powers (E^N F^M, N + M > 2) whose normal forms may be
+# under construction at once; a deeper pair keeps its peeled product, which
+# bounds the recursion.  A crossing of single powers is written down and
+# opens no nested straightening.
 _MAX_NESTING = 100
 # largest t of a torus bracket [K;c;t] built, directly or as a K-exponent
 # coordinate; the tests and the benchmark workloads use t <= 4
@@ -93,8 +98,9 @@ def _factorial(n):
 
 
 class _Budget:
-    """Rewrite steps spent by one top-level straighten call, nested
-    crossing-pair resolutions included, and their current nesting depth."""
+    """Rewrite steps spent by one top-level straighten call, the nested
+    normalizations of crossing pairs of powers included, and their current
+    nesting depth."""
 
     __slots__ = ("steps", "depth")
 
@@ -516,10 +522,11 @@ class Algebra:
         return out
 
     def _resolve(self, left, right, budget):
-        """The replacement (coeff, word) pairs for a reducible pair; a
-        crossing pair maps to its normal form.  While that normal form is
-        being computed the pair maps to its one-step rewrite, which a nested
-        occurrence of the same pair then uses."""
+        """The replacement (coeff, word) pairs for a reducible pair.  A
+        crossing pair of powers, E^N F^M with N + M > 2, maps to its normal
+        form, which a nested straightening of the peeled product builds;
+        while that runs the pair maps to the peeled product itself, which a
+        nested occurrence of the same pair then uses."""
         key = (left, right)
         hit = self._pair_cache.get(key)
         if hit is None:
@@ -538,7 +545,8 @@ class Algebra:
                 cleaned.append((c, w2))
             hit = cleaned
             self._pair_cache[key] = hit
-            if left[0] == "E" and right[0] == "F" and budget.depth < _MAX_NESTING:
+            if (left[0] == "E" and right[0] == "F" and left[3] + right[3] > 2
+                    and budget.depth < _MAX_NESTING):
                 budget.depth += 1
                 try:
                     nf = self._straighten(hit, budget)
@@ -671,45 +679,47 @@ class Algebra:
     # .. crossing pairs ......................................................
 
     def _resolve_ef(self, left, right):
+        """E_{ij}^N F_{st}^M.  For N = M = 1 its PBW normal form, written down:
+
+            E_ij F_st = (-1)^{p(ij) p(st)} F_st E_ij
+                        + (K_ij - K_ji) / (q_i - q_i^-1)  when (i, j) = (s, t)
+                        + a F_jt K_sj E_is                when i <= s < j <= t
+                        + b F_si K_ti E_tj                when s <= i < t <= j
+
+        otherwise, with K_ab = K^{eps_a - eps_b} and X_aa standing for 1.
+        a is 1 - q_j^2 for i < s and j < t, 1 for j = t, and for i = s it is
+        -q_j when s and j lie in one block (q_s = q_j) and q_j when not;
+        b is 1 - q_t^-2 for s < i and t < j, 1 for t = j, and for s = i it
+        is -q_t^-1 when i and t lie in one block and q_t^-1 when not.  So
+        a crossing has 1 to 3 terms, each one PBW word (F, K, E), and no
+        crossing of single powers is straightened; ``tests/test_root_vectors.py``
+        checks every pair against straightening with the defining recursion
+        of F_st.  A power peels one factor of each side: E^{N-1} (E F) F^{M-1}.
+        """
         sh = self.shape
-        _, i, j, N = left
-        _, s, t, M = right
-        if t > s + 1:
-            # expand the composite F once: F_{s,t} = -q_c F_{s,c}F_{c,t}
-            #                                        + F_{c,t}F_{s,c},  c = s+1
-            c = s + 1
-            post = (("F", s, t, M - 1),) if M > 1 else ()
-            return [
-                (-self.qi(c, 1), (left, ("F", s, c, 1), ("F", c, t, 1)) + post),
-                (RF_ONE, (left, ("F", c, t, 1), ("F", s, c, 1)) + post),
-            ]
-        # now F is a simple generator F_{s,s+1}
-        if j == i + 1:
-            if i != s:
-                return [(RF_ONE, (right, left))]
-            # Kac relation on one power of each factor
-            kvec = sh.k_alpha_vector(i)
-            den = (self.qi(i, 1) - self.qi(i, -1)).inverse()
-            sgn = RF_ONE * (-1 if i == sh.m else 1)
-            singles = [
-                (sgn, (("F", i, j, 1), ("E", i, j, 1))),
-                (den, (("K", kvec),)),
-                (-den, (("K", tuple(-x for x in kvec)),)),
-            ]
-            return self._wrap_peel(singles, left, right)
-        # composite E against simple F: triangular crossing identity
-        pl = sh.parity(i, j)
-        pr = sh.parity(s, t)
-        sgn = RF_ONE * (-1 if (pl and pr) else 1)
+        eps = sh.eps_sign
+        _, i, j, _ = left
+        _, s, t, _ = right
+        sgn = -RF_ONE if sh.parity(i, j) and sh.parity(s, t) else RF_ONE
         singles = [(sgn, (("F", s, t, 1), ("E", i, j, 1)))]
-        if t == j:
-            kvec = sh.k_alpha_vector(s)
-            singles.append((self.qi(s, -1), (("E", i, s, 1), ("K", kvec))))
-        if i == s:
-            kvec = tuple(-x for x in sh.k_alpha_vector(s))
-            # coefficient -(-1)^{delta_{sm}}
-            c2 = RF_ONE if s == sh.m else -RF_ONE
-            singles.append((c2, (("E", s + 1, j, 1), ("K", kvec))))
+        if (i, j) == (s, t):
+            den = (self.qi(i, 1) - self.qi(i, -1)).inverse()
+            singles += [(den, (("K", sh.root_weight(i, j)),)),
+                        (-den, (("K", sh.root_weight(j, i)),))]
+        elif i <= s < j <= t:
+            if i == s:
+                c = -self.qi(j, 1) if eps(s) == eps(j) else self.qi(j, 1)
+            else:
+                c = RF_ONE if j == t else RF_ONE - self.qi(j, 2)
+            word = ((("F", j, t, 1),) if j < t else ()) + (("K", sh.root_weight(s, j)),)
+            singles.append((c, word + ((("E", i, s, 1),) if i < s else ())))
+        elif s <= i < t <= j:
+            if s == i:
+                c = -self.qi(t, -1) if eps(i) == eps(t) else self.qi(t, -1)
+            else:
+                c = RF_ONE if t == j else RF_ONE - self.qi(t, -2)
+            word = ((("F", s, i, 1),) if s < i else ()) + (("K", sh.root_weight(t, i)),)
+            singles.append((c, word + ((("E", t, j, 1),) if t < j else ())))
         return self._wrap_peel(singles, left, right)
 
     # -- products -----------------------------------------------------------
@@ -837,7 +847,7 @@ class Algebra:
             words = [(c1 * c2, w1 + w2) for c1, w1 in words for c2, w2 in pieces]
         return words
 
-    def apply_hom(self, elt, image, anti=False):
+    def apply_hom(self, elt, image, anti=False, roots=None):
         """Extend a map on simple generators and torus atoms to the whole
         algebra, and return the image of elt.
 
@@ -845,17 +855,21 @@ class Algebra:
         multiply with each other and by a RatFunc: an Element, a
         TensorElement or a module operator.  image(K^0) is its unit, asked
         only for the unit monomial or an empty sum; every other atom is
-        asked once per distinct atom and call.  The image of a composite
-        root vector X_{ij} is built once per call, by its defining recursion
-        from the images of X_{i,i+1} and X_{i+1,j}, and then multiplies like
-        a simple generator's.  A word's image is the product of its atoms'
-        images, starting from its first factor's; a power X^n is n factors
-        X.  For an algebra-valued image (an Element or a TensorElement) the
-        image of X^n follows ``Element.__pow__``: a closed form when X's
-        image is a scalar times one atom, and otherwise n within _MAX_POWER,
-        checked before any product; a module operator's power is unbounded.
-        With anti=True the map is a graded anti-homomorphism: the atoms act
-        in the opposite order, with the sign (-1)^{N(N-1)/2} for the
+        asked once per distinct atom and call.  roots(atom), when given,
+        returns the image of a composite root vector X_{ij} (power one) in
+        closed form: the coproduct, the antipode and the braid operators
+        write theirs down.  Without it (module operators, whose targets
+        store simple generators alone) the image of X_{ij} is built once per
+        call, by its defining recursion from the images of X_{i,i+1} and
+        X_{i+1,j}.  Either way it then multiplies like a simple generator's.
+        A word's image is the product of its atoms' images, starting from
+        its first factor's; a power X^n is n factors X.  For an
+        algebra-valued image (an Element or a TensorElement) the image of
+        X^n follows ``Element.__pow__``: a closed form when X's image is a
+        scalar times one atom, and otherwise n within _MAX_POWER, checked
+        before any product; a module operator's power is unbounded.  With
+        anti=True the map is a graded anti-homomorphism: the atoms act in
+        the opposite order, with the sign (-1)^{N(N-1)/2} for the
         monomial's N odd atoms.
         """
         images = {}
@@ -867,6 +881,8 @@ class Algebra:
             if x is None:
                 if atom[0] == "K" or atom[2] == atom[1] + 1:
                     x = image(atom)
+                elif roots is not None:
+                    x = roots(atom)
                 else:
                     x = total(self._composite_step(*atom[:3]))
                 images[atom] = x

@@ -561,9 +561,9 @@ class _KacInduction:
 
     * two odd F's: the quantum-matrix relations of Lambda_q(g_-1);
     * an even F: a twisted derivation of Lambda_q(g_-1);
-    * a simple E_i: (-1)^{p(E_i)} F_b E_i, and at most one term of
-      [E_i, F_b]; E_i moves on past the rest of F1^d, and an odd E kills
-      1 (x) L0.
+    * a simple E_i: the straightener's closed form of the crossing pair,
+      (-1)^{p(E_i)} F_b E_i and at most one term of [E_i, F_b]; E_i moves
+      on past the rest of F1^d, and an odd E kills 1 (x) L0.
 
     A torus atom passes F1^d with a q-power.  Nothing is straightened;
     ``tests/test_repmod.py`` checks every rule against the straightener's
@@ -649,30 +649,22 @@ class _KacInduction:
                 return [(RF_ONE, (p,), atom, None), (RF_Q - _Q_INV, new, ("F", a, t, 1), None)]
         return [(RF_ONE, (p,), atom, None)]
 
-    def _root(self, i, j):
-        """F_ij as (e, x) of a term: an odd root is a place of F1^d, an even
-        one an atom."""
-        atom = ("F", i, j, 1)
-        if atom in self._place:
-            return (self._place[atom],), None
-        return (), atom
-
     def _crossing(self, atom, p):
-        """E_i F_st for a simple E_i and an odd root (s, t)."""
-        sh = self.alg.shape
-        i = atom[1]
-        s, t = self.alg.f1_list[p]
-        kv = sh.k_alpha_vector(i)
-        kv_inv = tuple(-x for x in kv)
-        out = [(-RF_ONE if i == sh.m else RF_ONE, (p,), atom, None)]
-        if (s, t) == (i, i + 1):
-            # the Kac relation: [E_m, F_m] = (K_m - K_m^-1) / (q - q^-1)
-            den = (RF_Q - _Q_INV).inverse()
-            out += [(den, (), None, kv), (-den, (), None, kv_inv)]
-        elif s == i:  # i <= m, where q_i = q
-            out.append((_Q_INV if i == sh.m else -RF_Q,) + self._root(i + 1, t) + (kv,))
-        elif t == i + 1:
-            out.append((RF_ONE,) + self._root(s, i) + (kv_inv,))
+        """E_i F_st for a simple E_i and an odd root (s, t): the straightener's
+        closed form of the crossing pair (``Algebra._resolve_ef``), whose
+        words are F_st E_i and, where [E_i, F_st] is not zero, an F or none
+        followed by a torus atom."""
+        out = []
+        for c, word in self.alg._resolve_ef(atom, self.odd[p]):
+            e, x, nu = (), None, None
+            for a in word:
+                if a[0] == "K":
+                    nu = a[1]
+                elif a in self._place:
+                    e = (self._place[a],)
+                else:
+                    x = a  # an even F, or E_i after F_st
+            out.append((c, e, x, nu))
         return out
 
     def _torus_past(self, nu, d):

@@ -133,7 +133,10 @@ def simple_at_root(alg, z, l):
     its order: the dominance check, then ``repmod.check_kac_weight``, the
     Kac dimension and q-degree budgets, so every z fails as it would there.
     L(z') can be over the q-degree budget where L(z) is not, on gl(1|2) at
-    lam = (1000, 100, 0) say; such a z takes the full construction too.
+    lam = (1000, 100, 0) say, since z' keeps the unconstrained coordinates
+    whole; such a z is split at every coordinate, z'_i = z_i mod l, and
+    certified alike.  Only when that L(z') is over the budget too, or a
+    certificate fails, does the full construction answer.
     """
     from . import repmod
 
@@ -148,7 +151,16 @@ def simple_at_root(alg, z, l):
         try:
             first = _full_simple(alg, z_to_weight(alg.shape, zp), l)
         except ResourceLimit:
-            first = None
+            # L(z') keeps the unconstrained coordinates m and m+n whole and
+            # is over the q-degree budget: split every coordinate instead,
+            # z'_i = z_i mod l, so that l z'' also shifts lam by l times a
+            # weight central in gl(m) + gl(n), which the twist builds alike
+            zp = tuple(x % l for x in z)
+            zpp = tuple((x - y) // l for x, y in zip(z, zp))
+            try:
+                first = _full_simple(alg, z_to_weight(alg.shape, zp), l)
+            except ResourceLimit:
+                first = None
         if first is not None:
             twist = repmod.frobenius_twist(alg, z_to_weight(alg.shape, zpp), l)
             product = _frobenius_product(first, twist)

@@ -20,7 +20,7 @@ from structure_checks import frobenius_character_check, frobenius_vanishing_chec
 from verma_oracle import VermaOracle
 from views import (
     BraidView, TensorSquareView, delta_slot, map_slot, multiply_out, root_vector_via_braid,
-    verify_module,
+    tensor_pair, verify_module,
 )
 
 
@@ -290,7 +290,7 @@ def test_criterion_05_hopf():
                 for (a, b), cf in d.terms.items():
                     if (b.fd, b.fpsi, b.epsi, b.ed) == (u.fd, u.fpsi, u.epsi, u.ed):
                         filtered[(a, b)] = cf
-                want = TensorElement.from_pair(word, alg.k_mono(tuple(kvec)))
+                want = tensor_pair(word, alg.k_mono(tuple(kvec)))
                 assert TensorElement(alg, filtered) == want, (shape, seq)
 
 

@@ -735,6 +735,32 @@ def test_frobenius_probes_print_the_full_paths_bytes(argv, size, digest):
     assert elapsed < 10
 
 
+# simple --at-root 5 probes whose L(z') keeps an unconstrained coordinate
+# whole and is over the q-degree budget, so that every coordinate is split:
+# the size and SHA-256 of their stdout.  On a 2-core host the full
+# construction ran past 60 s on the first and printed the same bytes in
+# 2.8 s on the second; the split answers each in about 0.15 s
+SPLIT_PROBES = [
+    (["1,2", "--lambda=1000,100,0"], 764,
+     "f97ba98fffb5b1a9ed346f57336d25a44181f1758778baf508184c88e9cc57d4"),
+    (["1,3", "--lambda=1000,5,0,0"], 146,
+     "0546bc1a14f08e25f01946bb66dedde02c1b75048d615329fcf58ef2ff76afdc"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", SPLIT_PROBES,
+                         ids=[" ".join(a) for a, _, _ in SPLIT_PROBES])
+def test_probes_split_at_every_coordinate_answer_fast(argv, size, digest):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "qgl.cli", "simple", "--shape"] + argv
+                          + ["--at-root", "5"], capture_output=True, timeout=60, env=env)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == (size, digest)
+    assert elapsed < 5
+
+
 @pytest.mark.parametrize("shape", sorted(CHARACTER_BOXES), ids=str)
 def test_simple_commands_print_the_full_paths_bytes(shape, monkeypatch):
     # simple characters over Q(q) induce only the raising half of K(lam); the

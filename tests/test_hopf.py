@@ -18,7 +18,7 @@ from qgl.scalars import RF_ONE, RF_ZERO, RatFunc
 
 from scalar_oracles import gauss_binomial
 from test_pbwcore import element_parity
-from views import TensorSquareView, delta_slot, map_slot, multiply_out
+from views import TensorSquareView, delta_slot, map_slot, multiply_out, tensor_pair
 
 SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -42,17 +42,17 @@ def test_delta_on_generators():
     h = Hopf(alg)
     for i in (1, 2):
         e = alg.gen("E", i, i + 1)
-        want = TensorElement.from_pair(e, alg.k_alpha(i)) + TensorElement.from_pair(
+        want = tensor_pair(e, alg.k_alpha(i)) + tensor_pair(
             alg.one(), e
         )
         assert h.delta(e) == want
         f = alg.gen("F", i, i + 1)
-        want = TensorElement.from_pair(f, alg.one()) + TensorElement.from_pair(
+        want = tensor_pair(f, alg.one()) + tensor_pair(
             alg.k_alpha(i, -1), f
         )
         assert h.delta(f) == want
     k = alg.k_mono((2, -1, 0))
-    assert h.delta(k) == TensorElement.from_pair(k, k)
+    assert h.delta(k) == tensor_pair(k, k)
 
 
 def test_counit_values():
@@ -102,11 +102,11 @@ def test_tensor_sign_rule():
     alg = Algebra((1, 1))
     e, f = alg.gen("E", 1, 2), alg.gen("F", 1, 2)
     # (1 (x) e)(f (x) 1) = -(f (x) e): both crossing factors are odd
-    a = TensorElement.from_pair(alg.one(), e)
-    b = TensorElement.from_pair(f, alg.one())
-    assert a * b == TensorElement.from_pair(f, e).scale(-1)
+    a = tensor_pair(alg.one(), e)
+    b = tensor_pair(f, alg.one())
+    assert a * b == tensor_pair(f, e).scale(-1)
     # and without odd crossing there is no sign
-    assert b * a == TensorElement.from_pair(f, e)
+    assert b * a == tensor_pair(f, e)
 
 
 def test_elements_and_tensor_elements_do_not_mix():
@@ -341,7 +341,7 @@ def test_divided_power_coproducts(shape):
             for j in range(N + 1):
                 left = alg.divided_power("E", i, i + 1, j)
                 right = alg.k_alpha(i) ** j * alg.divided_power("E", i, i + 1, N - j)
-                rhs = rhs + TensorElement.from_pair(left, right).scale(
+                rhs = rhs + tensor_pair(left, right).scale(
                     alg.qi(i, -j * (N - j))
                 )
             assert lhs == rhs, ("E", i, N)
@@ -353,7 +353,7 @@ def test_divided_power_coproducts(shape):
             for j in range(N + 1):
                 left = alg.divided_power("F", i, i + 1, j) * alg.k_alpha(i, -(N - j))
                 right = alg.divided_power("F", i, i + 1, N - j)
-                rhs = rhs + TensorElement.from_pair(left, right).scale(
+                rhs = rhs + tensor_pair(left, right).scale(
                     alg.qi(i, j * (N - j))
                 )
             assert lhs == rhs, ("F", i, N)
@@ -385,7 +385,7 @@ def test_coproduct_triangularity(shape):
             for (a, b), c in d.terms.items():
                 if (b.fd, b.fpsi, b.epsi, b.ed) == (u.fd, u.fpsi, u.epsi, u.ed):
                     filtered[(a, b)] = c
-            want = TensorElement.from_pair(word, alg.k_mono(tuple(kvec)))
+            want = tensor_pair(word, alg.k_mono(tuple(kvec)))
             assert TensorElement(alg, filtered) == want, seq
 
 

@@ -395,14 +395,22 @@ def test_torus_products_check_the_q_degree_atom_by_atom():
 
 
 def test_nested_pair_resolutions_share_the_step_budget(monkeypatch):
-    # E_1 F[2,4]F[2,3]F[1,4]F[1,3] on gl(2|2) takes 9 rewrite steps at the
-    # top level and 41 inside the crossing-pair resolutions it opens, no
-    # more than 17 in any one of them
-    monkeypatch.setattr(pbwcore, "_MAX_STEPS", 20)
+    # E_1 F[2,4]F[2,3]F[1,4]F[1,3] on gl(2|2) takes 9 rewrite steps, all at
+    # the top level, since a crossing of single powers is written down;
+    # E_1^2 F_1^2 on gl(2|1) takes 7 at the top level and 46 inside the
+    # normalizations of the crossing pairs of powers it opens
     alg = Algebra((2, 2))
     assert alg.f1_list == [(2, 4), (2, 3), (1, 4), (1, 3)]
+    monkeypatch.setattr(pbwcore, "_MAX_STEPS", 9)
+    alg.gen("E", 1, 2) * alg.monomial(fd=(1, 1, 1, 1))
+    monkeypatch.setattr(pbwcore, "_MAX_STEPS", 8)
+    alg = Algebra((2, 2))
     with pytest.raises(ResourceLimit):
         alg.gen("E", 1, 2) * alg.monomial(fd=(1, 1, 1, 1))
+    monkeypatch.setattr(pbwcore, "_MAX_STEPS", 20)
+    alg = Algebra((2, 1))
+    with pytest.raises(ResourceLimit):
+        alg.gen("E", 1, 2) ** 2 * alg.gen("F", 1, 2) ** 2
 
 
 # -- twists -----------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from qgl import repmod, rootofunity as ru, scalars
-from qgl.errors import BadRootOrder, DenominatorVanishes
+from qgl.errors import BadRootOrder, DenominatorVanishes, ResourceLimit
 from qgl.hopf import Hopf
 from qgl.linalg import columns, mat_mul
 from qgl.pbwcore import Algebra
@@ -403,17 +403,23 @@ def test_a_failing_certificate_falls_back_to_the_full_construction(monkeypatch):
     assert got.mats == want.mats
 
 
-def test_a_restricted_part_over_the_q_degree_budget_takes_the_full_construction(monkeypatch):
+def test_a_restricted_part_over_the_q_degree_budget_is_split_at_every_coordinate(monkeypatch):
     # on gl(1|2), z' can have a larger weight than z: lam = (5, 3, 0) has
     # z = (8, 3, 0), and at l = 3 z' = (8, 0, 0), whose weight is (8, 0, 0);
-    # with the budget at 6, L(z) is built whole, as before the factorization
+    # with the budget at 6 that L(z') is over it, so every coordinate is
+    # split, z' = (2, 0, 0) and z'' = (2, 1, 0), and the product is certified
     alg, z, l = Algebra((1, 2)), (8, 3, 0), 3
     monkeypatch.setattr(scalars, "_MAX_Q_DEGREE", 6)
     assert z_to_weight(alg.shape, z) == (5, 3, 0)
     want = full_simple_at_root(alg, z, l)
-    monkeypatch.setattr(ru, "_certified", lambda mod: pytest.fail("no product is built"))
+    with pytest.raises(ResourceLimit):
+        full_simple_at_root(alg, (8, 0, 0), l)
+    asked = []
+    certified = ru._certified
+    monkeypatch.setattr(ru, "_certified", lambda mod: asked.append(mod.dim) or certified(mod))
     got = ru.simple_at_root(alg, z, l)
-    assert (got.eps_weights, got.mats) == (want.eps_weights, want.mats)
+    assert asked == [want.dim]
+    assert sorted(got.eps_weights) == sorted(want.eps_weights)
 
 
 # -- classical limit ---------------------------------------------------------

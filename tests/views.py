@@ -16,6 +16,15 @@ from qgl.repmod import _key_shift
 from qgl.scalars import RF_ONE
 
 
+def tensor_pair(x, y):
+    """x (x) y for two elements of one algebra."""
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            add_term(out, (k1, k2), c1 * c2)
+    return TensorElement(x.alg, out)
+
+
 class MappedView:
     """The algebra interface of alg with every value sent through f."""
 
