@@ -72,14 +72,15 @@ class ResourceLimit(DomainError):
     (pbwcore._MAX_STEPS), the largest t of a torus bracket [K;c;t]
     (pbwcore._MAX_BRACKET), the largest n of a divided power X^(n)
     (pbwcore._MAX_DIVIDED), the exponent of a power of a many-term element
-    (pbwcore._MAX_POWER), the Kac dimension of a module's highest weight
-    (repmod._MAX_KAC_DIM), a root order (scalars._MAX_ROOT_ORDER), the
-    q-degree of a power, a torus bracket shift or a highest weight
-    (scalars._MAX_Q_DEGREE), the trial count of selftest (cli._MAX_TRIALS)
-    or the digits of an integer an answer prints (_MAX_INT_DIGITS: a
-    coefficient, the exponent a power gives a monomial, a count or P, and
-    c^n for a rational c != +-1 before it is built); a longer integer
-    literal is a syntax error."""
+    (pbwcore._MAX_POWER), the span j - i of a root vector whose antipode,
+    of 2^(j-i-1) terms, is built (hopf._MAX_ANTIPODE_SPAN), the Kac
+    dimension of a module's highest weight (repmod._MAX_KAC_DIM), a root
+    order (scalars._MAX_ROOT_ORDER), the q-degree of a power, a torus
+    bracket shift or a highest weight (scalars._MAX_Q_DEGREE), the trial
+    count of selftest (cli._MAX_TRIALS) or the digits of an integer an
+    answer prints (_MAX_INT_DIGITS: a coefficient, the exponent a power
+    gives a monomial, a count or P, and c^n for a rational c != +-1 before
+    it is built); a longer integer literal is a syntax error."""
 
 
 # The most decimal digits of an integer read or printed, under the 4300 that

@@ -17,8 +17,13 @@ form (``Hopf.delta_atom``, ``Hopf.antipode_atom``); ``tests/test_root_vectors.py
 checks them against the defining recursion of composite root vectors.
 """
 
+from .errors import ResourceLimit
 from .pbwcore import Element, LinearCombination, add_term
 from .scalars import RF_ONE, RF_ZERO, RatFunc
+
+# largest span j - i of a root vector whose antipode, of 2^(j-i-1) terms, is
+# built: antipode --shape 13,1 "E[1,14]" prints 4096 terms, 2.9 MB
+_MAX_ANTIPODE_SPAN = 13
 
 
 class TensorElement(LinearCombination):
@@ -123,11 +128,15 @@ class Hopf:
 
         with g_C(c) = 1 - q_c^2 at a cut and q_c^2 elsewhere, except that for an
         odd E_ij the points c > m up to the first cut after m have
-        g_C(c) = q_c^-1 - q_c at that cut and 1 elsewhere: 2^(j-i-1) terms."""
+        g_C(c) = q_c^-1 - q_c at that cut and 1 elsewhere: 2^(j-i-1) terms,
+        so j - i is checked against _MAX_ANTIPODE_SPAN before any is built."""
         alg = self.alg
         if atom[0] == "K":
             return alg.k_mono(tuple(-x for x in atom[1]))
         kind, i, j, _ = atom
+        if j - i > _MAX_ANTIPODE_SPAN:
+            raise ResourceLimit("the antipode of a root vector of span %d is over the budget "
+                                "of span %d" % (j - i, _MAX_ANTIPODE_SPAN))
         if kind == "F":
             return alg.omega(self.antipode_atom(("E", i, j, 1)))
         sh, q = alg.shape, alg.qi

@@ -18,7 +18,10 @@ scalar swaps for pairs sharing an endpoint, the two-term overlap
 identity for interleaved intervals, the triangular composite-root
 recursion, torus commutation, and the E-F crossing rules.  Lowering-side
 rules are obtained from raising-side rules through the anti-automorphism
-Omega (E <-> F, K -> K^-1, q -> q^-1).
+Omega (E <-> F, K -> K^-1, q -> q^-1).  These pair rules (``_resolve_ee``,
+``_resolve_ff``, ``_resolve_ef`` and the torus rule ``_torus_exponent``)
+are the engine's one copy of the two-atom relations: a product with a torus
+monomial and the Kac induction of ``repmod`` read them and restate none.
 
 The PBW order lives in one place, the slot table ``Algebra.slots`` built by
 the constructor: one slot per root vector in PBW order, odd F (descending
@@ -526,25 +529,13 @@ class Algebra:
         crossing pair of powers, E^N F^M with N + M > 2, maps to its normal
         form, which a nested straightening of the peeled product builds;
         while that runs the pair maps to the peeled product itself, which a
-        nested occurrence of the same pair then uses."""
+        nested occurrence of the same pair then uses.  The rules write no
+        zero coefficient and no atom of power 0 or K^0, so their lists are
+        cached as they are."""
         key = (left, right)
         hit = self._pair_cache.get(key)
         if hit is None:
-            hit = self._resolve_uncached(left, right)
-            # drop zero-coefficient branches and trivial atoms eagerly
-            cleaned = []
-            for c, w in hit:
-                if c.is_zero():
-                    continue
-                w2 = tuple(
-                    a
-                    for a in w
-                    if not (a[0] == "K" and not any(a[1]))
-                    and not (a[0] in ("E", "F") and a[3] == 0)
-                )
-                cleaned.append((c, w2))
-            hit = cleaned
-            self._pair_cache[key] = hit
+            hit = self._pair_cache[key] = self._resolve_uncached(left, right)
             if (left[0] == "E" and right[0] == "F" and left[3] + right[3] > 2
                     and budget.depth < _MAX_NESTING):
                 budget.depth += 1
@@ -563,20 +554,10 @@ class Algebra:
             if any(merged):
                 return [(RF_ONE, (("K", merged),))]
             return [(RF_ONE, ())]
-        if kinds == "EK":
-            # E K -> q^{-n (mu, eps_i - eps_j)} K E
-            _, i, j, n = left
-            mu = right[1]
-            e = -n * bilinear_form(self.shape, mu, self.shape.root_weight(i, j))
-            check_q_degree(e, "a torus monomial passing a root vector")
-            return [(RatFunc.q_power(e), (right, left))]
-        if kinds == "KF":
-            # K F -> q^{-n (mu, eps_s - eps_t)} F K
-            _, s, t, n = right
-            mu = left[1]
-            e = -n * bilinear_form(self.shape, mu, self.shape.root_weight(s, t))
-            check_q_degree(e, "a torus monomial passing a root vector")
-            return [(RatFunc.q_power(e), (right, left))]
+        if kinds in ("EK", "KF"):
+            # E K -> q^{-n (mu, alpha)} K E and K F -> q^{-n (mu, alpha)} F K
+            atom, mu = (left, right[1]) if kinds == "EK" else (right, left[1])
+            return [(RatFunc.q_power(self._torus_exponent(mu, (atom,))), (right, left))]
         if kinds == "EE":
             return self._resolve_ee(left, right)
         if kinds == "FF":
@@ -764,14 +745,21 @@ class Algebra:
     def _torus_product(self, mu, key, passed):
         """K^mu times key, from either side, where K^mu passes the atoms
         passed in that order: {key with its torus times K^mu: the q-power}."""
+        merged = key._replace(k=tuple(a + b for a, b in zip(key.k, mu)))
+        return {merged: RatFunc.q_power(self._torus_exponent(mu, passed))}
+
+    def _torus_exponent(self, mu, passed):
+        """The q-exponent K^mu gathers passing the root vector atoms passed,
+        in that order, left past an E or right past an F: -n (mu, alpha) for
+        each X^n of root alpha, checked against the q-degree budget atom by
+        atom."""
         sh = self.shape
         e = 0
         for _, i, j, n in passed:
             d = -n * bilinear_form(sh, mu, sh.root_weight(i, j))
             check_q_degree(d, "a torus monomial passing a root vector")
             e += d
-        merged = key._replace(k=tuple(a + b for a, b in zip(key.k, mu)))
-        return {merged: RatFunc.q_power(e)}
+        return e
 
     def multiply(self, a, b):
         out = {}

@@ -13,8 +13,8 @@ non-normalized GT formulas (Molev, arXiv math/0211289, section 2) with
 every linear factor a symmetric q-integer (Jimbo 1986), so no product is
 straightened.  The Kac module K(lam) = Lambda_q(g_-1) (x) L0(lam) is induced
 from it (R. B. Zhang, J. Math. Phys. 34, 1993): a generator passes an
-ordered odd monomial one odd root at a time, by closed-form two-atom
-rules, and what is left of it acts on L0; no product is straightened
+ordered odd monomial one odd root at a time, by the straightener's own
+pair rules, and what is left of it acts on L0; no product is straightened
 there either.  For q = eta it is induced the same way from L0(lam) rebased
 onto divided lowering monomials, the integral lattice.  Its character needs
 none of this: ``kac_character`` reads it off the weights of the basis.
@@ -45,7 +45,6 @@ from .rootdata import (
 from .scalars import (
     GENERIC_FIELD,
     RF_ONE,
-    RF_Q,
     RatFunc,
     check_q_degree,
     cyclo_field,
@@ -535,9 +534,6 @@ def frobenius_twist(alg, lam, l):
 
 # -- Kac modules ------------------------------------------------------------
 
-_Q_INV = RatFunc.q_power(-1)
-
-
 def _times(a, b):
     """a * b, without the product when a factor is RF_ONE itself: most
     coefficients of the Kac induction are."""
@@ -556,22 +552,18 @@ class _KacInduction:
     Y = (fpsi, k, epsi) the even part of the PBW monomial F1^d' Y; Y then
     acts on w.
 
-    A generator passes F1^d one odd root F_b at a time, by the two-atom
-    product g F_b in closed form (``_rule``):
-
-    * two odd F's: the quantum-matrix relations of Lambda_q(g_-1);
-    * an even F: a twisted derivation of Lambda_q(g_-1);
-    * a simple E_i: the straightener's closed form of the crossing pair,
-      (-1)^{p(E_i)} F_b E_i and at most one term of [E_i, F_b]; E_i moves
-      on past the rest of F1^d, and an odd E kills 1 (x) L0.
-
-    A torus atom passes F1^d with a q-power.  Nothing is straightened;
-    ``tests/test_repmod.py`` checks every rule against the straightener's
-    two-atom product, and whole modules against the straightened
-    induction of ``tests/kac_oracle.py``.  The tables do not depend on lam
-    and live on the algebra (``Algebra._kac_induction``), so all Kac
-    modules of one algebra, both factors of a tensor product say, share
-    them.
+    A generator passes F1^d one odd root F_b at a time, by the
+    straightener's pair rule for g F_b (``_rule``): the F F rule for an odd
+    or an even F, and the crossing rule for a simple E_i, (-1)^{p(E_i)}
+    F_b E_i and at most one term of [E_i, F_b].  E_i moves on past the rest
+    of F1^d, an odd E killing 1 (x) L0, and the torus atom of a term of
+    [E_i, F_b] passes it by the straightener's torus rule.  Nothing is
+    straightened; ``tests/test_repmod.py`` checks every rule, as the
+    induction orders its atoms, against the two-atom product, and whole
+    modules against the straightened induction of ``tests/kac_oracle.py``.
+    The tables do not depend on lam and live on the algebra
+    (``Algebra._kac_induction``), so all Kac modules of one algebra, both
+    factors of a tensor product say, share them.
     """
 
     def __init__(self, alg):
@@ -595,83 +587,29 @@ class _KacInduction:
 
     def _rule(self, atom, p):
         """atom F_b, F_b the odd root at place p, as terms (coeff, e, x, nu):
-        coeff F1^e x K^nu, where e lists places in order, x is an atom or
-        None and nu a torus exponent or None."""
+        coeff F1^e x K^nu.  Each word of ``Algebra._resolve_ef`` (a simple
+        E) or ``Algebra._resolve_ff`` (an F) gives one: its K atom is nu,
+        its odd F's are e in word order, and its other atom is x.  An even
+        F's overlap terms put it before the odd F; its interval is nested in
+        the odd one's, so the two commute."""
         key = (atom, p)
         hit = self._rules.get(key)
         if hit is None:
-            if atom[0] == "E":
-                make = self._crossing
-            elif atom in self._place:
-                make = self._odd_pair
-            else:
-                make = self._even_pair
-            hit = self._rules[key] = make(atom, p)
+            alg = self.alg
+            resolve = alg._resolve_ef if atom[0] == "E" else alg._resolve_ff
+            hit = []
+            for c, word in resolve(atom, self.odd[p]):
+                e, x, nu = (), None, None
+                for a in word:
+                    if a[0] == "K":
+                        nu = a[1]
+                    elif a in self._place:
+                        e += (self._place[a],)
+                    else:
+                        x = a
+                hit.append((c, e, x, nu))
+            self._rules[key] = hit
         return hit
-
-    def _odd_pair(self, atom, p):
-        """F_ij F_kl for odd roots, (i, j) after (k, l) in PBW order: the
-        quantum-matrix relations of Lambda_q(g_-1)."""
-        (i, j), (k, l) = atom[1:3], self.alg.f1_list[p]
-        swap = (p, self._place[atom])
-        if i == k:  # one row
-            return [(-RF_Q, swap, None, None)]
-        if j == l:  # one column
-            return [(-_Q_INV, swap, None, None)]
-        if l < j:  # nested
-            return [(-RF_ONE, swap, None, None)]
-        # crossing, i < k and j < l
-        cross = (self._place[("F", k, j, 1)], self._place[("F", i, l, 1)])
-        return [(-RF_ONE, swap, None, None), (RF_Q - _Q_INV, cross, None, None)]
-
-    def _even_pair(self, atom, p):
-        """F_ab F_st for an even root (a, b) and an odd root (s, t): F_ab
-        moves right, times q on a shared index, and leaves the odd root
-        vector (a, t) or (s, b) where the two roots meet end to start, or
-        that and an even one where they overlap."""
-        a, b = atom[1:3]
-        s, t = self.alg.f1_list[p]
-        if b <= self.alg.shape.m:  # the first block, which meets the row s
-            if s == a:
-                return [(RF_Q, (p,), atom, None)]
-            new = (self._place[("F", a, t, 1)],)
-            if s == b:
-                return [(_Q_INV, (p,), atom, None), (-_Q_INV, new, None, None)]
-            if a < s < b:
-                return [(RF_ONE, (p,), atom, None), (RF_Q - _Q_INV, new, ("F", s, b, 1), None)]
-        else:  # the second block, which meets the column t
-            if t == b:
-                return [(RF_Q, (p,), atom, None)]
-            new = (self._place[("F", s, b, 1)],)
-            if t == a:
-                return [(_Q_INV, (p,), atom, None), (RF_ONE, new, None, None)]
-            if a < t < b:
-                return [(RF_ONE, (p,), atom, None), (RF_Q - _Q_INV, new, ("F", a, t, 1), None)]
-        return [(RF_ONE, (p,), atom, None)]
-
-    def _crossing(self, atom, p):
-        """E_i F_st for a simple E_i and an odd root (s, t): the straightener's
-        closed form of the crossing pair (``Algebra._resolve_ef``), whose
-        words are F_st E_i and, where [E_i, F_st] is not zero, an F or none
-        followed by a torus atom."""
-        out = []
-        for c, word in self.alg._resolve_ef(atom, self.odd[p]):
-            e, x, nu = (), None, None
-            for a in word:
-                if a[0] == "K":
-                    nu = a[1]
-                elif a in self._place:
-                    e = (self._place[a],)
-                else:
-                    x = a  # an even F, or E_i after F_st
-            out.append((c, e, x, nu))
-        return out
-
-    def _torus_past(self, nu, d):
-        """The q-power of K^nu F1^d = q^{(nu, weight of F1^d)} F1^d K^nu."""
-        sh = self.alg.shape
-        return RatFunc.q_power(-sum(bilinear_form(sh, nu, sh.root_weight(i, j))
-                                    for x, (i, j) in zip(d, self.alg.f1_list) if x))
 
     # -- products ----------------------------------------------------------
 
@@ -727,7 +665,8 @@ class _KacInduction:
             terms = {(rest, self.even_one): RF_ONE} if x is None else self.induce(x, rest)
             if nu is not None:
                 # x is an even F or None, so K^nu goes right after it
-                c = _times(c, self._torus_past(nu, rest))
+                passed = [f for f, n in zip(self.odd, rest) if n]
+                c = _times(c, RatFunc.q_power(self.alg._torus_exponent(nu, passed)))
                 terms = {(d2, (y[0], nu, y[2])): c2 for (d2, y), c2 in terms.items()}
             for key, c2 in self._odd_times(e, terms).items():
                 add_term(out, key, _times(c, c2))

@@ -178,6 +178,24 @@ def test_antipode_of_a_composite_power_is_fast():
     assert len(json.loads(proc.stdout)["element"]["terms"]) == 15
 
 
+def test_antipode_of_a_long_root_vector_has_a_budget():
+    # S(E[1,j]) has 2^(j-2) terms: E[1,32] ran past 20 s before the span
+    # j - i was checked against hopf._MAX_ANTIPODE_SPAN, before any term
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "antipode", "--shape", "31,1", "E[1,32]"],
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("domain error") and "budget of span 13" in proc.stderr
+    proc = subprocess.run(  # at the budget: 4096 terms
+        [sys.executable, "-m", "qgl.cli", "antipode", "--shape", "13,1", "E[1,14]"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["element"]["terms"]) == 4096
+
+
 def test_power_of_a_many_term_element_is_fast():
     # x^n is n repeated products: square and multiply took 19.4 s here, on
     # products of two high-degree monomials a repeated product never meets

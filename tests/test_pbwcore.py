@@ -279,6 +279,32 @@ def test_generator_times_odd_monomial_matches_left_fold(shape, monkeypatch):
         assert got[(kind, i, d)].terms == want.terms, (kind, i, d)
 
 
+@pytest.mark.parametrize("shape", [(m, n) for m in range(1, 5) for n in range(1, 6 - m)],
+                         ids=str)
+def test_pair_rules_write_no_zero_and_no_trivial_atom(shape):
+    # the pair cache keeps a rule's replacement as it is, so no rule may write
+    # a zero coefficient, an atom X^0 or K^0: every reducible pair of root
+    # vector powers up to 3 and torus atoms, K^mu K^-mu included, both the
+    # rule's own list and the normal form a crossing of powers caches
+    alg = Algebra(shape)
+    sh = alg.shape
+    atoms = [(kind, i, j, n) for kind in ("E", "F") for i, j in list(sh.I0) + list(sh.I1)
+             for n in ((1,) if sh.parity(i, j) else (1, 2, 3))]
+    mu = tuple(range(1, sh.rank + 1))
+    atoms += [("K", mu), ("K", tuple(-x for x in mu)), ("K", sh.root_weight(1, sh.rank))]
+    checked = 0
+    for left, right in itertools.product(atoms, repeat=2):
+        if not alg._reducible(left, right):
+            continue
+        for rule in (alg._resolve_uncached(left, right),
+                     alg._resolve(left, right, pbwcore._Budget())):
+            for c, word in rule:
+                assert not c.is_zero(), (left, right)
+                assert all(any(a[1]) if a[0] == "K" else a[3] for a in word), (left, right, word)
+        checked += 1
+    assert checked > len(atoms) ** 2 // 3
+
+
 @pytest.mark.parametrize("shape", PAIR_SHAPES)
 def test_crossing_pairs_satisfy_the_defining_identities(shape):
     # E_i^a F_{s,t}^b, a, b <= 2, is one crossing pair.  Simple F: the

@@ -14,7 +14,7 @@ from qgl import repmod
 from qgl import rootofunity as ru
 from qgl.errors import DomainError, NonDominant, NotHighestWeight, ResourceLimit
 from qgl.linalg import Echelon, columns, mat_mul, nullspace, rref
-from qgl.pbwcore import Algebra, Element
+from qgl.pbwcore import Algebra
 from qgl.rootdata import (
     Shape, bilinear_form, frobenius_decompose, in_Xplus, is_typical, weight_to_z, weyl_dim_even,
 )
@@ -307,15 +307,20 @@ def test_kac_module_matches_the_straightened_induction(shape):
 
 
 def _rule_element(alg, terms):
-    """The Element of the terms (coeff, e, x, nu) of a Kac induction rule."""
-    out = {}
+    """The Element of the terms (coeff, e, x, nu) of a Kac induction rule,
+    each the ordered product of the odd F's at the places e in turn, then
+    x, then K^nu: the order in which the induction applies them."""
+    out = alg.zero()
     for c, e, x, nu in terms:
-        word = [("F", i, j, 1) for p, (i, j) in enumerate(alg.f1_list) if p in e]
-        word += [x] if x is not None else []
-        word += [("K", nu)] if nu is not None else []
-        key = alg.word_to_monomial(word)
-        out[key] = out.get(key, RF_ZERO) + c
-    return Element(alg, {k: c for k, c in out.items() if not c.is_zero()})
+        term = alg.scalar(c)
+        for p in e:
+            term = term * alg.gen("F", *alg.f1_list[p])
+        if x is not None:
+            term = term * alg._atom_element(x)
+        if nu is not None:
+            term = term * alg.k_mono(nu)
+        out = out + term
+    return out
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3),
