@@ -957,7 +957,9 @@ class Algebra:
 
         Keys are (fd, fpsi, delta, tvec, epsi, ed) with the torus part in
         the basis prod_i K_{alpha_i}^{delta_i} [K_{alpha_i}; 0; t_i].
-        Raises NotIntegral when a coefficient leaves Z[q, q^-1].
+        The values are the integral coefficients themselves: RatFuncs in
+        Z[q, q^-1] (is_laurent_int).  Raises NotIntegral when a coefficient
+        leaves Z[q, q^-1].
         """
         r = self.shape.rank
         out = {}
@@ -981,11 +983,9 @@ class Algebra:
                 ]
             for deltas, ts, cv in options:
                 add_term(out, (key.fd, key.fpsi, deltas, ts, key.epsi, key.ed), cv)
-        result = {}
-        for akey, cv in sorted(out.items()):
-            li = cv.as_laurent_int()
-            if li is None:
+        result = dict(sorted(out.items()))
+        for akey, cv in result.items():
+            if not cv.is_laurent_int():
                 raise NotIntegral(akey, cv.render())
-            result[akey] = li
         return result
 

@@ -822,15 +822,6 @@ def character_product(ca, cb):
     return out
 
 
-def _factor_columns(mod, key):
-    """The sparse columns of a coproduct factor on mod; the unit is the
-    identity, with None for its entries 1."""
-    word = mod.alg.mono_word(key)
-    if not word:
-        return [[(c, None)] for c in range(mod.dim)]
-    return mod.matrix_of_atom(word[0])
-
-
 def tensor_module(m1, m2):
     """Signed tensor product: a simple generator g acts through its
     coproduct Delta(g) = sum c x (x) y (``hopf.Hopf.delta_atom``), each
@@ -850,10 +841,18 @@ def tensor_module(m1, m2):
     parities = [(m1.parities[a] + m2.parities[b]) % 2 for a, b in labels]
     hopf = Hopf(alg)
 
+    def factor_columns(mod, key):
+        """The sparse columns of a coproduct factor on mod; the unit is the
+        identity, with None for its entries 1."""
+        word = alg.mono_word(key)
+        if not word:
+            return [[(c, None)] for c in range(mod.dim)]
+        return mod.matrix_of_atom(word[0])
+
     def entries(key):
         """The (row, column, value) entries of the coproduct terms of key."""
         for (x, y), c in hopf.delta_atom(key).terms.items():
-            cx, cy = _factor_columns(m1, x), _factor_columns(m2, y)
+            cx, cy = factor_columns(m1, x), factor_columns(m2, y)
             cval = None if c == RF_ONE else m1.field.of(c)
             py = alg.monomial_parity(y)
             for cidx, (a, b) in enumerate(labels):

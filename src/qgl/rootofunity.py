@@ -236,16 +236,16 @@ def _certified(mod):
 def classical_reduce(alg, elt):
     """Coordinates of an integral element at q = 1 modulo (K_{alpha} - 1).
 
-    Integral coordinates are evaluated at q = 1 and the pure torus factors
-    K^delta collapse to 1 (the bracket basis elements [K;0;t] survive as
-    the classical Cartan divided powers).  Returns {key: int} with the
-    delta component zeroed.
+    Integral coordinates num/q^k are evaluated at q = 1, as the sum of
+    num's coefficients, and the pure torus factors K^delta collapse to 1
+    (the bracket basis elements [K;0;t] survive as the classical Cartan
+    divided powers).  Returns {key: int} with the delta component zeroed.
     """
     from .pbwcore import add_term
 
     out = {}
     for (fd, fpsi, deltas, ts, epsi, ed), li in alg.a_form_coords(elt).items():
-        add_term(out, (fd, fpsi, tuple([0] * len(deltas)), ts, epsi, ed), li.at_one())
+        add_term(out, (fd, fpsi, tuple([0] * len(deltas)), ts, epsi, ed), sum(li.num))
     return out
 
 

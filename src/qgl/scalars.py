@@ -1,34 +1,33 @@
 """Exact scalar arithmetic for the engine.
 
-Three levels:
+Two types:
 
-    LaurentInt -- Laurent polynomials over Z, the ring Z[q, q^-1];
-    RatFunc    -- rational functions over Q, the field Q(q);
-    CycloNum   -- the cyclotomic field Q(eta), eta a primitive l-th
-                  root of unity (l odd, >= 3), realized as Q[q]/Phi_l.
+    RatFunc  -- rational functions over Q, the field Q(q);
+    CycloNum -- the cyclotomic field Q(eta), eta a primitive l-th root of
+                unity (l odd, >= 3), realized as Q[q]/Phi_l.
 
 Plus the q-combinatorics of divided powers and of the Gelfand-Tsetlin
 formulas: symmetric Gaussian integers [n] and Gaussian factorials [n]!.
 
-All three share one polynomial core over the integers: dense tuples of
-Python ints.  A RatFunc is a coprime pair num/den of integer polynomials
-whose denominator has a positive leading coefficient and whose
-coefficients have no common factor all together; a Laurent value c*q^e has
-the monomial denominator d*q^k, so it needs no gcd.  A LaurentInt is the
-RatFunc with denominator q^k on those same tuples: it adds only its
-{exponent: int} constructor, so its arithmetic, equality and hash are
-RatFunc's.  A CycloNum is an integer residue modulo the monic Phi_l over one
-positive integer denominator.  All forms are canonical, so equality is
-tuple equality.  fractions.Fraction appears only at the API boundary
-(from_fraction, the coefficients of a Laurent value with d > 1 and the
-rendered text).
+Both share one polynomial core over the integers: dense tuples of Python
+ints.  A RatFunc is a coprime pair num/den of integer polynomials whose
+denominator has a positive leading coefficient and whose coefficients have
+no common factor all together; a Laurent value c*q^e has the monomial
+denominator d*q^k, so it needs no gcd.  The ring Z[q, q^-1] of the integral
+form is no type of its own: it is the RatFuncs with denominator q^k
+(is_laurent_int), such as every [n] and [n]!.  A CycloNum is an integer
+residue modulo the monic Phi_l over one positive integer denominator.  Each
+type has one constructor, which takes its stored form.  All forms are
+canonical, so equality is tuple equality.  fractions.Fraction appears only
+at the API boundary (from_fraction, the coefficients of a Laurent value
+with d > 1 and the rendered text).
 
 All values are immutable after construction.
 """
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import sub
 
 from .errors import DenominatorVanishes, ResourceLimit, check_int_size
@@ -213,7 +212,7 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_ONE_POLY):
-        # callers normally go through the classmethods / _make
+        # the canonical tuples; _make builds them from any pair
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -373,12 +372,11 @@ class RatFunc:
             num = (0,) * (dd - dn) + num
         return RatFunc._make(num, den)
 
-    def as_laurent_int(self):
-        """Return the LaurentInt equal to self, or None if not in Z[q,q^-1]."""
+    def is_laurent_int(self):
+        """True iff self is in Z[q, q^-1], that is den == q^k."""
         den = self.den
-        if den[-1] != 1 or not _is_monomial(den):
-            return None  # content 1 makes num/(d*q^k) with d > 1 non-integral
-        return LaurentInt._on(self.num, den)
+        # content 1 makes num/(d*q^k) with d > 1 non-integral
+        return den[-1] == 1 and _is_monomial(den)
 
     def as_laurent_rational(self):
         """{exponent: coefficient} if den == d*q^k, else None.
@@ -426,39 +424,6 @@ _RF_ONE = RatFunc(_ONE_POLY, _ONE_POLY)
 
 RF_ZERO = _RF_ZERO
 RF_ONE = _RF_ONE
-RF_Q = RatFunc.q_power(1)
-
-
-class LaurentInt(RatFunc):
-    """Laurent polynomial over Z, built from {exponent: int coefficient}.
-
-    The value is stored as the RatFunc num/q^k (num(0) != 0 when k > 0), so
-    it inherits RatFunc's arithmetic, ==, hash, bar and render; results of
-    arithmetic are plain RatFunc values.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, coeffs=None):
-        cs = {int(e): int(c) for e, c in (coeffs or {}).items() if c}
-        if not cs:
-            super().__init__((), _ONE_POLY)
-            return
-        low = min(min(cs), 0)
-        num = [0] * (max(cs) - low + 1)
-        for e, c in cs.items():
-            num[e - low] = c
-        super().__init__(tuple(num), (0,) * -low + _ONE_POLY)
-
-    @classmethod
-    def _on(cls, num, den):
-        """The LaurentInt on the canonical tuples num/den, den == q^k."""
-        out = object.__new__(cls)
-        RatFunc.__init__(out, num, den)
-        return out
-
-    def at_one(self):
-        return sum(self.num)
 
 
 def exact_quotient(x, d):
@@ -481,11 +446,15 @@ def exact_quotient(x, d):
 def gauss_int(n):
     """Symmetric Gaussian integer [n] = (q^n - q^-n)/(q - q^-1).
 
-    [n] is invariant under q -> q^-1, so it is also [n] at q_i = q^-1.
+    [n] = q^(1-n) (1 + q^2 + ... + q^(2n-2)) for n > 0 and [-n] = -[n],
+    stored as that numerator over q^(n-1).  [n] is invariant under
+    q -> q^-1, so it is also [n] at q_i = q^-1.
     """
+    if not n:
+        return _RF_ZERO
     c = -1 if n < 0 else 1
     n = abs(n)
-    return LaurentInt({n - 1 - 2 * k: c for k in range(n)})
+    return RatFunc((c,) + (0, c) * (n - 1), (0,) * (n - 1) + _ONE_POLY)
 
 
 def gauss_factorial(n):
@@ -493,7 +462,7 @@ def gauss_factorial(n):
 
     [k] = q^(1-k) (1 + x + ... + x^(k-1)) in x = q^2, so each factor is a
     length-k window sum over the dense integer coefficients in x; the
-    result becomes a LaurentInt once, shifted by q^-(n(n-1)/2).
+    result is that polynomial in q^2 over q^(n(n-1)/2).
     """
     if n < 0:
         raise ValueError("factorial of negative integer")
@@ -504,8 +473,9 @@ def gauss_factorial(n):
         prefix = [0] * k + list(accumulate(cs))
         prefix += [prefix[-1]] * (k - 1)
         cs = list(map(sub, prefix[k:], prefix))
-    shift = n * (n - 1) // 2
-    return LaurentInt({2 * i - shift: c for i, c in enumerate(cs)})
+    num = [0] * (2 * len(cs) - 1)
+    num[::2] = cs
+    return RatFunc(tuple(num), (0,) * (n * (n - 1) // 2) + _ONE_POLY)
 
 
 # ---------------------------------------------------------------------------
@@ -567,21 +537,17 @@ def cyclotomic_poly(n):
 class CycloNum:
     """Element res/den of Q(eta) = Q[q]/Phi_l, eta a primitive l-th root of unity.
 
-    res is an integer residue mod Phi_l (degree < phi(l)) and den a positive
-    integer sharing no factor with all of res; zero is res == (), den == 1.
+    Stored as res, an integer residue mod Phi_l (degree < phi(l)), over den,
+    a positive integer sharing no factor with all of res; zero is res == (),
+    den == 1.  CycloNum(res, den, l) takes that form from any trimmed integer
+    tuple res and positive int den, reducing res mod Phi_l and removing the
+    content; it trusts l, which from_int checks.  An int or a Fraction mixes
+    in on either side of an operator.
     """
 
     __slots__ = ("res", "den", "order")
 
-    def __init__(self, res, order):
-        """res: coefficients (ints or Fractions) of a polynomial in eta, ascending."""
-        _check_order(order)
-        res = [Fraction(c) for c in res]
-        den = lcm(*(c.denominator for c in res))
-        self._set(_trim([int(c * den) for c in res]), den, order)
-
-    def _set(self, res, den, order):
-        """Store res/den (res in Z[q], den > 0) reduced mod Phi_l, content removed."""
+    def __init__(self, res, den, order):
         res = _pdivmod(res, cyclotomic_poly(order))[2]
         if res:
             c = gcd(den, *res)
@@ -594,20 +560,13 @@ class CycloNum:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "order", order)
 
-    @classmethod
-    def _make(cls, res, den, order):
-        """CycloNum of res/den, res an integer polynomial, den a positive int."""
-        out = object.__new__(cls)
-        out._set(res, den, order)
-        return out
-
     def __setattr__(self, *a):
         raise AttributeError("CycloNum is immutable")
 
     @classmethod
     def from_int(cls, n, order):
         _check_order(order)
-        return cls._make((n,) if n else (), 1, order)
+        return cls((n,) if n else (), 1, order)
 
     def is_zero(self):
         return not self.res
@@ -620,8 +579,10 @@ class CycloNum:
             if other.order != self.order:
                 raise ValueError("mixed root orders")
             return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNum((other,), self.order)
+        if isinstance(other, int):
+            return CycloNum((other,) if other else (), 1, self.order)
+        if isinstance(other, Fraction):
+            return CycloNum((other.numerator,) if other else (), other.denominator, self.order)
         return None
 
     def __add__(self, other):
@@ -630,16 +591,16 @@ class CycloNum:
             return NotImplemented
         d1, d2 = self.den, other.den
         if d1 == d2:
-            return CycloNum._make(_padd(self.res, other.res), d1, self.order)
+            return CycloNum(_padd(self.res, other.res), d1, self.order)
         g = gcd(d1, d2)
         res = _padd(tuple(c * (d2 // g) for c in self.res),
                     tuple(c * (d1 // g) for c in other.res))
-        return CycloNum._make(res, d1 // g * d2, self.order)
+        return CycloNum(res, d1 // g * d2, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum._make(_pneg(self.res), self.den, self.order)
+        return CycloNum(_pneg(self.res), self.den, self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -654,7 +615,7 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum._make(_pmul(self.res, other.res), self.den * other.den, self.order)
+        return CycloNum(_pmul(self.res, other.res), self.den * other.den, self.order)
 
     __rmul__ = __mul__
 
@@ -663,7 +624,7 @@ class CycloNum:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         # (res/den)^-1 = den * s / c where s * res == c mod Phi_l
         s, c = _inverse_mod(self.res, self.order)
-        return CycloNum._make(tuple(x * self.den for x in s), c, self.order)
+        return CycloNum(tuple(x * self.den for x in s), c, self.order)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -720,29 +681,26 @@ def evaluate_at_root(x, l):
     Raises DenominatorVanishes when x has a pole at eta.
     """
     _check_order(l)
-    if isinstance(x, int):
-        x = RatFunc.from_int(x)
     if not isinstance(x, RatFunc):
         raise TypeError("cannot specialize %r" % (x,))
     if _is_monomial(x.den):
         # a Laurent value num/(d*q^k): eta^-k == eta^(l - k mod l), no inverse
         shift = -(len(x.den) - 1) % l
-        return CycloNum._make((0,) * shift + x.num if x.num else (), x.den[-1], l)
+        return CycloNum((0,) * shift + x.num if x.num else (), x.den[-1], l)
     phi = cyclotomic_poly(l)
     den = _pdivmod(x.den, phi)[2]
     if not den:
         # stored in lowest terms, so a vanishing denominator is a genuine pole
         raise DenominatorVanishes("pole at primitive %d-th root of unity" % l)
     s, c = _inverse_mod(den, l)
-    return CycloNum._make(_pmul(_pdivmod(x.num, phi)[2], s), c, l)
+    return CycloNum(_pmul(_pdivmod(x.num, phi)[2], s), c, l)
 
 
 class FieldOps:
     """Tiny field descriptor shared by the generic and root-of-unity scalars:
     l is the order of eta for Q(eta), None for Q(q)."""
 
-    def __init__(self, zero, one, l):
-        self.zero = zero
+    def __init__(self, one, l):
         self.one = one
         self.l = l
 
@@ -751,9 +709,9 @@ class FieldOps:
         return c if self.l is None else evaluate_at_root(c, self.l)
 
 
-GENERIC_FIELD = FieldOps(RF_ZERO, RF_ONE, None)
+GENERIC_FIELD = FieldOps(RF_ONE, None)
 
 
 def cyclo_field(l):
     _check_order(l)
-    return FieldOps(CycloNum.from_int(0, l), CycloNum.from_int(1, l), l)
+    return FieldOps(CycloNum.from_int(1, l), l)

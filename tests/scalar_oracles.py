@@ -1,21 +1,59 @@
 """Closed forms in Z[q, q^-1] and Q(q) that the tests compare the engine
 with: the Gaussian binomial, and the eigenvalue of a torus bracket
-[K;c;t] on a weight vector as a product of ratios of q-integers."""
+[K;c;t] on a weight vector as a product of ratios of q-integers.  Also the
+input forms the engine itself has no use for: a Laurent polynomial from
+{exponent: int} and a cyclotomic number from its coefficients over Q."""
 
-from qgl.scalars import RF_ONE, LaurentInt, RatFunc, gauss_factorial, gauss_int
+from fractions import Fraction
+from math import gcd, lcm
+
+from qgl.scalars import (RF_ONE, RF_ZERO, CycloNum, RatFunc, cyclotomic_poly, gauss_factorial,
+                         gauss_int)
+
+
+def laurent(coeffs):
+    """The RatFunc sum of c*q^e over the items e: c of coeffs (ints), stored
+    as its integer numerator over q^k."""
+    cs = {e: c for e, c in coeffs.items() if c}
+    if not cs:
+        return RF_ZERO
+    low = min(min(cs), 0)
+    num = [0] * (max(cs) - low + 1)
+    for e, c in cs.items():
+        num[e - low] = c
+    return RatFunc(tuple(num), (0,) * -low + (1,))
+
+
+def cyclo(coeffs, l):
+    """The CycloNum sum of c*eta^i over the coefficients c of coeffs (ints or
+    Fractions, ascending), reduced mod Phi_l by long division over Q."""
+    phi = cyclotomic_poly(l)
+    top = len(phi) - 1
+    cs = [Fraction(c) for c in coeffs]
+    for i in range(len(cs) - 1, top - 1, -1):
+        c = cs[i]
+        if c:
+            for j, p in enumerate(phi):
+                cs[i - top + j] -= c * p
+    cs = cs[:top]
+    while cs and not cs[-1]:
+        cs.pop()
+    den = lcm(*(c.denominator for c in cs))
+    res = [int(c * den) for c in cs]
+    g = gcd(den, *res)
+    return CycloNum(tuple(x // g for x in res), den // g, l)
 
 
 def gauss_binomial(m, n):
     """Gaussian binomial [m choose n]; zero when n > m or n < 0 (convention)."""
     if n < 0 or n > m:
-        return LaurentInt({})
+        return RF_ZERO
     n = min(n, m - n)
     num = RatFunc.from_int(1)
     for k in range(n):
         num = num * gauss_int(m - k)
-    quo = num / gauss_factorial(n)
-    out = quo.as_laurent_int()
-    if out is None:
+    out = num / gauss_factorial(n)
+    if not out.is_laurent_int():
         raise ArithmeticError("Gaussian binomial failed to be integral")
     return out
 

@@ -15,7 +15,9 @@ from qgl.expr import (
     print_canonical,
 )
 from qgl.pbwcore import Algebra, PBWMonomial
-from qgl.scalars import LaurentInt, RatFunc, gauss_factorial
+from qgl.scalars import RatFunc, gauss_factorial
+
+from scalar_oracles import laurent
 
 
 ALG21 = Algebra((2, 1))
@@ -176,7 +178,7 @@ def rand_element(alg, rng, nterms=3):
         k = tuple(rng.randint(-2, 2) for _ in range(sh.rank))
         epsi = tuple(rng.choice([0, 0, 1, 2]) for _ in sh.I0)
         ed = tuple(rng.randint(0, 1) for _ in sh.I1)
-        coeff = LaurentInt({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(2)})
+        coeff = laurent({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(2)})
         if coeff.is_zero():
             continue
         out = out + alg.monomial(fd=fd, fpsi=fpsi, k=k, epsi=epsi, ed=ed).scale(coeff)

@@ -69,7 +69,6 @@ REACH_ALLOWED = {
     "repmod.quotient_module": "bench/tracer.py wraps it by name",
     "repmod.singular_vectors": "bench/tracer.py wraps it by name",
     "repmod.tensor_module": "bench/tracer.py wraps it by name",
-    "repmod._factor_columns": "called only by repmod.tensor_module",
     "scalars.RatFunc.coeffs": "bench/workloads.py: the specialize oracle's coefficients",
 }
 

@@ -13,6 +13,8 @@ import pytest
 from qgl.linalg import Echelon, columns, in_span, mat_mul, nullspace, rref
 from qgl.scalars import CycloNum, RatFunc
 
+from scalar_oracles import cyclo
+
 
 def _ratfunc(rng):
     x = RatFunc.from_int(rng.randint(-3, 3)) * RatFunc.q_power(rng.randint(-2, 2))
@@ -22,7 +24,7 @@ def _ratfunc(rng):
 
 
 def _cyclo(rng):
-    return CycloNum([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)], 5)
+    return cyclo([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)], 5)
 
 
 def _sparse(vec):

@@ -531,6 +531,15 @@ def test_k_exponent_coords_rebuild_the_torus_power():
             assert total == alg.k_alpha(i, nu), (i, nu)
 
 
+def test_a_form_coords_are_laurent_ints():
+    alg = Algebra((2, 1))
+    x = (alg.divided_power("E", 1, 2, 2) * alg.k_mono((3, -1, 2)) * alg.gen("F", 1, 3)
+         + alg.gen("E", 2, 3).scale(gauss_factorial(3)) * alg.kbracket_element(1, 1, 2))
+    coords = alg.a_form_coords(x)
+    assert len(coords) > 3
+    assert all(type(c) is RatFunc and c.is_laurent_int() for c in coords.values())
+
+
 def test_a_form_rejects_non_integral():
     alg = Algebra((1, 1))
     third = RatFunc.from_int(1) / RatFunc.from_int(3)

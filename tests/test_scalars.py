@@ -2,9 +2,10 @@
 q-combinatorics, and cyclotomic specialization."""
 
 import operator
+import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -18,9 +19,7 @@ RATFUNC_SETTINGS = settings(
 from qgl.errors import BadRootOrder, DenominatorVanishes
 from qgl.scalars import (
     CycloNum,
-    LaurentInt,
     RF_ONE,
-    RF_Q,
     RF_ZERO,
     RatFunc,
     _pmul,
@@ -31,7 +30,9 @@ from qgl.scalars import (
     gauss_int,
 )
 
-from scalar_oracles import gauss_binomial, kbracket_scalar
+from scalar_oracles import cyclo, gauss_binomial, kbracket_scalar, laurent
+
+Q = RatFunc.q_power(1)
 
 # -- strategies -------------------------------------------------------------
 
@@ -44,7 +45,7 @@ def laurents(draw):
     coeffs = {}
     for _ in range(n):
         coeffs[draw(small_ints)] = draw(st.integers(min_value=-9, max_value=9))
-    return LaurentInt(coeffs)
+    return laurent(coeffs)
 
 
 @st.composite
@@ -58,7 +59,7 @@ def ratfuncs(draw, nonzero=False):
     return num / den
 
 
-# -- LaurentInt -------------------------------------------------------------
+# -- Laurent values ----------------------------------------------------------
 
 
 @settings(max_examples=200)
@@ -69,9 +70,9 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + LaurentInt({}) == a
-    assert a * LaurentInt({0: 1}) == a
-    assert a - a == LaurentInt({})
+    assert a + laurent({}) == a
+    assert a * laurent({0: 1}) == a
+    assert a - a == laurent({})
 
 
 @settings(max_examples=200)
@@ -83,25 +84,26 @@ def test_laurent_bar_is_ring_involution(a, b):
 
 
 def test_laurent_no_zero_coeffs_stored():
-    x = LaurentInt({2: 1, 0: 0, -1: 3})
+    x = laurent({2: 1, 0: 0, -1: 3})
     assert set(x.coeffs) == {2, -1}
     assert (x - x).coeffs == {}
 
 
 def test_laurent_render():
-    x = LaurentInt({2: 3, -1: -1, 0: 4})
+    x = laurent({2: 3, -1: -1, 0: 4})
     assert x.render() == "3*q^2 + 4 - q^-1"
-    assert LaurentInt({}).render() == "0"
-    assert LaurentInt({1: 1}).render() == "q"
-    assert LaurentInt({-2: -2}).render() == "-2*q^-2"
+    assert laurent({}).render() == "0"
+    assert laurent({1: 1}).render() == "q"
+    assert laurent({-2: -2}).render() == "-2*q^-2"
 
 
 @RATFUNC_SETTINGS
 @given(laurents(), ratfuncs())
 def test_laurent_values_are_ratfunc_values(a, r):
-    ra = RatFunc(a.num, a.den)  # the plain RatFunc on the same tuples
-    assert isinstance(a, RatFunc) and type(ra) is RatFunc
-    assert a == ra and hash(a) == hash(ra)
+    # the same value built by arithmetic from powers of q
+    ra = sum((RatFunc.q_power(e) * c for e, c in a.coeffs.items()), RF_ZERO)
+    assert type(a) is RatFunc and a.is_laurent_int()
+    assert (a.num, a.den) == (ra.num, ra.den) and hash(a) == hash(ra)
     assert len({a, ra}) == 1
     assert a + r == r + a == ra + r
     assert a - r == -(r - a) == ra - r
@@ -110,20 +112,23 @@ def test_laurent_values_are_ratfunc_values(a, r):
 
 
 def test_laurent_mixes_with_ratfunc_and_fraction():
-    two = LaurentInt({0: 2})
-    assert isinstance(gauss_int(3), RatFunc)
+    two = laurent({0: 2})
+    assert type(gauss_int(3)) is RatFunc
+    assert two == RatFunc.from_int(2) == 2
     assert hash(two) == hash(RatFunc.from_int(2))
     assert len({two, RatFunc.from_int(2)}) == 1
-    x = LaurentInt({1: 1})
-    assert (x + RF_Q).render() == (RF_Q + x).render() == "2*q"
-    assert (x * Fraction(1, 2)).render() == "1/2*q"
+    x = laurent({1: 1})
+    assert (x + Q).render() == (Q + x).render() == "2*q"
+    assert (x - 2 * Q).render() == (-(2 * Q - x)).render() == "-q"
+    assert (x * Q).render() == (Q * x).render() == "q^2"
+    assert (x * Fraction(1, 2)).render() == (Fraction(1, 2) * x).render() == "1/2*q"
     assert (x * Fraction(1, 2)).coeffs == {1: Fraction(1, 2)}
-    # as_laurent_int gives a LaurentInt back on the same tuples
-    y = (x * gauss_int(2)).as_laurent_int()
-    assert isinstance(y, LaurentInt) and y.coeffs == {2: 1, 0: 1}
-    assert y.at_one() == 2
+    assert not (x * Fraction(1, 2)).is_laurent_int()
+    y = x * gauss_int(2)
+    assert y.is_laurent_int() and y.coeffs == {2: 1, 0: 1}
+    assert sum(y.num) == 2  # the value at q = 1
     with pytest.raises(ValueError):
-        (RF_ONE / (RF_Q + 1)).coeffs
+        (RF_ONE / (Q + 1)).coeffs
 
 
 # -- RatFunc ----------------------------------------------------------------
@@ -167,19 +172,19 @@ def test_ratfunc_equality_is_canonical(a, b):
 
 
 def test_ratfunc_roundtrips():
-    x = LaurentInt({3: 2, -1: -5})
-    assert x.as_laurent_int() == LaurentInt({3: 2, -1: -5})
+    x = laurent({3: 2, -1: -5})
+    assert x.is_laurent_int() and x.coeffs == {3: 2, -1: -5}
     y = RatFunc.from_fraction(Fraction(3, 7))
-    assert y.as_laurent_int() is None
+    assert not y.is_laurent_int()
     assert y.as_laurent_rational() == {0: Fraction(3, 7)}
-    assert (RF_Q + RF_ONE).render() == "q + 1"
-    frac = RF_ONE / (RF_Q + RF_ONE)
+    assert (Q + RF_ONE).render() == "q + 1"
+    frac = RF_ONE / (Q + RF_ONE)
     assert frac.render() == "(1)/(q + 1)"
     assert RatFunc.from_int(5).as_int() == 5
 
 
 def test_ratfunc_q_power_negative():
-    assert RF_Q.inverse() == RatFunc.q_power(-1)
+    assert Q.inverse() == RatFunc.q_power(-1)
     assert RatFunc.q_power(-3) * RatFunc.q_power(3) == RF_ONE
 
 
@@ -323,11 +328,11 @@ def test_ratfunc_matches_fraction_reference(x, y, op):
 
 
 def test_ratfunc_integer_laurent_has_unit_monomial_den():
-    x = LaurentInt({-2: 3, 1: -1})
+    x = laurent({-2: 3, 1: -1})
     assert (x.num, x.den) == ((3, 0, 0, -1), (0, 0, 1))
     y = x * Fraction(1, 2)
     assert (y.num, y.den) == ((3, 0, 0, -1), (0, 0, 2))
-    assert y.as_laurent_int() is None and y.render() == "-1/2*q + 3/2*q^-2"
+    assert not y.is_laurent_int() and y.render() == "-1/2*q + 3/2*q^-2"
 
 
 @st.composite
@@ -361,25 +366,47 @@ def test_pmul_matches_the_schoolbook_product(a, b):
 
 
 def test_gauss_int_values():
-    assert gauss_int(0) == LaurentInt({})
-    assert gauss_int(1) == LaurentInt({0: 1})
-    assert gauss_int(2) == LaurentInt({1: 1, -1: 1})
-    assert gauss_int(3) == LaurentInt({2: 1, 0: 1, -2: 1})
+    assert gauss_int(0) == laurent({})
+    assert gauss_int(1) == laurent({0: 1})
+    assert gauss_int(2) == laurent({1: 1, -1: 1})
+    assert gauss_int(3) == laurent({2: 1, 0: 1, -2: 1})
     assert gauss_int(-3) == -gauss_int(3)
 
 
 def test_gauss_factorial_values():
-    assert gauss_factorial(0) == LaurentInt({0: 1})
+    assert gauss_factorial(0) == laurent({0: 1})
     assert gauss_factorial(3) == gauss_int(3) * gauss_int(2)
-    assert gauss_factorial(4).at_one() == 24
+    assert sum(gauss_factorial(4).num) == 24  # [4]! at q = 1
 
 
 def test_gauss_factorial_matches_the_product_loop():
-    want = LaurentInt({0: 1})
+    want = laurent({0: 1})
     for n in range(41):
         if n >= 2:
             want = want * gauss_int(n)
         assert gauss_factorial(n) == want, n
+
+
+def _assert_stored_canonical(x):
+    # the tuples [n] and [n]! are built on are the ones _make would give,
+    # with a numerator that starts at q^0 over its q^k
+    y = RatFunc._make(x.num, x.den)
+    assert (x.num, x.den) == (y.num, y.den)
+    assert x.is_laurent_int() and (not x.num or x.num[0])
+
+
+def test_gauss_int_is_stored_canonical():
+    for n in range(-30, 31):
+        x = gauss_int(n)
+        _assert_stored_canonical(x)
+        assert bool(x) == bool(n)
+
+
+def test_gauss_factorial_is_stored_canonical():
+    for n in range(41):
+        x = gauss_factorial(n)
+        _assert_stored_canonical(x)
+        assert x.num[0] == 1 and sum(x.num) == factorial(n)
 
 
 @RATFUNC_SETTINGS
@@ -396,19 +423,19 @@ def test_exact_quotient_is_the_quotient(a, x, n):
 
 def test_exact_quotient_keeps_what_does_not_divide():
     fact = gauss_factorial(3)
-    assert exact_quotient(gauss_int(3) * RF_Q, fact) == RF_Q / gauss_int(2)
+    assert exact_quotient(gauss_int(3) * Q, fact) == Q / gauss_int(2)
     assert exact_quotient(RF_ZERO, fact) == RF_ZERO
 
 
 def test_gauss_binomial_spec_value():
     # [4 choose 2] = q^4 + q^2 + 2 + q^-2 + q^-4
-    assert gauss_binomial(4, 2) == LaurentInt({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
+    assert gauss_binomial(4, 2) == laurent({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
 
 
 def test_gauss_binomial_conventions():
-    assert gauss_binomial(3, 5) == LaurentInt({})
-    assert gauss_binomial(3, -1) == LaurentInt({})
-    assert gauss_binomial(5, 0) == LaurentInt({0: 1})
+    assert gauss_binomial(3, 5) == laurent({})
+    assert gauss_binomial(3, -1) == laurent({})
+    assert gauss_binomial(5, 0) == laurent({0: 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,7 +494,7 @@ def test_bad_root_orders():
 
 def test_eta_is_primitive_root():
     for l in (3, 5, 7, 9):
-        eta = evaluate_at_root(RF_Q, l)
+        eta = evaluate_at_root(Q, l)
         p = eta
         for _ in range(l - 1):
             assert not (p == CycloNum.from_int(1, l))
@@ -507,8 +534,8 @@ def test_cyclotomic_poly_of_large_order_is_fast():
     st.sampled_from([3, 5, 7, 9, 15]),
 )
 def test_cyclo_field_axioms(ar, br, d, l):
-    a = CycloNum(tuple(Fraction(x, d) for x in ar), l)
-    b = CycloNum(tuple(Fraction(x) for x in br), l)
+    a = cyclo(tuple(Fraction(x, d) for x in ar), l)
+    b = cyclo(br, l)
     for x in (a, b):
         assert len(x.res) < len(cyclotomic_poly(l)) and x.den > 0
         assert gcd(x.den, *x.res) == 1 and (x.res or x.den == 1)
@@ -519,6 +546,30 @@ def test_cyclo_field_axioms(ar, br, d, l):
     if not a.is_zero():
         assert a * a.inverse() == CycloNum.from_int(1, l)
         assert (b / a) * a == b
+
+
+def test_cyclo_constructor_matches_the_oracle():
+    # CycloNum(res, den, l) reduces mod Phi_l and removes the content, as
+    # long division over Q does for res/den
+    rng = random.Random(33)
+    for l in (3, 5, 7, 9, 15):
+        for _ in range(40):
+            res = [rng.randint(-6, 6) for _ in range(rng.randint(0, 2 * l))]
+            while res and not res[-1]:
+                res.pop()
+            den = rng.randint(1, 12)
+            cs = [Fraction(c, den) for c in res]
+            got = CycloNum(tuple(res), den, l)
+            want = cyclo(cs, l)
+            assert (got.res, got.den) == (want.res, want.den) and got == want
+            # an int or a Fraction on either side is the constant it names
+            f = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            shifted = (cs or [0])[:]
+            shifted[0] += f
+            assert got + f == f + got == cyclo(shifted, l)
+            assert got * f == f * got == cyclo([c * f for c in cs], l)
+            shifted[0] -= f + 1
+            assert got - 1 == -(1 - got) == cyclo(shifted, l)
 
 
 def test_evaluate_at_root_basic():
@@ -540,8 +591,8 @@ def test_evaluate_at_root_pole():
 
 def test_evaluate_preserves_arithmetic():
     l = 5
-    a = LaurentInt({2: 3, -1: 1})
-    b = LaurentInt({1: -2, 0: 7})
+    a = laurent({2: 3, -1: 1})
+    b = laurent({1: -2, 0: 7})
     c = RF_ONE / (RatFunc.q_power(2) * 3 + 2)  # a denominator that is no monomial
     ea, eb, ec = (evaluate_at_root(x, l) for x in (a, b, c))
     assert evaluate_at_root(a * b, l) == ea * eb
@@ -549,4 +600,4 @@ def test_evaluate_preserves_arithmetic():
     assert evaluate_at_root(a * c, l) == ea * ec
     assert evaluate_at_root(a / 2 + c, l) == ea / 2 + ec
     # eta^-7 = eta^(-7 mod l), built from its coefficients
-    assert evaluate_at_root(RatFunc.q_power(-7), l) == CycloNum((0,) * (-7 % l) + (1,), l)
+    assert evaluate_at_root(RatFunc.q_power(-7), l) == cyclo((0,) * (-7 % l) + (1,), l)
